@@ -10,7 +10,7 @@ can feed deliberately corrupted data and confirm the sweeps catch it.
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -28,7 +28,7 @@ from .sequences import (
     q_step,
     rows_from_a,
 )
-from .series import series_identity_parts
+from .series import convolution_lhs, expected_convolution, series_identity_parts
 
 # A failing sweep reports at most this many witnesses; more adds no signal.
 MAX_COUNTEREXAMPLES = 25
@@ -80,8 +80,9 @@ def check_mod4_exclusion(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = No
 
     If x_n were an integer, (2 x_n - 1)^2 would be an odd square strictly
     between 4n - 3 and 4n + 1, i.e. one of 4n - 2, 4n - 1, 4n; odd squares
-    are 1 mod 4 and those three are 2, 3, 0 mod 4. The sweep confirms both
-    the residue exclusion and the fact that every denominator exceeds 1.
+    are 1 mod 4 and those three are 2, 3, 0 mod 4. That argument holds for
+    every n, so what the sweep checks is its consequence: every reduced
+    denominator exceeds 1.
     """
     start = time.monotonic()
     if lo < 4:
@@ -89,13 +90,10 @@ def check_mod4_exclusion(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = No
     rows = _rows(hi, rows)
     cex: list[tuple[int, str]] = []
     for n in range(lo, hi + 1):
-        residues = {(4 * n - 2) % 4, (4 * n - 1) % 4, (4 * n) % 4}
-        if 1 in residues:
-            cex.append((n, "an odd square residue slipped into the excluded window"))
-        elif rows[n].D == 1:
+        if rows[n].D == 1:
             cex.append((n, f"x({n}) = {rows[n].x} is an integer"))
-        if len(cex) >= MAX_COUNTEREXAMPLES:
-            break
+            if len(cex) >= MAX_COUNTEREXAMPLES:
+                break
     return _finish("mod4_exclusion", lo, hi, cex, start)
 
 
@@ -148,11 +146,12 @@ def check_congruence(
 
     One modular sweep per prime covers the whole range cheaply; the same
     congruence is then recomputed from full-precision values for n up to
-    cross_limit so the modular walk itself is not trusted blindly.
+    cross_limit so the modular walk itself is not trusted blindly. Primes
+    above n_limit divide no index in range, so they are not swept.
     """
     start = time.monotonic()
     cex: list[tuple[int, str]] = []
-    odd_primes = [p for p in primes_upto(prime_limit) if p > 2]
+    odd_primes = [p for p in primes_upto(prime_limit) if 2 < p <= n_limit]
     for p in odd_primes:
         residues = a_mod(n_limit, p)
         for n in range(p, n_limit + 1, p):
@@ -199,8 +198,6 @@ def check_d_upper(
     so it runs to mechanism_hi (default min(hi, 600)) while the plain bound
     runs over the full range.
     """
-    from .series import convolution_lhs, expected_convolution
-
     start = time.monotonic()
     rows = _rows(hi, rows)
     if mechanism_hi is None:
@@ -413,36 +410,44 @@ def stirling_diagnostic(
     return out
 
 
-_ROWS_CHECKS = {
-    "x_bounds",
-    "mod4_exclusion",
-    "quadratic_gap",
-    "d_power_of_two",
-    "d_upper",
-    "e_q",
-    "d_formula",
-    "quarter_bound",
-    "parity",
-    "integrality",
-}
+@dataclass(frozen=True)
+class _Check:
+    """One registered check: whether it reads rows, how many companion values
+    (a_0..a_{N-1}) it reads for a config, and how to run it."""
 
-_REGISTRY: dict[str, Callable[[VerifyConfig, Sequence[int], Optional[Sequence[SeqRow]]], CheckResult]] = {
-    "x_bounds": lambda c, a, r: check_x_bounds(4, c.max_n, r),
-    "mod4_exclusion": lambda c, a, r: check_mod4_exclusion(4, c.max_n, r),
-    "quadratic_gap": lambda c, a, r: check_quadratic_gap(4, c.max_n, r),
-    "sqrt_factorial": lambda c, a, r: check_sqrt_factorial_lower(c.max_n, a),
-    "congruence": lambda c, a, r: check_congruence(c.prime_limit, c.max_n, a),
-    "d_power_of_two": lambda c, a, r: check_d_power_of_two(c.max_n, r),
-    "d_upper": lambda c, a, r: check_d_upper(c.max_n, r, a),
-    "e_q": lambda c, a, r: check_e_q(c.max_n, r),
-    "d_formula": lambda c, a, r: check_d_formula(c.max_n, r),
-    "quarter_bound": lambda c, a, r: check_quarter_bound_and_D(c.max_n, r),
-    "parity": lambda c, a, r: check_parity(c.max_n, r),
-    "integrality": lambda c, a, r: check_integrality(c.max_n, r),
-    "a6_relation": lambda c, a, r: check_a6_relation(c.max_n, a),
-    "series": lambda c, a, r: check_series_identities(c.series_order, a),
-    "involutions": lambda c, a, r: check_involution_identity(c.oracle_max, a),
-    "sign_flip": lambda c, a, r: check_sign_flip(c.seed),
+    needs_rows: bool
+    need: Callable[[VerifyConfig], int]
+    run: Callable[[VerifyConfig, Sequence[int], Optional[Sequence[SeqRow]]], CheckResult]
+
+
+def _through_max_n(c: VerifyConfig) -> int:
+    return c.max_n + 1
+
+
+def _d_upper_need(c: VerifyConfig) -> int:
+    mech = min(c.max_n, DEFAULT_MECHANISM_HI)
+    return max(2 * mech + 1, mech + 2, c.max_n + 1)
+
+
+_REGISTRY: dict[str, _Check] = {
+    "x_bounds": _Check(True, _through_max_n, lambda c, a, r: check_x_bounds(4, c.max_n, r)),
+    "mod4_exclusion": _Check(True, _through_max_n, lambda c, a, r: check_mod4_exclusion(4, c.max_n, r)),
+    "quadratic_gap": _Check(True, _through_max_n, lambda c, a, r: check_quadratic_gap(4, c.max_n, r)),
+    "sqrt_factorial": _Check(False, _through_max_n, lambda c, a, r: check_sqrt_factorial_lower(c.max_n, a)),
+    "congruence": _Check(False, _through_max_n, lambda c, a, r: check_congruence(c.prime_limit, c.max_n, a)),
+    "d_power_of_two": _Check(True, _through_max_n, lambda c, a, r: check_d_power_of_two(c.max_n, r)),
+    "d_upper": _Check(True, _d_upper_need, lambda c, a, r: check_d_upper(c.max_n, r, a)),
+    "e_q": _Check(True, _through_max_n, lambda c, a, r: check_e_q(c.max_n, r)),
+    "d_formula": _Check(True, _through_max_n, lambda c, a, r: check_d_formula(c.max_n, r)),
+    "quarter_bound": _Check(True, _through_max_n, lambda c, a, r: check_quarter_bound_and_D(c.max_n, r)),
+    "parity": _Check(True, _through_max_n, lambda c, a, r: check_parity(c.max_n, r)),
+    "integrality": _Check(True, _through_max_n, lambda c, a, r: check_integrality(c.max_n, r)),
+    "a6_relation": _Check(False, lambda c: c.max_n + 7, lambda c, a, r: check_a6_relation(c.max_n, a)),
+    "series": _Check(False, lambda c: c.series_order + 1,
+                     lambda c, a, r: check_series_identities(c.series_order, a)),
+    "involutions": _Check(False, lambda c: c.oracle_max + 1,
+                          lambda c, a, r: check_involution_identity(c.oracle_max, a)),
+    "sign_flip": _Check(False, lambda c: 1, lambda c, a, r: check_sign_flip(c.seed)),
 }
 
 CHECK_NAMES = sorted(_REGISTRY)
@@ -460,47 +465,22 @@ def _selected(config: VerifyConfig) -> list[str]:
 
 def required_length(config: VerifyConfig) -> int:
     """How many companion values (a_0..a_{N-1}) a run of this config reads."""
-    need = 1
-    for name in _selected(config):
-        if name == "a6_relation":
-            need = max(need, config.max_n + 7)
-        elif name == "d_upper":
-            mech = min(config.max_n, DEFAULT_MECHANISM_HI)
-            need = max(need, 2 * mech + 1, mech + 2, config.max_n + 1)
-        elif name == "series":
-            need = max(need, config.series_order + 1)
-        elif name == "involutions":
-            need = max(need, config.oracle_max + 1)
-        elif name == "sign_flip":
-            pass
-        else:
-            need = max(need, config.max_n + 1)
-    return need
+    return max([1] + [_REGISTRY[name].need(config) for name in _selected(config)])
 
 
-def run_all(
-    config: VerifyConfig,
-    a_values: Optional[Sequence[int]] = None,
-    jobs: int = 1,
-) -> list[CheckResult]:
+def run_all(config: VerifyConfig, a_values: Optional[Sequence[int]] = None) -> list[CheckResult]:
     """Run the selected checks and return their results, ordered by name.
 
     a_values, when given, replaces the internally computed sequence for every
     check that consumes companion values or rows; it must cover
     required_length(config) entries.
     """
-    names = _selected(config)
+    checks = [_REGISTRY[name] for name in _selected(config)]
     if a_values is None:
         a_values = a_seq(required_length(config) - 1)
     elif len(a_values) < required_length(config):
         raise ValueError("a_values too short for this configuration")
     rows = None
-    if any(name in _ROWS_CHECKS for name in names):
+    if any(check.needs_rows for check in checks):
         rows = rows_from_a(a_values[: config.max_n + 1])
-    tasks = [(name, _REGISTRY[name]) for name in names]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda t: t[1](config, a_values, rows), tasks))
-    else:
-        results = [fn(config, a_values, rows) for _, fn in tasks]
-    return results
+    return [check.run(config, a_values, rows) for check in checks]

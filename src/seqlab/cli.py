@@ -9,7 +9,6 @@ success, 1 when a verification fails, 2 on usage errors.
 
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager
 from typing import Optional
@@ -52,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--checks", default=None, help="comma-separated subset of check names")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None, help="output file (default stdout)")
-    p_verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker threads")
     p_verify.add_argument("--seed", type=int, default=0, help="seed for the sampled identity check")
 
     p_series = sub.add_parser("series", help="print coefficients and identity outcomes")
@@ -129,8 +127,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return bad
     if args.order < 2:
         return _usage_error("--order must be at least 2")
-    if args.jobs < 1:
-        return _usage_error("--jobs must be positive")
     checks = None
     if args.checks is not None:
         checks = [name.strip() for name in args.checks.split(",") if name.strip()]
@@ -144,7 +140,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     try:
-        results = run_all(config, jobs=args.jobs)
+        results = run_all(config)
     except ValueError as exc:
         return _usage_error(str(exc))
     doc = ReportDocument(tool_version=__version__, config=config, results=results)

@@ -12,6 +12,10 @@ function F(x) = sum a_n x^n / n! = exp(x + x^2/2):
 and the even-index convolution they imply,
 
     sum_{m+r=2n} (-1)^r C(2n, m) a_m a_r = (2n)! / n! = 2^n (2n-1)!!.
+
+The last two are one identity: the coefficient of x^k in F(x) F(-x) is c_k / k!
+where c_k is that alternating convolution at k, and c_k vanishes for odd k
+whatever the a_m are. convolution_lhs is the single kernel for both.
 """
 
 from dataclasses import dataclass
@@ -19,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .exact import factorial, odd_semifactorial
+from .exact import odd_semifactorial
 
 
 @dataclass(frozen=True)
@@ -132,19 +136,24 @@ def egf_F(order: int, a_values: Optional[Sequence[int]] = None) -> TruncatedSeri
 
 
 def convolution_lhs(n: int, a_values: Sequence[int]) -> int:
-    """sum_{m+r=2n} (-1)^r C(2n, m) a_m a_r, which should equal 2^n (2n-1)!!."""
+    """sum_{m+r=2n} (-1)^r C(2n, m) a_m a_r, which should equal 2^n (2n-1)!!.
+
+    The terms at m and 2n - m carry the same binomial and, 2n being even, the
+    same sign, for any input; so the sum over m < n is doubled and the middle
+    term C(2n, n) a_n^2 added once.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if len(a_values) < 2 * n + 1:
         raise ValueError("need a_0..a_{2n}")
-    total = 0
+    half = 0
     c = 1  # running C(2n, m)
-    for m in range(2 * n + 1):
-        r = 2 * n - m
-        term = c * a_values[m] * a_values[r]
-        total += -term if r & 1 else term
+    for m in range(n):
+        term = c * a_values[m] * a_values[2 * n - m]
+        half += -term if m & 1 else term
         c = c * (2 * n - m) // (m + 1)
-    return total
+    middle = c * a_values[n] * a_values[n]
+    return 2 * half + (-middle if n & 1 else middle)
 
 
 def expected_convolution(n: int) -> int:
@@ -162,8 +171,13 @@ def series_identity_parts(order: int, a_values: Optional[Sequence[int]] = None) 
 
       exp_closed_form   coefficients of F match exp(x + x^2/2)
       second_order_ode  F'' = (x + 1) F' + F   (checked to order - 2)
-      product_exp_x2    F(x) F(-x) = exp(x^2)
+      product_exp_x2    F(x) F(-x) = exp(x^2), read off the even convolution
+                        at 0 <= n <= order//2 (reported as coefficient 2n)
       convolution       the alternating even-index convolution, 1 <= n <= order//2
+
+    Both convolution parts come from one pass of convolution_lhs; the
+    exp_closed_form and ODE parts go through ps_exp and ps_derivative instead,
+    so they stay an independent cross-check on the same coefficients.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -191,26 +205,15 @@ def series_identity_parts(order: int, a_values: Optional[Sequence[int]] = None) 
         (j for j in range(order - 1) if f2.coeffs[j] != rhs[j]), None
     )
 
-    prod = ps_mul(f, ps_subst_neg(f))
-    ex2 = []
-    fact = 1
-    for j in range(order + 1):
-        if j % 2 == 0:
-            if j:
-                fact *= j // 2
-            ex2.append(Fraction(1, fact))
-        else:
-            ex2.append(Fraction(0))
-    parts["product_exp_x2"] = next(
-        (j for j in range(order + 1) if prod.coeffs[j] != ex2[j]), None
+    # F(x) F(-x) has c_k / k! at x^k and exp(x^2) has 1/n! at x^{2n}; odd k
+    # vanish on both sides, so the product fails first at twice the first
+    # failing convolution index, counting n = 0 (the constant a_0^2 = 1).
+    bad = (
+        n
+        for n in range(order // 2 + 1)
+        if convolution_lhs(n, a_values) != expected_convolution(n)
     )
-
-    parts["convolution"] = next(
-        (
-            n
-            for n in range(1, order // 2 + 1)
-            if convolution_lhs(n, a_values) != expected_convolution(n)
-        ),
-        None,
-    )
+    first = next(bad, None)
+    parts["product_exp_x2"] = None if first is None else 2 * first
+    parts["convolution"] = next(bad, None) if first == 0 else first
     return parts

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from seqlab import checks
 from seqlab.checks import (
     CHECK_NAMES,
     MAX_COUNTEREXAMPLES,
@@ -25,8 +26,9 @@ from seqlab.checks import (
     run_all,
     stirling_diagnostic,
 )
+from seqlab.exact import primes_upto
 from seqlab.report import VerifyConfig
-from seqlab.sequences import a_seq, rows_from_a
+from seqlab.sequences import a_mod, a_seq, rows_from_a
 
 HI = 150
 
@@ -124,6 +126,19 @@ def test_congruence_cross_check_catches_drift(a150):
 
 def test_congruence_trivial_without_odd_primes(a150):
     assert check_congruence(2, HI, a150).passed
+
+
+def test_congruence_skips_primes_above_the_range(monkeypatch, a150):
+    swept = []
+
+    def spy(max_n, p):
+        swept.append(p)
+        return a_mod(max_n, p)
+
+    monkeypatch.setattr(checks, "a_mod", spy)
+    result = check_congruence(97, 40, a150)
+    assert result.passed
+    assert swept == [p for p in primes_upto(40) if p > 2]
 
 
 def test_d_power_of_two_catches_odd_factor(a150):
@@ -240,6 +255,19 @@ def test_required_length_covers_the_lookahead():
     assert required_length(config) >= 57  # six-step recurrence reads a_{max_n + 6}
     only_series = VerifyConfig(max_n=5, series_order=90, oracle_max=5, checks=["series"])
     assert required_length(only_series) == 91
+    large = VerifyConfig(max_n=700, series_order=30, oracle_max=5)
+    expected = {name: (51, 701) for name in CHECK_NAMES}
+    expected.update({
+        "a6_relation": (57, 707),
+        "d_upper": (101, 1201),  # mechanism reads a_0..a_{2n}, n <= min(max_n, 600)
+        "series": (31, 31),
+        "involutions": (6, 6),
+        "sign_flip": (1, 1),
+    })
+    for name in CHECK_NAMES:
+        got = tuple(required_length(replace(c, checks=[name])) for c in (config, large))
+        assert got == expected[name], name
+    assert required_length(replace(config, checks=[])) == 1
 
 
 def test_run_all_selection_and_order():
@@ -260,10 +288,31 @@ def test_run_all_rejects_short_input():
         run_all(config, a_values=a_seq(10))
 
 
-def test_run_all_threaded_matches_serial():
-    config = VerifyConfig(max_n=60, series_order=30, oracle_max=5)
-    serial = run_all(config, jobs=1)
-    threaded = run_all(config, jobs=4)
-    strip = lambda rs: [(r.name, r.lo, r.hi, r.status, r.counterexamples) for r in rs]
-    assert strip(serial) == strip(threaded)
-    assert len(serial) == len(CHECK_NAMES)
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_run_all_each_check_on_exactly_required_length(name):
+    config = VerifyConfig(max_n=40, series_order=20, oracle_max=5, checks=[name])
+    need = required_length(config)
+    a_values = tuple(a_seq(need - 1))
+    assert len(a_values) == need
+    results = run_all(config, a_values=a_values)
+    assert [r.name for r in results] == [name]
+    assert results[0].passed
+    with pytest.raises(ValueError, match="too short"):
+        run_all(config, a_values=a_values[:-1])
+
+
+def test_run_all_check_alone_sees_the_given_values():
+    # A check selected alone must read rows derived from the caller's values,
+    # exactly as in a full run; both corruptions are visible to every row check.
+    config = VerifyConfig(max_n=40, series_order=20, oracle_max=5)
+    bad = list(a_seq(required_length(config) - 1))
+    bad[6] *= 4
+    bad[21] = 5 * bad[20]  # x_21 = 5 is an integer and d_21 = a_20
+    together = {r.name: r for r in run_all(config, a_values=bad)}
+    for name in CHECK_NAMES:
+        alone = run_all(replace(config, checks=[name]), a_values=bad)[0]
+        assert (alone.status, alone.counterexamples) == (
+            together[name].status, together[name].counterexamples), name
+    row_checks = ["x_bounds", "mod4_exclusion", "quadratic_gap", "d_power_of_two", "d_upper",
+                  "e_q", "d_formula", "quarter_bound", "parity", "integrality"]
+    assert not any(together[name].passed for name in row_checks)

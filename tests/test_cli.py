@@ -82,13 +82,12 @@ def test_verify_unknown_check(capsys):
 
 def test_verify_rejects_bad_flags(capsys):
     assert main(["verify", "--order", "1"]) == 2
-    assert main(["verify", "--jobs", "0"]) == 2
     assert main(["verify", "--checks", " , "]) == 2
     assert main(["verify", "--max", "-3"]) == 2
 
 
 def test_verify_exit_code_on_failure(monkeypatch, capsys):
-    def fake_run_all(config, a_values=None, jobs=1):
+    def fake_run_all(config, a_values=None):
         return [CheckResult(name="parity", lo=1, hi=2, status=FAIL,
                             counterexamples=[(2, "boom")])]
 

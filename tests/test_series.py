@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlab.exact import binomial, factorial
@@ -118,17 +118,27 @@ def test_egf_coefficients():
         egf_F(12, a[:5])
 
 
+def direct_convolution(n, a):
+    return sum(
+        (-1) ** r * binomial(2 * n, m) * a[m] * a[r]
+        for m in range(2 * n + 1)
+        for r in (2 * n - m,)
+    )
+
+
 def test_convolution_against_direct_sum():
     a = a_seq(40)
     for n in range(1, 21):
-        direct = sum(
-            (-1) ** r * binomial(2 * n, m) * a[m] * a[r]
-            for m in range(2 * n + 1)
-            for r in (2 * n - m,)
-        )
+        direct = direct_convolution(n, a)
         assert convolution_lhs(n, a) == direct
         assert direct == expected_convolution(n)
         assert expected_convolution(n) == factorial(2 * n) // factorial(n)
+
+
+@given(st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=41))
+def test_convolution_symmetric_sum_on_any_input(a):
+    for n in range((len(a) - 1) // 2 + 1):
+        assert convolution_lhs(n, a) == direct_convolution(n, a)
 
 
 def test_convolution_needs_enough_values():
@@ -152,7 +162,40 @@ def test_identity_parts_pinpoint_corruption():
     parts = series_identity_parts(40, a)
     assert parts["exp_closed_form"] == 15
     assert parts["second_order_ode"] is not None
-    assert parts["convolution"] is not None
+    assert parts["product_exp_x2"] == 16
+    assert parts["convolution"] == 8
+
+    a = list(a_seq(40))
+    a[0] = 3
+    parts = series_identity_parts(40, a)
+    assert parts["product_exp_x2"] == 0
+    assert parts["convolution"] == 1
+
+
+def reference_product_parts(order, a):
+    """First failing coefficient of F(x) F(-x) = exp(x^2) and first failing
+    convolution index n >= 1, both read off the full Cauchy product."""
+    f = egf_F(order, a)
+    prod = ps_mul(f, ps_subst_neg(f))
+    ex2 = [Fraction(1, factorial(j // 2)) if j % 2 == 0 else 0 for j in range(order + 1)]
+    product = next((j for j in range(order + 1) if prod[j] != ex2[j]), None)
+    convolution = next(
+        (n for n in range(1, order // 2 + 1)
+         if prod[2 * n] * factorial(2 * n) != expected_convolution(n)),
+        None,
+    )
+    return product, convolution
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([10, 31, 60]), st.data())
+def test_identity_parts_match_cauchy_product_under_corruption(order, data):
+    a = list(a_seq(order))
+    index = data.draw(st.integers(min_value=0, max_value=order), label="index")
+    delta = data.draw(st.integers(min_value=-50, max_value=50).filter(bool), label="delta")
+    a[index] += delta
+    parts = series_identity_parts(order, a)
+    assert (parts["product_exp_x2"], parts["convolution"]) == reference_product_parts(order, a)
 
 
 def test_identity_parts_domain():
