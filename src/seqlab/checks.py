@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 from .exact import GREATER, LESS, cmp_shifted_sqrt, gcd, primes_upto
 from .involutions import check_involution_identity
-from .report import FAIL, PASS, CheckResult, VerifyConfig
+from .report import CheckResult, VerifyConfig, finish_check
 from .sequences import (
     SeqRow,
     a_mod,
@@ -36,17 +36,6 @@ MAX_COUNTEREXAMPLES = 25
 # The divisibility mechanism behind the gcd upper bound needs a_0..a_{2n},
 # so it is capped independently of the main range.
 DEFAULT_MECHANISM_HI = 600
-
-
-def _finish(name: str, lo: int, hi: int, cex: list, start: float) -> CheckResult:
-    return CheckResult(
-        name=name,
-        lo=lo,
-        hi=hi,
-        status=PASS if not cex else FAIL,
-        counterexamples=cex,
-        elapsed_ms=int((time.monotonic() - start) * 1000),
-    )
 
 
 def _rows(hi: int, rows: Optional[Sequence[SeqRow]]) -> Sequence[SeqRow]:
@@ -72,7 +61,7 @@ def check_x_bounds(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = None) ->
             cex.append((n, f"x({n}) = {x} is not below (1+sqrt({4*n+1}))/2"))
         if len(cex) >= MAX_COUNTEREXAMPLES:
             break
-    return _finish("x_bounds", lo, hi, cex, start)
+    return finish_check("x_bounds", lo, hi, cex, start)
 
 
 def check_mod4_exclusion(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
@@ -90,11 +79,11 @@ def check_mod4_exclusion(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = No
     rows = _rows(hi, rows)
     cex: list[tuple[int, str]] = []
     for n in range(lo, hi + 1):
-        if rows[n].D == 1:
+        if rows[n].x_den == 1:
             cex.append((n, f"x({n}) = {rows[n].x} is an integer"))
             if len(cex) >= MAX_COUNTEREXAMPLES:
                 break
-    return _finish("mod4_exclusion", lo, hi, cex, start)
+    return finish_check("mod4_exclusion", lo, hi, cex, start)
 
 
 def check_quadratic_gap(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
@@ -105,13 +94,13 @@ def check_quadratic_gap(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = Non
     rows = _rows(hi, rows)
     cex: list[tuple[int, str]] = []
     for n in range(lo, hi + 1):
-        x = rows[n].x
-        g = x * x - x
-        if not (n - 1 < g < n):
-            cex.append((n, f"x({n})^2 - x({n}) = {g} escapes ({n-1}, {n})"))
+        p, q = rows[n].x_num, rows[n].x_den
+        g, qq = p * (p - q), q * q  # x^2 - x = g / q^2
+        if not ((n - 1) * qq < g < n * qq):
+            cex.append((n, f"x({n})^2 - x({n}) = {Fraction(g, qq)} escapes ({n-1}, {n})"))
             if len(cex) >= MAX_COUNTEREXAMPLES:
                 break
-    return _finish("quadratic_gap", lo, hi, cex, start)
+    return finish_check("quadratic_gap", lo, hi, cex, start)
 
 
 def check_sqrt_factorial_lower(hi: int, a_values: Optional[Sequence[int]] = None) -> CheckResult:
@@ -133,7 +122,7 @@ def check_sqrt_factorial_lower(hi: int, a_values: Optional[Sequence[int]] = None
             cex.append((n, f"expected equality a({n})^2 = {n}! fails"))
         if len(cex) >= MAX_COUNTEREXAMPLES:
             break
-    return _finish("sqrt_factorial", 0, hi, cex, start)
+    return finish_check("sqrt_factorial", 0, hi, cex, start)
 
 
 def check_congruence(
@@ -151,14 +140,14 @@ def check_congruence(
     """
     start = time.monotonic()
     cex: list[tuple[int, str]] = []
-    odd_primes = [p for p in primes_upto(prime_limit) if 2 < p <= n_limit]
+    odd_primes = [p for p in primes_upto(min(prime_limit, n_limit)) if p > 2]
     for p in odd_primes:
         residues = a_mod(n_limit, p)
         for n in range(p, n_limit + 1, p):
             if residues[n] != 1:
                 cex.append((n, f"a({n}) = {residues[n]} mod {p}, expected 1"))
                 if len(cex) >= MAX_COUNTEREXAMPLES:
-                    return _finish("congruence", 3, n_limit, cex, start)
+                    return finish_check("congruence", 3, n_limit, cex, start)
     if a_values is not None:
         hi_cross = min(cross_limit, n_limit, len(a_values) - 1)
         for p in odd_primes:
@@ -166,8 +155,8 @@ def check_congruence(
                 if a_values[n] % p != 1:
                     cex.append((n, f"full-precision a({n}) is not 1 mod {p}"))
                     if len(cex) >= MAX_COUNTEREXAMPLES:
-                        return _finish("congruence", 3, n_limit, cex, start)
-    return _finish("congruence", 3, n_limit, cex, start)
+                        return finish_check("congruence", 3, n_limit, cex, start)
+    return finish_check("congruence", 3, n_limit, cex, start)
 
 
 def check_d_power_of_two(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
@@ -181,7 +170,7 @@ def check_d_power_of_two(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> Ch
             cex.append((n, f"d({n}) = {dn} is not a power of two"))
             if len(cex) >= MAX_COUNTEREXAMPLES:
                 break
-    return _finish("d_power_of_two", 1, hi, cex, start)
+    return finish_check("d_power_of_two", 1, hi, cex, start)
 
 
 def check_d_upper(
@@ -209,7 +198,7 @@ def check_d_upper(
         if rows[n].d > 1 << (n - 1):
             cex.append((n, f"d({n}) = {rows[n].d} exceeds 2^{n-1}"))
             if len(cex) >= MAX_COUNTEREXAMPLES:
-                return _finish("d_upper", 1, hi, cex, start)
+                return finish_check("d_upper", 1, hi, cex, start)
     for n in range(1, mechanism_hi + 1):
         got = convolution_lhs(n, a_values)
         want = expected_convolution(n)
@@ -219,7 +208,7 @@ def check_d_upper(
             cex.append((n, f"d({n+1}) does not divide the convolution value"))
         if len(cex) >= MAX_COUNTEREXAMPLES:
             break
-    return _finish("d_upper", 1, hi, cex, start)
+    return finish_check("d_upper", 1, hi, cex, start)
 
 
 def check_e_q(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
@@ -245,7 +234,7 @@ def check_e_q(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
         elif n < 8 and row.q != first_q[n]:
             cex.append((n, f"q({n}) = {row.q}, expected {first_q[n]}"))
         if len(cex) >= MAX_COUNTEREXAMPLES:
-            return _finish("e_q", 0, hi, cex, start)
+            return finish_check("e_q", 0, hi, cex, start)
     n = 2
     while n + 6 <= hi:
         want = q_step(n, rows[n - 2].q, rows[n + 2].q)
@@ -254,7 +243,7 @@ def check_e_q(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
             if len(cex) >= MAX_COUNTEREXAMPLES:
                 break
         n += 1
-    return _finish("e_q", 0, hi, cex, start)
+    return finish_check("e_q", 0, hi, cex, start)
 
 
 def check_d_formula(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
@@ -267,13 +256,13 @@ def check_d_formula(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckRe
             cex.append((n, f"d({n}) = {rows[n].d}, closed form gives {d_closed(n)}"))
             if len(cex) >= MAX_COUNTEREXAMPLES:
                 break
-    return _finish("d_formula", 1, hi, cex, start)
+    return finish_check("d_formula", 1, hi, cex, start)
 
 
 def check_quarter_bound_and_D(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
     """The gcd fourth-power bound and the reduced-denominator facts.
 
-    For n >= 1: d_n^4 <= 2^{n+1} and D_n d_n = a_{n-1}. For n >= 4: D_n > 1,
+    For n >= 1: d_n^4 <= 2^{n+1} and x_den d_n = a_{n-1}. For n >= 4: x_den > 1,
     so no later value of x is an integer. For n >= 10: (n-1)! > 4^{n-1},
     which is what makes the fourth-power bound eventually crush d_n^4
     against a_{n-1}^2 >= (n-1)!; the inequality is genuinely false at n = 9.
@@ -291,37 +280,37 @@ def check_quarter_bound_and_D(hi: int, rows: Optional[Sequence[SeqRow]] = None) 
         d4 = row.d ** 4
         if d4 > 1 << (n + 1):
             cex.append((n, f"d({n})^4 = {d4} exceeds 2^{n+1}"))
-        elif row.D * row.d != rows[n - 1].a:
+        elif row.x_den * row.d != rows[n - 1].a:
             cex.append((n, f"D({n}) * d({n}) != a({n-1})"))
-        elif n >= 4 and row.D <= 1:
-            cex.append((n, f"x({n}) reduced denominator is {row.D}"))
+        elif n >= 4 and row.x_den <= 1:
+            cex.append((n, f"x({n}) reduced denominator is {row.x_den}"))
         elif n >= 10 and fact <= power:
             cex.append((n, f"({n-1})! does not exceed 4^{n-1}"))
         elif n == 9 and fact >= power:
             cex.append((n, "the factorial bound should still fail at n = 9"))
         if len(cex) >= MAX_COUNTEREXAMPLES:
             break
-    return _finish("quarter_bound", 1, hi, cex, start)
+    return finish_check("quarter_bound", 1, hi, cex, start)
 
 
 def check_parity(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
     """Reduced numerator/denominator parities follow n mod 4 exactly.
 
-    For n >= 1: D_n is even iff n = 0 mod 4, and the numerator of x_n is
-    even iff n = 2 or 3 mod 4.
+    For n >= 1: x_den is even iff n = 0 mod 4, and x_num is even iff
+    n = 2 or 3 mod 4.
     """
     start = time.monotonic()
     rows = _rows(hi, rows)
     cex: list[tuple[int, str]] = []
     for n in range(1, hi + 1):
         row = rows[n]
-        if (row.D % 2 == 0) != (n % 4 == 0):
-            cex.append((n, f"denominator {row.D} has the wrong parity for n mod 4 = {n % 4}"))
-        elif (row.x.numerator % 2 == 0) != (n % 4 in (2, 3)):
-            cex.append((n, f"numerator {row.x.numerator} has the wrong parity for n mod 4 = {n % 4}"))
+        if (row.x_den % 2 == 0) != (n % 4 == 0):
+            cex.append((n, f"denominator {row.x_den} has the wrong parity for n mod 4 = {n % 4}"))
+        elif (row.x_num % 2 == 0) != (n % 4 in (2, 3)):
+            cex.append((n, f"numerator {row.x_num} has the wrong parity for n mod 4 = {n % 4}"))
         if len(cex) >= MAX_COUNTEREXAMPLES:
             break
-    return _finish("parity", 1, hi, cex, start)
+    return finish_check("parity", 1, hi, cex, start)
 
 
 def check_integrality(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
@@ -338,7 +327,7 @@ def check_integrality(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> Check
             cex.append((n, f"x({n}) = {rows[n].x} should be an integer"))
         if len(cex) >= MAX_COUNTEREXAMPLES:
             break
-    return _finish("integrality", 0, hi, cex, start)
+    return finish_check("integrality", 0, hi, cex, start)
 
 
 def check_a6_relation(hi: int, a_values: Optional[Sequence[int]] = None) -> CheckResult:
@@ -354,7 +343,7 @@ def check_a6_relation(hi: int, a_values: Optional[Sequence[int]] = None) -> Chec
             cex.append((n, f"six-step recurrence fails tying a({n-2}), a({n+2}), a({n+6})"))
             if len(cex) >= MAX_COUNTEREXAMPLES:
                 break
-    return _finish("a6_relation", 2, hi, cex, start)
+    return finish_check("a6_relation", 2, hi, cex, start)
 
 
 def check_series_identities(order: int, a_values: Optional[Sequence[int]] = None) -> CheckResult:
@@ -365,7 +354,7 @@ def check_series_identities(order: int, a_values: Optional[Sequence[int]] = None
     for part, idx in parts.items():
         if idx is not None:
             cex.append((idx, f"{part}: first discrepancy at index {idx}"))
-    return _finish("series", 0, order, cex, start)
+    return finish_check("series", 0, order, cex, start)
 
 
 def check_sign_flip(seed: int = 0, samples: int = 1000) -> CheckResult:
@@ -388,7 +377,7 @@ def check_sign_flip(seed: int = 0, samples: int = 1000) -> CheckResult:
             cex.append((i, f"identity fails at sample {i}: x = {x}, n = {n}"))
             if len(cex) >= MAX_COUNTEREXAMPLES:
                 break
-    return _finish("sign_flip", 1, samples, cex, start)
+    return finish_check("sign_flip", 1, samples, cex, start)
 
 
 def stirling_diagnostic(

@@ -11,13 +11,15 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict, astuple, fields
 from typing import Optional
 
 from . import __version__
 from .checks import run_all
+from .exact import SIEVE_LIMIT
 from .involutions import ENUMERATION_MAX, count_involutions_enum
 from .report import PASS, ReportDocument, VerifyConfig
-from .sequences import a_seq, iter_rows
+from .sequences import SeqRow, a_seq, iter_rows
 from .series import egf_F, series_identity_parts
 
 EXIT_OK = 0
@@ -27,7 +29,7 @@ EXIT_USAGE = 2
 # Everything stays exact at any size, but an unbounded --max is a footgun.
 MAX_N_CEILING = 20000
 
-CSV_HEADER = "n,a,x_num,x_den,d,e,q"
+CSV_HEADER = ",".join(f.name for f in fields(SeqRow))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,55 +80,43 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
-def _check_max(value: int) -> Optional[int]:
-    if value < 0:
-        return _usage_error("--max must be nonnegative")
-    if value > MAX_N_CEILING:
-        return _usage_error(f"--max is capped at {MAX_N_CEILING}")
+def _check_range(flag: str, value: int, lo: int, hi: int) -> Optional[int]:
+    if value < lo:
+        floor = "nonnegative" if lo == 0 else f"at least {lo}"
+        return _usage_error(f"{flag} must be {floor}")
+    if value > hi:
+        return _usage_error(f"{flag} is capped at {hi}")
     return None
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    bad = _check_max(args.max)
+    bad = _check_range("--max", args.max, 0, MAX_N_CEILING)
     if bad is not None:
         return bad
     with _open_out(args.out) as fh:
         if args.format == "csv":
             fh.write(CSV_HEADER + "\n")
             for row in iter_rows(args.max):
-                fh.write(
-                    f"{row.n},{row.a},{row.x.numerator},{row.x.denominator},"
-                    f"{row.d},{row.e},{row.q}\n"
-                )
+                fh.write(",".join(map(str, astuple(row))) + "\n")
         else:
             # n and e stay small; everything else can outgrow doubles, so it
             # ships as exact decimal strings.
             fh.write("[\n")
-            first = True
-            for row in iter_rows(args.max):
-                obj = {
-                    "n": row.n,
-                    "a": str(row.a),
-                    "x_num": str(row.x.numerator),
-                    "x_den": str(row.x.denominator),
-                    "d": str(row.d),
-                    "e": row.e,
-                    "q": str(row.q),
-                }
-                if not first:
-                    fh.write(",\n")
-                fh.write("  " + json.dumps(obj))
-                first = False
+            for i, row in enumerate(iter_rows(args.max)):
+                obj = {k: v if k in ("n", "e") else str(v) for k, v in asdict(row).items()}
+                fh.write(("  " if i == 0 else ",\n  ") + json.dumps(obj))
             fh.write("\n]\n")
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    bad = _check_max(args.max)
+    bad = (
+        _check_range("--max", args.max, 0, MAX_N_CEILING)
+        or _check_range("--order", args.order, 2, MAX_N_CEILING)
+        or _check_range("--primes", args.primes, 0, SIEVE_LIMIT)
+    )
     if bad is not None:
         return bad
-    if args.order < 2:
-        return _usage_error("--order must be at least 2")
     checks = None
     if args.checks is not None:
         checks = [name.strip() for name in args.checks.split(",") if name.strip()]
@@ -150,10 +140,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    if args.order < 2:
-        return _usage_error("--order must be at least 2")
-    if args.order > MAX_N_CEILING:
-        return _usage_error(f"--order is capped at {MAX_N_CEILING}")
+    bad = _check_range("--order", args.order, 2, MAX_N_CEILING)
+    if bad is not None:
+        return bad
     a_values = a_seq(args.order)
     f = egf_F(args.order, a_values)
     parts = series_identity_parts(args.order, a_values)

@@ -56,18 +56,19 @@ def binomial(n: int, k: int) -> int:
 def cmp_shifted_sqrt(x: Fraction, m: int) -> int:
     """Compare x against (1 + sqrt(m)) / 2 exactly, for x >= 1/2 and m >= 0.
 
-    Returns LESS, EQUAL or GREATER. Since 2x - 1 >= 0, the comparison is
-    equivalent to comparing (2x - 1)^2 with m, which stays in the rationals.
+    Returns LESS, EQUAL or GREATER. With x = p/q and q > 0, 2x - 1 >= 0 makes
+    the comparison equivalent to (2p - q)^2 against m q^2, all in integers.
     """
-    t = 2 * x - 1
+    p, q = x.numerator, x.denominator
+    t = 2 * p - q
     if t < 0:
         raise ValueError("cmp_shifted_sqrt requires x >= 1/2")
     if m < 0:
         raise ValueError("cmp_shifted_sqrt requires m >= 0")
-    lhs = t * t
-    if lhs < m:
+    lhs, rhs = t * t, m * q * q
+    if lhs < rhs:
         return LESS
-    if lhs == m:
+    if lhs == rhs:
         return EQUAL
     return GREATER
 

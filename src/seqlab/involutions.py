@@ -11,7 +11,7 @@ import time
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .report import FAIL, PASS, CheckResult
+from .report import CheckResult, finish_check
 
 # 10! = 3628800 permutations enumerate in well under a second; 11! does not
 # stay cheap, and nothing in the package needs it.
@@ -60,11 +60,4 @@ def check_involution_identity(
         got = count_involutions_enum(n)
         if got != a_values[n]:
             cex.append((n, f"enumerated {got} involutions but a({n}) = {a_values[n]}"))
-    return CheckResult(
-        name="involutions",
-        lo=0,
-        hi=max_n,
-        status=PASS if not cex else FAIL,
-        counterexamples=cex,
-        elapsed_ms=int((time.monotonic() - start) * 1000),
-    )
+    return finish_check("involutions", 0, max_n, cex, start)

@@ -1,6 +1,7 @@
 """Result containers shared by all checks and the CLI report rendering."""
 
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -38,6 +39,12 @@ class CheckResult:
             ],
             "elapsed_ms": self.elapsed_ms,
         }
+
+
+def finish_check(name: str, lo: int, hi: int, cex: list, start: float) -> CheckResult:
+    """The result of a check that started at time.monotonic() == start."""
+    elapsed_ms = int((time.monotonic() - start) * 1000)
+    return CheckResult(name, lo, hi, PASS if not cex else FAIL, cex, elapsed_ms)
 
 
 @dataclass

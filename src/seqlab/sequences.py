@@ -7,7 +7,7 @@ for n >= 1. Per index we carry:
     d_n = gcd(a_n, a_{n-1})        (n >= 1)
     e_n = v2(a_n)
     q_n = a_n / 2^{e_n}            (the odd part)
-    D_n = denominator of x_n in lowest terms, so D_n * d_n = a_{n-1}.
+    x_n = x_num / x_den in lowest terms, so x_den * d_n = a_{n-1}.
 
 Closed forms: writing n = 4k + r with r in {0,1,2,3},
 e_n is k, k, k+1, k+2 and d_n is 2^k, 2^k, 2^k, 2^{k+1} respectively.
@@ -23,15 +23,19 @@ from .exact import binomial, gcd, odd_semifactorial, v2
 
 @dataclass(frozen=True)
 class SeqRow:
-    """One fully derived index of the table."""
+    """One derived index: the output columns as ints, in order; x is derived."""
 
     n: int
     a: int
-    x: Fraction
+    x_num: int
+    x_den: int
     d: int
     e: int
     q: int
-    D: int
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.x_num, self.x_den)
 
 
 def a_iter() -> Iterator[int]:
@@ -193,35 +197,37 @@ def q_step(n: int, q_nm2: int, q_np2: int) -> int:
     return (n * n + 9 * n + 19) * q_np2 - (coef // 4) * q_nm2
 
 
-def rows_from_a(a_values: Sequence[int]) -> list[SeqRow]:
-    """Derive the full table from a prefix [a_0, ..., a_N] of the sequence.
+def _derive_rows(a_values: Iterable[int]) -> Iterator[SeqRow]:
+    """Rows for a_0, a_1, ... as the values arrive, holding only the previous one.
 
-    Row n >= 1 uses x_n = a_n / a_{n-1}; the reduced denominator D_n divides
-    a_{n-1} exactly, and d_n = a_{n-1} / D_n. Row 0 takes x_0 = 1 and the
-    sentinel d_0 = 1 so the table is rectangular.
+    Row n >= 1 reduces x_n = a_n / a_{n-1} by d_n = gcd(a_n, a_{n-1}). Row 0
+    reads as a_0 / 1 with the sentinel d_0 = 1, so the table is rectangular.
     """
-    rows: list[SeqRow] = []
+    prev = 1
     for n, a in enumerate(a_values):
-        if n == 0:
-            x = Fraction(a)
-            dn = 1
-        else:
-            x = Fraction(a, a_values[n - 1])
-            dn = a_values[n - 1] // x.denominator
         e = v2(a)
-        rows.append(SeqRow(n=n, a=a, x=x, d=dn, e=e, q=a >> e, D=x.denominator))
-    return rows
+        dn = gcd(a, prev)
+        yield SeqRow(n, a, a // dn, prev // dn, dn, e, a >> e)
+        prev = a
+
+
+def rows_from_a(a_values: Iterable[int]) -> list[SeqRow]:
+    """The table for [a_0, ..., a_N], or for any list of positive ints."""
+    return list(_derive_rows(a_values))
 
 
 def iter_rows(max_n: int) -> Iterator[SeqRow]:
-    yield from rows_from_a(a_seq(max_n))
+    """Rows 0..max_n, each derived as soon as its companion value is computed."""
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    return _derive_rows(islice(a_iter(), max_n + 1))
 
 
 def table(max_n: int) -> list[SeqRow]:
     """Rows 0..max_n of the derived table."""
-    return rows_from_a(a_seq(max_n))
+    return list(iter_rows(max_n))
 
 
 def integer_indices(rows: Iterable[SeqRow]) -> list[int]:
     """Indices n in the given rows at which x_n is an integer."""
-    return [row.n for row in rows if row.D == 1]
+    return [row.n for row in rows if row.x_den == 1]

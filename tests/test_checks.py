@@ -1,5 +1,4 @@
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
@@ -26,7 +25,7 @@ from seqlab.checks import (
     run_all,
     stirling_diagnostic,
 )
-from seqlab.exact import primes_upto
+from seqlab.exact import SIEVE_LIMIT, primes_upto
 from seqlab.report import VerifyConfig
 from seqlab.sequences import a_mod, a_seq, rows_from_a
 
@@ -88,7 +87,7 @@ def test_rows_must_cover_range(rows150):
 
 def test_mod4_exclusion_catches_forced_integer(rows150):
     rows = list(rows150)
-    rows[9] = replace(rows[9], D=1)
+    rows[9] = replace(rows[9], x_den=1)
     result = check_mod4_exclusion(4, HI, rows)
     assert not result.passed
     assert result.counterexamples[0][0] == 9
@@ -96,7 +95,7 @@ def test_mod4_exclusion_catches_forced_integer(rows150):
 
 def test_quadratic_gap_catches_planted_value(rows150):
     rows = list(rows150)
-    rows[8] = replace(rows[8], x=Fraction(3))
+    rows[8] = replace(rows[8], x_num=3, x_den=1)
     result = check_quadratic_gap(4, HI, rows)
     assert not result.passed
     assert result.counterexamples[0][0] == 8
@@ -141,6 +140,19 @@ def test_congruence_skips_primes_above_the_range(monkeypatch, a150):
     assert swept == [p for p in primes_upto(40) if p > 2]
 
 
+def test_congruence_sieves_no_further_than_the_range(monkeypatch, a150):
+    limits = []
+
+    def spy(limit):
+        limits.append(limit)
+        return primes_upto(limit)
+
+    monkeypatch.setattr(checks, "primes_upto", spy)
+    for prime_limit in (13, 97, SIEVE_LIMIT + 1):
+        assert check_congruence(prime_limit, 40, a150).passed
+    assert limits == [13, 40, 40]
+
+
 def test_d_power_of_two_catches_odd_factor(a150):
     rows = corrupted_rows(a150, 10, 5)
     result = check_d_power_of_two(HI, rows)
@@ -173,7 +185,7 @@ def test_d_formula_catches_gcd_shift(a150):
 
 def test_quarter_bound_catches_broken_product(rows150):
     rows = list(rows150)
-    rows[7] = replace(rows[7], D=rows[7].D + 1)
+    rows[7] = replace(rows[7], x_den=rows[7].x_den + 1)
     result = check_quarter_bound_and_D(HI, rows)
     assert not result.passed
     assert result.counterexamples[0][0] == 7
@@ -189,14 +201,14 @@ def test_parity_catches_shifted_value(a150):
 
 def test_integrality_catches_both_directions(rows150):
     rows = list(rows150)
-    rows[6] = replace(rows[6], D=1)
+    rows[6] = replace(rows[6], x_den=1)
     result = check_integrality(HI, rows)
     assert not result.passed
     assert result.counterexamples[0][0] == 6
     assert "unexpectedly" in result.counterexamples[0][1]
 
     bad = list(rows150)
-    bad[2] = replace(bad[2], D=3)
+    bad[2] = replace(bad[2], x_den=3)
     result = check_integrality(HI, bad)
     assert not result.passed
     assert result.counterexamples[0][0] == 2

@@ -84,6 +84,19 @@ def test_verify_rejects_bad_flags(capsys):
     assert main(["verify", "--order", "1"]) == 2
     assert main(["verify", "--checks", " , "]) == 2
     assert main(["verify", "--max", "-3"]) == 2
+    assert main(["verify", "--max", "10", "--order", "1000000"]) == 2
+    assert "--order is capped at 20000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value,message", [
+    ("-5", "--primes must be nonnegative"),
+    ("20000000", "--primes is capped at 10000000"),
+])
+def test_verify_bounds_primes(value, message, capsys):
+    assert main(["verify", "--max", "10", "--checks", "congruence", "--primes", value]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_verify_exit_code_on_failure(monkeypatch, capsys):
@@ -114,6 +127,13 @@ def test_series_output(capsys):
 def test_series_rejects_tiny_order(capsys):
     assert main(["series", "--order", "1"]) == 2
     assert "--order" in capsys.readouterr().err
+
+
+def test_series_and_verify_share_the_order_cap(capsys):
+    assert main(["series", "--order", "20001"]) == 2
+    assert main(["verify", "--order", "20001"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["seqlab: --order is capped at 20000"] * 2
 
 
 def test_oracle_output(capsys):

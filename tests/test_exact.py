@@ -123,6 +123,32 @@ def test_cmp_shifted_sqrt_matches_floats_when_safe(x, m):
         assert cmp_shifted_sqrt(x, m) == expected
 
 
+def _cmp_shifted_sqrt_reference(x, m):
+    lhs = (2 * x - 1) ** 2
+    return LESS if lhs < m else EQUAL if lhs == m else GREATER
+
+
+@st.composite
+def shifted_sqrt_cases(draw):
+    # x = (k + 1)/2 makes (2x - 1)^2 = k^2 a perfect square, so m can tie it.
+    x = draw(st.one_of(
+        st.fractions(min_value=Fraction(1, 2), max_value=10**6, max_denominator=10**6),
+        st.integers(0, 10**6).map(lambda k: Fraction(k + 1, 2)),
+    ))
+    near = math.floor((2 * x - 1) ** 2)
+    m = draw(st.one_of(
+        st.integers(0, 10**13),
+        st.integers(-1, 1).map(lambda delta: max(0, near + delta)),
+    ))
+    return x, m
+
+
+@given(shifted_sqrt_cases())
+def test_cmp_shifted_sqrt_matches_fraction_reference(case):
+    x, m = case
+    assert cmp_shifted_sqrt(x, m) == _cmp_shifted_sqrt_reference(x, m)
+
+
 def test_primes_upto():
     assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_upto(1) == []

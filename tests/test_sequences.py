@@ -1,11 +1,17 @@
+import math
+from dataclasses import fields
 from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from seqlab import sequences
 from seqlab.exact import gcd, v2
 from seqlab.sequences import (
     MoebiusMatrix,
+    SeqRow,
     a_closed,
     a_iter,
     a_mod,
@@ -15,6 +21,7 @@ from seqlab.sequences import (
     d_closed,
     e_closed,
     integer_indices,
+    iter_rows,
     moebius,
     moebius_apply,
     q_step,
@@ -167,9 +174,9 @@ def test_q_step_instances():
 def test_rows_golden_entries():
     rows = table(9)
     r4 = rows[4]
-    assert (r4.n, r4.a, r4.x, r4.d, r4.e, r4.q, r4.D) == (4, 10, Fraction(5, 2), 2, 1, 5, 2)
+    assert (r4.n, r4.a, r4.x, r4.d, r4.e, r4.q, r4.x_den) == (4, 10, Fraction(5, 2), 2, 1, 5, 2)
     r9 = rows[9]
-    assert (r9.n, r9.a, r9.x, r9.d, r9.e, r9.q, r9.D) == (9, 2620, Fraction(655, 191), 4, 2, 655, 191)
+    assert (r9.n, r9.a, r9.x, r9.d, r9.e, r9.q, r9.x_den) == (9, 2620, Fraction(655, 191), 4, 2, 655, 191)
 
 
 def test_rows_internal_consistency():
@@ -177,7 +184,7 @@ def test_rows_internal_consistency():
     for n in range(1, 121):
         row = rows[n]
         assert row.x == Fraction(rows[n].a, rows[n - 1].a)
-        assert row.D * row.d == rows[n - 1].a
+        assert row.x_den * row.d == rows[n - 1].a
         assert row.q << row.e == row.a
         assert row.q % 2 == 1
         assert row.d == gcd(row.a, rows[n - 1].a)
@@ -192,3 +199,62 @@ def test_rows_from_a_accepts_any_prefix():
 
 def test_integer_indices():
     assert integer_indices(table(50)) == [0, 1, 2, 3]
+
+
+def test_seqrow_holds_the_output_columns_as_ints():
+    assert [f.name for f in fields(SeqRow)] == ["n", "a", "x_num", "x_den", "d", "e", "q"]
+    row = table(9)[9]
+    assert all(isinstance(getattr(row, f.name), int) for f in fields(SeqRow))
+    with pytest.raises(AttributeError):
+        row.x = Fraction(1)
+
+
+# Positive ints with a random power of two mixed in, so neighbours often share
+# a large gcd, as the orbit itself does.
+positive_ints = st.one_of(
+    st.integers(1, 10**30),
+    st.builds(lambda odd, k: odd << k, st.integers(1, 10**6), st.integers(0, 80)),
+)
+
+
+@given(st.lists(positive_ints, min_size=1, max_size=25))
+def test_rows_from_a_on_arbitrary_positive_ints(values):
+    rows = rows_from_a(values)
+    assert [row.n for row in rows] == list(range(len(values)))
+    assert [row.a for row in rows] == values
+    assert (rows[0].x, rows[0].d) == (values[0], 1)
+    for row in rows:
+        assert row.q << row.e == row.a
+        assert row.q % 2 == 1
+    for row, prev in zip(rows[1:], values):
+        assert row.x == Fraction(row.a, prev)
+        assert row.d == math.gcd(row.a, prev)
+        assert row.x_den * row.d == prev
+        assert row.x_num * row.d == row.a
+
+
+def test_rows_from_a_rejects_nonpositive_values():
+    with pytest.raises(ValueError):
+        rows_from_a([1, 0, 2])
+
+
+def test_iter_rows_streams(monkeypatch):
+    drawn = []
+    real_a_iter = sequences.a_iter
+
+    def counting_a_iter():
+        for value in real_a_iter():
+            drawn.append(value)
+            yield value
+
+    monkeypatch.setattr(sequences, "a_iter", counting_a_iter)
+    rows = list(islice(iter_rows(20000), 3))
+    assert [row.a for row in rows] == FIRST_A[:3]
+    assert len(drawn) <= 3
+
+
+def test_table_rows_from_a_and_iter_rows_agree():
+    n = 60
+    assert table(n) == rows_from_a(a_seq(n)) == list(iter_rows(n))
+    with pytest.raises(ValueError):
+        iter_rows(-1)
