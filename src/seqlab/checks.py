@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .exact import GREATER, LESS, cmp_shifted_sqrt, gcd, primes_upto
+from .exact import gcd, primes_upto
 from .involutions import check_involution_identity
 from .report import CheckResult, VerifyConfig, finish_check
 from .sequences import (
@@ -47,18 +47,25 @@ def _rows(hi: int, rows: Optional[Sequence[SeqRow]]) -> Sequence[SeqRow]:
 
 
 def check_x_bounds(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
-    """(1 + sqrt(4n-3))/2 < x_n < (1 + sqrt(4n+1))/2, strictly, for n >= 4."""
+    """(1 + sqrt(4n-3))/2 < x_n < (1 + sqrt(4n+1))/2, strictly, for n >= 4.
+
+    With x = p/q and t = 2p - q, x > (1 + sqrt(m))/2 means t > 0 and
+    t^2 > m q^2 (the comparison cmp_shifted_sqrt makes), so both bounds are
+    read off one t^2 and one q^2 in ints.
+    """
     start = time.monotonic()
     if lo < 4:
         raise ValueError("the strict bounds start at n = 4")
     rows = _rows(hi, rows)
     cex: list[tuple[int, str]] = []
     for n in range(lo, hi + 1):
-        x = rows[n].x
-        if cmp_shifted_sqrt(x, 4 * n - 3) is not GREATER:
-            cex.append((n, f"x({n}) = {x} is not above (1+sqrt({4*n-3}))/2"))
-        elif cmp_shifted_sqrt(x, 4 * n + 1) is not LESS:
-            cex.append((n, f"x({n}) = {x} is not below (1+sqrt({4*n+1}))/2"))
+        p, q = rows[n].x_num, rows[n].x_den
+        t = 2 * p - q
+        tt, qq = t * t, q * q
+        if t <= 0 or tt <= (4 * n - 3) * qq:
+            cex.append((n, f"x({n}) = {rows[n].x} is not above (1+sqrt({4*n-3}))/2"))
+        elif tt >= (4 * n + 1) * qq:
+            cex.append((n, f"x({n}) = {rows[n].x} is not below (1+sqrt({4*n+1}))/2"))
         if len(cex) >= MAX_COUNTEREXAMPLES:
             break
     return finish_check("x_bounds", lo, hi, cex, start)

@@ -11,6 +11,14 @@ for n >= 1. Per index we carry:
 
 Closed forms: writing n = 4k + r with r in {0,1,2,3},
 e_n is k, k, k+1, k+2 and d_n is 2^k, 2^k, 2^k, 2^{k+1} respectively.
+
+The recurrence also carries the gcd from one index to the next. Write
+a_{n-1} = d u and a_{n-2} = d v with d = d_{n-1} and gcd(u, v) = 1. Then
+a_n = d (u + (n-1) v), and since gcd(u, v) = 1,
+
+    d_n = gcd(a_n, a_{n-1}) = d_{n-1} * gcd(u, n-1),    u = x_num of row n-1,
+
+for any values at which that step of the recurrence holds.
 """
 
 from dataclasses import dataclass
@@ -198,17 +206,25 @@ def q_step(n: int, q_nm2: int, q_np2: int) -> int:
 
 
 def _derive_rows(a_values: Iterable[int]) -> Iterator[SeqRow]:
-    """Rows for a_0, a_1, ... as the values arrive, holding only the previous one.
+    """Rows for a_0, a_1, ... as the values arrive, holding only the last two.
 
     Row n >= 1 reduces x_n = a_n / a_{n-1} by d_n = gcd(a_n, a_{n-1}). Row 0
     reads as a_0 / 1 with the sentinel d_0 = 1, so the table is rectangular.
+    Where a_n = a_{n-1} + (n-1) a_{n-2} holds (n >= 2), d_n is taken from the
+    module docstring's identity d_{n-1} * gcd(x_num_{n-1}, n-1), a gcd with a
+    small argument; anywhere else, corrupted input included, it is
+    gcd(a_n, a_{n-1}) itself. Both give gcd(a_n, a_{n-1}) on any input.
     """
-    prev = 1
+    pprev, prev, dn, num = 0, 1, 1, 1
     for n, a in enumerate(a_values):
         e = v2(a)
-        dn = gcd(a, prev)
-        yield SeqRow(n, a, a // dn, prev // dn, dn, e, a >> e)
-        prev = a
+        if n >= 2 and a == prev + (n - 1) * pprev:
+            dn *= gcd(num, n - 1)
+        else:
+            dn = gcd(a, prev)
+        num = a // dn
+        yield SeqRow(n, a, num, prev // dn, dn, e, a >> e)
+        pprev, prev = prev, a
 
 
 def rows_from_a(a_values: Iterable[int]) -> list[SeqRow]:

@@ -1,6 +1,9 @@
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from seqlab import checks
 from seqlab.checks import (
@@ -25,9 +28,9 @@ from seqlab.checks import (
     run_all,
     stirling_diagnostic,
 )
-from seqlab.exact import SIEVE_LIMIT, primes_upto
+from seqlab.exact import GREATER, LESS, SIEVE_LIMIT, cmp_shifted_sqrt, primes_upto
 from seqlab.report import VerifyConfig
-from seqlab.sequences import a_mod, a_seq, rows_from_a
+from seqlab.sequences import SeqRow, a_mod, a_seq, rows_from_a
 
 HI = 150
 
@@ -78,6 +81,49 @@ def test_x_bounds_catches_shifted_values(a150):
 def test_x_bounds_requires_lo_at_least_4(rows150):
     with pytest.raises(ValueError):
         check_x_bounds(1, HI, rows150)
+
+
+def test_x_bounds_reports_x_below_one_half(rows150):
+    rows = list(rows150)
+    rows[10] = replace(rows[10], x_num=1, x_den=3)
+    result = check_x_bounds(4, HI, rows)
+    assert result.counterexamples == [(10, "x(10) = 1/3 is not above (1+sqrt(37))/2")]
+
+
+def _x_bounds_reference(lo, hi, rows):
+    cex = []
+    for n in range(lo, hi + 1):
+        x = rows[n].x
+        if cmp_shifted_sqrt(x, 4 * n - 3) is not GREATER:
+            cex.append((n, f"x({n}) = {x} is not above (1+sqrt({4*n-3}))/2"))
+        elif cmp_shifted_sqrt(x, 4 * n + 1) is not LESS:
+            cex.append((n, f"x({n}) = {x} is not below (1+sqrt({4*n+1}))/2"))
+        if len(cex) >= MAX_COUNTEREXAMPLES:
+            break
+    return cex
+
+
+@st.composite
+def rows_with_x_at_least_half(draw):
+    """Rows 0..hi whose x = p/q >= 1/2 often sits on or next to a bound."""
+    rows = []
+    for n in range(draw(st.integers(4, 60)) + 1):
+        q = draw(st.integers(1, 10**6))
+        m = draw(st.sampled_from([max(4 * n - 3, 0), 4 * n + 1]))
+        # (2p - q)^2 = m q^2 on a bound; a square m (n = 7 or 6: m = 25) ties.
+        near = (q + math.isqrt(m * q * q)) // 2
+        p = draw(st.one_of(
+            st.integers((q + 1) // 2, 10**7),
+            st.integers(-2, 2).map(lambda k: max((q + 1) // 2, near + k)),
+        ))
+        rows.append(SeqRow(n, 1, p, q, 1, 0, 1))
+    return rows
+
+
+@given(rows_with_x_at_least_half())
+def test_x_bounds_agrees_with_cmp_shifted_sqrt(rows):
+    hi = len(rows) - 1
+    assert check_x_bounds(4, hi, rows).counterexamples == _x_bounds_reference(4, hi, rows)
 
 
 def test_rows_must_cover_range(rows150):

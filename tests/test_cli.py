@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -52,6 +53,57 @@ def test_table_max_out_of_range(value, capsys):
     assert "--max" in capsys.readouterr().err
 
 
+def _reference_rows(max_n):
+    """Rows 0..max_n from the plain recurrence, math.gcd and bit tricks alone."""
+    values = [1, 1]
+    for n in range(2, max_n + 1):
+        values.append(values[-1] + (n - 1) * values[-2])
+    rows = []
+    for n, a in enumerate(values[: max_n + 1]):
+        prev = values[n - 1] if n else 1
+        d = math.gcd(a, prev)
+        e = (a & -a).bit_length() - 1
+        rows.append((n, a, a // d, prev // d, d, e, a >> e))
+    return rows
+
+
+def test_table_csv_matches_plain_reference(capsys):
+    # 600 rows cover every n mod 4 and 150 changes of d, so every way a
+    # decimal string can be shared between columns and rows is exercised.
+    expected = "n,a,x_num,x_den,d,e,q\n" + "".join(
+        ",".join(map(str, row)) + "\n" for row in _reference_rows(600)
+    )
+    assert main(["table", "--max", "600"]) == 0
+    # Lines, not one string: pytest's diff of two long strings takes minutes.
+    assert capsys.readouterr().out.split("\n") == expected.split("\n")
+
+
+def test_table_json_matches_plain_reference(capsys):
+    names = ["n", "a", "x_num", "x_den", "d", "e", "q"]
+    objs = [
+        {k: v if k in ("n", "e") else str(v) for k, v in zip(names, row)}
+        for row in _reference_rows(600)
+    ]
+    expected = "[\n" + ",\n".join("  " + json.dumps(obj) for obj in objs) + "\n]\n"
+    assert main(["table", "--max", "600", "--format", "json"]) == 0
+    assert capsys.readouterr().out.split("\n") == expected.split("\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--max", "5"],
+    ["verify", "--max", "10"],
+    ["series", "--order", "10"],
+    ["oracle", "--max", "3"],
+])
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "run_all", lambda *args, **kwargs: ran.append(args))
+    path = tmp_path / "missing" / "out.txt"
+    assert main([*argv, "--out", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"seqlab: cannot write {path}: ")
+    assert ran == []  # verify fails before any check runs
+
+
 def test_verify_text_output(capsys):
     rc = main(["verify", "--max", "60", "--order", "30", "--checks", "parity,e_q,x_bounds"])
     out = capsys.readouterr().out
@@ -85,7 +137,7 @@ def test_verify_rejects_bad_flags(capsys):
     assert main(["verify", "--checks", " , "]) == 2
     assert main(["verify", "--max", "-3"]) == 2
     assert main(["verify", "--max", "10", "--order", "1000000"]) == 2
-    assert "--order is capped at 20000" in capsys.readouterr().err
+    assert "--order is capped at 2400" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value,message", [
@@ -133,7 +185,13 @@ def test_series_and_verify_share_the_order_cap(capsys):
     assert main(["series", "--order", "20001"]) == 2
     assert main(["verify", "--order", "20001"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["seqlab: --order is capped at 20000"] * 2
+    assert err == ["seqlab: --order is capped at 2400"] * 2
+
+
+@pytest.mark.parametrize("command", ["series", "verify"])
+def test_order_is_capped_at_the_measured_ceiling(command, capsys):
+    assert main([command, "--order", "2401"]) == 2
+    assert capsys.readouterr().err == "seqlab: --order is capped at 2400\n"
 
 
 def test_oracle_output(capsys):

@@ -258,3 +258,38 @@ def test_table_rows_from_a_and_iter_rows_agree():
     assert table(n) == rows_from_a(a_seq(n)) == list(iter_rows(n))
     with pytest.raises(ValueError):
         iter_rows(-1)
+
+
+@st.composite
+def recurrence_values(draw):
+    """a_n = a_{n-1} + (n-1) a_{n-2} from random a_0, a_1, maybe one index corrupted."""
+    values = [draw(positive_ints), draw(positive_ints)]
+    for n in range(2, draw(st.integers(2, 40))):
+        values.append(values[-1] + (n - 1) * values[-2])
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(values) - 1))
+        values[i] = draw(st.one_of(positive_ints, st.just(2 * values[i]), st.just(values[i] + 1)))
+    return values
+
+
+@given(st.one_of(recurrence_values(), st.lists(positive_ints, min_size=1, max_size=25)))
+def test_rows_from_a_d_is_the_gcd_of_neighbours(values):
+    rows = rows_from_a(values)
+    assert rows[0].d == 1
+    for row, prev in zip(rows[1:], values):
+        assert row.d == math.gcd(row.a, prev)
+
+
+def test_row_gcds_on_the_orbit_take_a_small_argument(monkeypatch):
+    calls = []
+    real_gcd = sequences.gcd
+
+    def spy(x, y):
+        calls.append((x, y))
+        return real_gcd(x, y)
+
+    monkeypatch.setattr(sequences, "gcd", spy)
+    rows = rows_from_a(a_seq(2000))
+    assert len(calls) == len(rows) == 2001
+    # Row n >= 2 takes gcd(x_num_{n-1}, n-1); rows 0 and 1 see a_0 = a_1 = 1.
+    assert all(min(x, y) <= max(n, 1) for n, (x, y) in enumerate(calls))
