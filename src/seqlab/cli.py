@@ -8,9 +8,11 @@ success, 1 when a verification fails, 2 on usage errors.
 """
 
 import argparse
+import decimal
 import sys
 from contextlib import nullcontext
 from dataclasses import fields
+from decimal import Decimal
 from operator import attrgetter
 from typing import IO, ContextManager, Iterable, Iterator, Optional
 
@@ -110,21 +112,70 @@ def _check_range(flag: str, value: int, lo: int, hi: int) -> Optional[int]:
 def _row_strings(rows: Iterable[SeqRow]) -> Iterator[list[str]]:
     """Each row's columns, in _COLUMNS order, as decimal strings.
 
-    Decimal conversion is most of the cost of a table, and neighbouring
-    columns often hold the same int: x_den_n equals x_num_{n-1} wherever
-    d_n = d_{n-1}, and q_n equals x_num_n wherever d_n = 2^{e_n}. So a value
-    equal to one already converted in this row or the previous one reuses
-    that string; equal ints have equal decimal strings.
+    str() of a big int is quadratic in CPython, while str() of a Decimal and
+    Decimal addition or multiplication by a small int are linear; building a
+    Decimal from a big int is as quadratic as str(). So every column but the
+    small n and e is carried as a Decimal shadow, each built from the
+    previous row's shadows by the step that links the ints (see the
+    sequences module docstring), with 2^j = d_n / d_{n-1}:
+
+        a_n     = a_{n-1} + (n-1) a_{n-2}
+        x_num_n = (x_num_{n-1} + (n-1) x_den_{n-1}) / 2^j
+        x_den_n = x_num_{n-1} / 2^j
+        d_n     = d_{n-1} * 2^j
+        q_n     = x_num_n / 2^(e_n - log2 d_n)
+
+    Why the strings are exact: a shadow is built by such a step only after
+    the step has been checked, in ints, to give that column's int exactly;
+    anywhere else (off the recurrence, or a divisor that is not a power of
+    two) the shadow is Decimal(v). Every step runs in a private context with
+    unbounded precision that traps Inexact, Rounded and InvalidOperation, so
+    an operation that would round raises instead of printing a wrong digit,
+    and a division by 2^j multiplies by 5^j and drops j digits that must be
+    0. No step uses the thread's decimal context, which is left as it was.
+
+    Equal ints have equal strings, and neighbouring columns often hold the
+    same int: x_den_n equals x_num_{n-1} wherever d_n = d_{n-1}, and q_n
+    equals x_num_n wherever d_n = 2^{e_n}. So a value equal to one already
+    converted in this row or the previous one reuses that string.
     """
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
+    )
+
+    def shadow(v: int, base: int, base_shadow: Decimal) -> Decimal:
+        """v as a Decimal, from base_shadow (exactly base) where v = base * 2^j."""
+        j = v.bit_length() - base.bit_length()
+        if j >= 0 and v == base << j:
+            return ctx.multiply(base_shadow, 1 << j) if j else base_shadow
+        if j < 0 and v << -j == base:
+            quo, rem = ctx.divmod(ctx.multiply(base_shadow, 5 ** -j), 10 ** -j)
+            if rem:
+                raise ArithmeticError("halving dropped a nonzero digit")
+            return quo
+        return Decimal(v)
+
     columns = attrgetter(*_COLUMNS)
+    # The previous two rows' ints and their shadows. They start at 0: every
+    # step from 0 gives 0, which no positive value equals, so row 0's a,
+    # x_num, x_den and d are Decimal(v).
+    a1 = a2 = num1 = den1 = d1 = 0
+    a1_s = a2_s = num1_s = den1_s = d1_s = Decimal(0)
     prev: dict[int, str] = {}
     for row in rows:
-        values = columns(row)
+        values = n, a, num, den, d, e, q = columns(row)
+        a_s = shadow(a, a1 + (n - 1) * a2, ctx.fma(a2_s, n - 1, a1_s))
+        num_s = shadow(num, num1 + (n - 1) * den1, ctx.fma(den1_s, n - 1, num1_s))
+        den_s = shadow(den, num1, num1_s)
+        d_s = shadow(d, d1, d1_s)
         cur: dict[int, str] = {}
-        for v in values:
-            cur[v] = cur.get(v) or prev.get(v) or str(v)
+        for v, s in zip(values, (n, a_s, num_s, den_s, d_s, e, shadow(q, num, num_s))):
+            cur[v] = cur.get(v) or prev.get(v) or str(s)
         prev = cur
         yield [cur[v] for v in values]
+        a1, a2, num1, den1, d1 = a, a1, num, den, d
+        a1_s, a2_s, num1_s, den1_s, d1_s = a_s, a1_s, num_s, den_s, d_s
 
 
 def cmd_table(args: argparse.Namespace) -> int:

@@ -1,15 +1,24 @@
+import decimal
+import io
 import json
 import math
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import astuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_sequences import positive_ints, recurrence_values
 
 import seqlab.cli as cli
 from seqlab import __version__
-from seqlab.cli import main
+from seqlab.checks import CHECK_NAMES
+from seqlab.cli import _row_strings, main
 from seqlab.report import FAIL, CheckResult
+from seqlab.sequences import a_seq, rows_from_a
 
 GOLDEN_TABLE = """n,a,x_num,x_den,d,e,q
 0,1,1,1,1,0,1
@@ -87,6 +96,95 @@ def test_table_json_matches_plain_reference(capsys):
     expected = "[\n" + ",\n".join("  " + json.dumps(obj) for obj in objs) + "\n]\n"
     assert main(["table", "--max", "600", "--format", "json"]) == 0
     assert capsys.readouterr().out.split("\n") == expected.split("\n")
+
+
+@given(st.one_of(recurrence_values(), st.lists(positive_ints, min_size=1, max_size=25)))
+def test_row_strings_equal_str_of_each_column(values):
+    # Recurrence values from random a_0, a_1 give gcds that are not powers of
+    # two, and a corrupted index breaks the Decimal shadows and re-enters them
+    # a few rows later; arbitrary lists take the Decimal(v) fallback.
+    rows = rows_from_a(values)
+    assert list(_row_strings(rows)) == [[str(v) for v in astuple(row)] for row in rows]
+
+
+def test_row_strings_on_the_orbit_build_no_decimal_from_a_big_int(monkeypatch):
+    built = []
+
+    def spy(value):
+        built.append(value)
+        return decimal.Decimal(value)
+
+    monkeypatch.setattr(cli, "Decimal", spy)
+    rows = rows_from_a(a_seq(600))
+    assert list(_row_strings(rows)) == [[str(v) for v in astuple(row)] for row in rows]
+    # Only row 0 and the start-up zeros convert: every later shadow is a step.
+    assert all(abs(v) < 10 for v in built)
+
+
+def test_table_leaves_the_thread_decimal_context_alone(capsys):
+    expected = "n,a,x_num,x_den,d,e,q\n" + "".join(
+        ",".join(map(str, row)) + "\n" for row in _reference_rows(300)
+    )
+    with decimal.localcontext() as ctx:
+        ctx.prec = 3  # would round every step if the table used it
+        before = repr(ctx)
+        assert main(["table", "--max", "300"]) == 0
+        assert decimal.getcontext() is ctx
+        assert repr(ctx) == before
+    assert capsys.readouterr().out.split("\n") == expected.split("\n")
+
+
+def _int_flag(small, above_cap):
+    return st.one_of(
+        st.integers(-3, small).map(str),
+        st.sampled_from([above_cap, "99999999999999999999", "-99999999999999999999"]),
+        st.sampled_from(["", "x", "1.5", "1e3", "0x10", "--max", "-x", " 7"]),
+    )
+
+
+_FLAG_VALUES = {
+    "--max": _int_flag(12, "20001"),
+    "--order": _int_flag(40, "2401"),
+    "--primes": _int_flag(200, "10000001"),
+    # involutions takes about 0.4 s a run whatever --max is: one rare draw.
+    "--checks": st.one_of(
+        st.lists(st.sampled_from([c for c in CHECK_NAMES if c != "involutions"]), max_size=3)
+        .map(",".join),
+        st.sampled_from(["", " , ", "nope", "parity,,e_q", "involutions"]),
+        st.text(max_size=8),
+    ),
+}
+# Each subcommand starts from small accepted values, so a draw that leaves a
+# flag out does not fall back to a slow default; a later flag overrides.
+_SMALL_ARGS = {
+    "table": ["--max", "5"],
+    "verify": ["--max", "8", "--order", "8", "--primes", "20", "--checks", "parity"],
+    "series": ["--order", "8"],
+    "oracle": ["--max", "3"],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_SMALL_ARGS)))
+    own = _SMALL_ARGS[command][::2]
+    argv = [command, *_SMALL_ARGS[command]]
+    # Mostly the subcommand's own flags, sometimes one it rejects.
+    for flag in draw(st.lists(st.sampled_from(own * 3 + sorted(_FLAG_VALUES)), max_size=3)):
+        argv += [flag, draw(_FLAG_VALUES[flag])]
+    return argv
+
+
+@settings(deadline=None)
+@given(cli_argv())
+def test_cli_fuzz_exits_with_a_status_and_no_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert err.getvalue()
 
 
 @pytest.mark.parametrize("argv", [
