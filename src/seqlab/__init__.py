@@ -8,17 +8,9 @@ and mechanically verifies the known structural facts about these sequences
 over user-chosen index ranges. No floating point enters any assertion.
 """
 
-import sys
-
 __version__ = "0.1.0"
 
-# Serializing multi-thousand-digit integers as exact decimal strings is part
-# of this package's contract; CPython's default str() guard (4300 digits) is
-# far too small for a_n once n goes past ~2600.
-if hasattr(sys, "get_int_max_str_digits") and 0 < sys.get_int_max_str_digits() < 2_000_000:
-    sys.set_int_max_str_digits(2_000_000)
-
-from .exact import (  # noqa: E402
+from .exact import (
     EQUAL,
     GREATER,
     LESS,
@@ -30,7 +22,7 @@ from .exact import (  # noqa: E402
     primes_upto,
     v2,
 )
-from .sequences import (  # noqa: E402
+from .sequences import (
     MoebiusMatrix,
     SeqRow,
     a_closed,
@@ -48,21 +40,19 @@ from .sequences import (  # noqa: E402
     table,
     x_seq,
 )
-from .series import (  # noqa: E402
+from .series import (
     TruncatedSeries,
     convolution_lhs,
     egf_F,
-    ps_add,
     ps_derivative,
     ps_exp,
     ps_mul,
     ps_subst_neg,
-    ps_truncate,
     series,
 )
-from .involutions import check_involution_identity, count_involutions_enum  # noqa: E402
-from .report import CheckResult, ReportDocument, VerifyConfig  # noqa: E402
-from .checks import required_length, run_all, stirling_diagnostic  # noqa: E402
+from .involutions import check_involution_identity, count_involutions_enum
+from .report import CheckResult, ReportDocument, VerifyConfig
+from .checks import required_length, run_all
 
 __all__ = [
     "__version__",
@@ -73,9 +63,9 @@ __all__ = [
     "a_seq", "x_seq", "a_closed", "a_mod", "d", "e_closed", "d_closed",
     "moebius", "moebius_apply", "a6_step", "q_step",
     "integer_indices", "table", "rows_from_a",
-    "TruncatedSeries", "series", "ps_add", "ps_mul", "ps_derivative",
-    "ps_exp", "ps_subst_neg", "ps_truncate", "egf_F", "convolution_lhs",
+    "TruncatedSeries", "series", "ps_mul", "ps_derivative",
+    "ps_exp", "ps_subst_neg", "egf_F", "convolution_lhs",
     "count_involutions_enum", "check_involution_identity",
     "CheckResult", "VerifyConfig", "ReportDocument",
-    "run_all", "required_length", "stirling_diagnostic",
+    "run_all", "required_length",
 ]

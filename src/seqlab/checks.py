@@ -7,7 +7,6 @@ the command line drives. Checks accept precomputed a_values/rows so callers
 can feed deliberately corrupted data and confirm the sweeps catch it.
 """
 
-import math
 import random
 import time
 from dataclasses import dataclass
@@ -16,9 +15,10 @@ from typing import Callable, Optional, Sequence
 
 from .exact import gcd, primes_upto
 from .involutions import check_involution_identity
-from .report import CheckResult, VerifyConfig, finish_check
+from .report import CheckResult, VerifyConfig, decimal_text, finish_check
 from .sequences import (
     SeqRow,
+    _log2_exact,
     a_mod,
     a_seq,
     a6_step,
@@ -37,6 +37,9 @@ MAX_COUNTEREXAMPLES = 25
 # so it is capped independently of the main range.
 DEFAULT_MECHANISM_HI = 600
 
+# The gap filter compares the leading bits of x_num and x_den, about this many.
+_FILTER_BITS = 96
+
 
 def _rows(hi: int, rows: Optional[Sequence[SeqRow]]) -> Sequence[SeqRow]:
     if rows is None:
@@ -46,12 +49,51 @@ def _rows(hi: int, rows: Optional[Sequence[SeqRow]]) -> Sequence[SeqRow]:
     return rows
 
 
+def _gap_certainly_inside(n: int, p: int, q: int) -> bool:
+    """True only if (n-1) q^2 < p(p-q) < n q^2, decided on the leading bits.
+
+    With s = max(bitlen(q) - 96, 0), ph = p >> s and qh = q >> s, the dropped
+    bits add less than c = 1 to each of ph and qh when s > 0 and nothing when
+    s = 0, so for q > 0, x = p/q lies in [ph/(qh+c), (ph+c)/qh], strictly
+    inside where c = 1. Where ph >= qh + 1 that whole interval lies above
+    1 > 1/2, where x^2 - x is increasing, so (n-1, n) holds x^2 - x if it holds
+    the values at both ends; the two products below compare those. False
+    means undecided, never that the row fails.
+    """
+    s = max(q.bit_length() - _FILTER_BITS, 0)
+    c = 1 if s else 0
+    ph, qh = p >> s, q >> s
+    return (
+        qh >= 1
+        and ph >= qh + 1
+        and (n - 1) * (qh + c) * (qh + c) < ph * (ph - qh - c)
+        and (ph + c) * (ph + c - qh) < n * qh * qh
+    )
+
+
+def _gap_side(n: int, p: int, q: int) -> int:
+    """-1, 0 or 1 as p(p-q) <= (n-1) q^2, lies strictly between, or >= n q^2.
+
+    For x = p/q that places x^2 - x against (n-1, n): the quadratic gap. It is
+    also the x window: with t = 2p - q, t^2 = 4 p(p-q) + q^2, so
+    t^2 <= (4n-3) q^2 exactly when p(p-q) <= (n-1) q^2, and t^2 >= (4n+1) q^2
+    exactly when p(p-q) >= n q^2. The filter decides nearly every row; the
+    exact comparison decides the rest.
+    """
+    if _gap_certainly_inside(n, p, q):
+        return 0
+    g, qq = p * (p - q), q * q
+    if g <= (n - 1) * qq:
+        return -1
+    return 1 if g >= n * qq else 0
+
+
 def check_x_bounds(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
     """(1 + sqrt(4n-3))/2 < x_n < (1 + sqrt(4n+1))/2, strictly, for n >= 4.
 
     With x = p/q and t = 2p - q, x > (1 + sqrt(m))/2 means t > 0 and
-    t^2 > m q^2 (the comparison cmp_shifted_sqrt makes), so both bounds are
-    read off one t^2 and one q^2 in ints.
+    t^2 > m q^2 (the comparison cmp_shifted_sqrt makes). Given t > 0, both
+    bounds are read off the quadratic gap's predicate (see _gap_side).
     """
     start = time.monotonic()
     if lo < 4:
@@ -60,12 +102,13 @@ def check_x_bounds(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = None) ->
     cex: list[tuple[int, str]] = []
     for n in range(lo, hi + 1):
         p, q = rows[n].x_num, rows[n].x_den
-        t = 2 * p - q
-        tt, qq = t * t, q * q
-        if t <= 0 or tt <= (4 * n - 3) * qq:
-            cex.append((n, f"x({n}) = {rows[n].x} is not above (1+sqrt({4*n-3}))/2"))
-        elif tt >= (4 * n + 1) * qq:
-            cex.append((n, f"x({n}) = {rows[n].x} is not below (1+sqrt({4*n+1}))/2"))
+        side = -1 if 2 * p <= q else _gap_side(n, p, q)
+        if side:
+            x = decimal_text(rows[n].x)
+            if side < 0:
+                cex.append((n, f"x({n}) = {x} is not above (1+sqrt({4*n-3}))/2"))
+            else:
+                cex.append((n, f"x({n}) = {x} is not below (1+sqrt({4*n+1}))/2"))
         if len(cex) >= MAX_COUNTEREXAMPLES:
             break
     return finish_check("x_bounds", lo, hi, cex, start)
@@ -87,7 +130,7 @@ def check_mod4_exclusion(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = No
     cex: list[tuple[int, str]] = []
     for n in range(lo, hi + 1):
         if rows[n].x_den == 1:
-            cex.append((n, f"x({n}) = {rows[n].x} is an integer"))
+            cex.append((n, f"x({n}) = {decimal_text(rows[n].x)} is an integer"))
             if len(cex) >= MAX_COUNTEREXAMPLES:
                 break
     return finish_check("mod4_exclusion", lo, hi, cex, start)
@@ -102,16 +145,27 @@ def check_quadratic_gap(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = Non
     cex: list[tuple[int, str]] = []
     for n in range(lo, hi + 1):
         p, q = rows[n].x_num, rows[n].x_den
-        g, qq = p * (p - q), q * q  # x^2 - x = g / q^2
-        if not ((n - 1) * qq < g < n * qq):
-            cex.append((n, f"x({n})^2 - x({n}) = {Fraction(g, qq)} escapes ({n-1}, {n})"))
+        if _gap_side(n, p, q):
+            gap = Fraction(p * (p - q), q * q)  # x^2 - x
+            cex.append((n, f"x({n})^2 - x({n}) = {decimal_text(gap)} escapes ({n-1}, {n})"))
             if len(cex) >= MAX_COUNTEREXAMPLES:
                 break
     return finish_check("quadratic_gap", lo, hi, cex, start)
 
 
+def _square_certainly_above(a: int, m: int) -> bool:
+    """True only if a^2 > m, read off bit lengths: with L = bitlen(a),
+    a^2 >= 2^(2L-2), and 2L - 1 > bitlen(m) makes that at least 2^bitlen(m) > m.
+    False means undecided."""
+    return 2 * a.bit_length() - 1 > m.bit_length()
+
+
 def check_sqrt_factorial_lower(hi: int, a_values: Optional[Sequence[int]] = None) -> CheckResult:
-    """a_n^2 >= n! for all n, with equality exactly at n = 0 and n = 1."""
+    """a_n^2 >= n! for all n, with equality exactly at n = 0 and n = 1.
+
+    From n = 2 on, a row whose bit lengths already prove a_n^2 > n! passes
+    without squaring; every other row, and n <= 1, compares the square.
+    """
     start = time.monotonic()
     if a_values is None:
         a_values = a_seq(hi)
@@ -120,9 +174,11 @@ def check_sqrt_factorial_lower(hi: int, a_values: Optional[Sequence[int]] = None
     for n in range(hi + 1):
         if n:
             fact *= n
+        if n > 1 and _square_certainly_above(a_values[n], fact):
+            continue
         sq = a_values[n] * a_values[n]
         if sq < fact:
-            cex.append((n, f"a({n})^2 = {sq} < {n}! "))
+            cex.append((n, f"a({n})^2 = {decimal_text(sq)} < {n}! "))
         elif sq == fact and n > 1:
             cex.append((n, f"unexpected equality a({n})^2 = {n}!"))
         elif sq > fact and n <= 1:
@@ -174,7 +230,7 @@ def check_d_power_of_two(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> Ch
     for n in range(1, hi + 1):
         dn = rows[n].d
         if dn <= 0 or dn & (dn - 1):
-            cex.append((n, f"d({n}) = {dn} is not a power of two"))
+            cex.append((n, f"d({n}) = {decimal_text(dn)} is not a power of two"))
             if len(cex) >= MAX_COUNTEREXAMPLES:
                 break
     return finish_check("d_power_of_two", 1, hi, cex, start)
@@ -203,7 +259,7 @@ def check_d_upper(
     cex: list[tuple[int, str]] = []
     for n in range(1, hi + 1):
         if rows[n].d > 1 << (n - 1):
-            cex.append((n, f"d({n}) = {rows[n].d} exceeds 2^{n-1}"))
+            cex.append((n, f"d({n}) = {decimal_text(rows[n].d)} exceeds 2^{n-1}"))
             if len(cex) >= MAX_COUNTEREXAMPLES:
                 return finish_check("d_upper", 1, hi, cex, start)
     for n in range(1, mechanism_hi + 1):
@@ -239,7 +295,7 @@ def check_e_q(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
         elif (row.q << row.e) != row.a:
             cex.append((n, f"q({n}) * 2^e({n}) does not rebuild a({n})"))
         elif n < 8 and row.q != first_q[n]:
-            cex.append((n, f"q({n}) = {row.q}, expected {first_q[n]}"))
+            cex.append((n, f"q({n}) = {decimal_text(row.q)}, expected {first_q[n]}"))
         if len(cex) >= MAX_COUNTEREXAMPLES:
             return finish_check("e_q", 0, hi, cex, start)
     n = 2
@@ -260,7 +316,7 @@ def check_d_formula(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckRe
     cex: list[tuple[int, str]] = []
     for n in range(1, hi + 1):
         if rows[n].d != d_closed(n):
-            cex.append((n, f"d({n}) = {rows[n].d}, closed form gives {d_closed(n)}"))
+            cex.append((n, f"d({n}) = {decimal_text(rows[n].d)}, closed form gives {d_closed(n)}"))
             if len(cex) >= MAX_COUNTEREXAMPLES:
                 break
     return finish_check("d_formula", 1, hi, cex, start)
@@ -285,9 +341,10 @@ def check_quarter_bound_and_D(hi: int, rows: Optional[Sequence[SeqRow]] = None) 
             power *= 4
         row = rows[n]
         d4 = row.d ** 4
+        k = _log2_exact(row.d)  # on the orbit d is 2^k, and x_den * d a shift
         if d4 > 1 << (n + 1):
-            cex.append((n, f"d({n})^4 = {d4} exceeds 2^{n+1}"))
-        elif row.x_den * row.d != rows[n - 1].a:
+            cex.append((n, f"d({n})^4 = {decimal_text(d4)} exceeds 2^{n+1}"))
+        elif (row.x_den * row.d if k is None else row.x_den << k) != rows[n - 1].a:
             cex.append((n, f"D({n}) * d({n}) != a({n-1})"))
         elif n >= 4 and row.x_den <= 1:
             cex.append((n, f"x({n}) reduced denominator is {row.x_den}"))
@@ -312,9 +369,11 @@ def check_parity(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResul
     for n in range(1, hi + 1):
         row = rows[n]
         if (row.x_den % 2 == 0) != (n % 4 == 0):
-            cex.append((n, f"denominator {row.x_den} has the wrong parity for n mod 4 = {n % 4}"))
+            cex.append((n, f"denominator {decimal_text(row.x_den)} has the wrong parity "
+                            f"for n mod 4 = {n % 4}"))
         elif (row.x_num % 2 == 0) != (n % 4 in (2, 3)):
-            cex.append((n, f"numerator {row.x_num} has the wrong parity for n mod 4 = {n % 4}"))
+            cex.append((n, f"numerator {decimal_text(row.x_num)} has the wrong parity "
+                            f"for n mod 4 = {n % 4}"))
         if len(cex) >= MAX_COUNTEREXAMPLES:
             break
     return finish_check("parity", 1, hi, cex, start)
@@ -328,10 +387,11 @@ def check_integrality(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> Check
     expected = [n for n in (0, 1, 2, 3) if n <= hi]
     got = integer_indices(rows[: hi + 1])
     for n in sorted(set(got) ^ set(expected)):
+        x = decimal_text(rows[n].x)
         if n in got:
-            cex.append((n, f"x({n}) = {rows[n].x} is unexpectedly an integer"))
+            cex.append((n, f"x({n}) = {x} is unexpectedly an integer"))
         else:
-            cex.append((n, f"x({n}) = {rows[n].x} should be an integer"))
+            cex.append((n, f"x({n}) = {x} should be an integer"))
         if len(cex) >= MAX_COUNTEREXAMPLES:
             break
     return finish_check("integrality", 0, hi, cex, start)
@@ -385,25 +445,6 @@ def check_sign_flip(seed: int = 0, samples: int = 1000) -> CheckResult:
             if len(cex) >= MAX_COUNTEREXAMPLES:
                 break
     return finish_check("sign_flip", 1, samples, cex, start)
-
-
-def stirling_diagnostic(
-    points: Sequence[int], a_values: Optional[Sequence[int]] = None
-) -> list[tuple[int, float]]:
-    """log(a_n^2 / n!) at chosen indices; diagnostic only, never asserted.
-
-    Positive values restate the factorial lower bound in float terms and show
-    the margin growing; floats stay out of every real check.
-    """
-    if a_values is None:
-        a_values = a_seq(max(points, default=0))
-    out = []
-    for n in points:
-        if n == 0:
-            out.append((0, 0.0))
-        else:
-            out.append((n, 2 * math.log(a_values[n]) - math.lgamma(n + 1)))
-    return out
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import time
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .report import CheckResult, finish_check
+from .report import CheckResult, decimal_text, finish_check
 
 # 10! = 3628800 permutations enumerate in well under a second; 11! does not
 # stay cheap, and nothing in the package needs it.
@@ -59,5 +59,5 @@ def check_involution_identity(
     for n in range(max_n + 1):
         got = count_involutions_enum(n)
         if got != a_values[n]:
-            cex.append((n, f"enumerated {got} involutions but a({n}) = {a_values[n]}"))
+            cex.append((n, f"enumerated {got} involutions but a({n}) = {decimal_text(a_values[n])}"))
     return finish_check("involutions", 0, max_n, cex, start)

@@ -3,7 +3,9 @@
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from decimal import Decimal
+from fractions import Fraction
+from typing import Optional, Union
 
 PASS = "pass"
 FAIL = "fail"
@@ -39,6 +41,20 @@ class CheckResult:
             ],
             "elapsed_ms": self.elapsed_ms,
         }
+
+
+def decimal_text(v: Union[int, Fraction]) -> str:
+    """str(v) for an int or a Fraction, with no limit on the digit count.
+
+    str() of an int refuses more than sys.get_int_max_str_digits() digits,
+    and a corrupted value in a counterexample can have more; Decimal(int)
+    converts any int exactly, and prints it as str() would.
+    """
+    if isinstance(v, Fraction):
+        if v.denominator == 1:
+            return decimal_text(v.numerator)
+        return f"{decimal_text(v.numerator)}/{decimal_text(v.denominator)}"
+    return str(Decimal(v))
 
 
 def finish_check(name: str, lo: int, hi: int, cex: list, start: float) -> CheckResult:

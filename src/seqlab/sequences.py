@@ -205,6 +205,12 @@ def q_step(n: int, q_nm2: int, q_np2: int) -> int:
     return (n * n + 9 * n + 19) * q_np2 - (coef // 4) * q_nm2
 
 
+def _log2_exact(d: int) -> Optional[int]:
+    """k where d == 2^k, else None; dividing by such a d is a right shift by k."""
+    k = d.bit_length() - 1
+    return k if k >= 0 and d == 1 << k else None
+
+
 def _derive_rows(a_values: Iterable[int]) -> Iterator[SeqRow]:
     """Rows for a_0, a_1, ... as the values arrive, holding only the last two.
 
@@ -214,6 +220,9 @@ def _derive_rows(a_values: Iterable[int]) -> Iterator[SeqRow]:
     module docstring's identity d_{n-1} * gcd(x_num_{n-1}, n-1), a gcd with a
     small argument; anywhere else, corrupted input included, it is
     gcd(a_n, a_{n-1}) itself. Both give gcd(a_n, a_{n-1}) on any input.
+
+    On the orbit d_n is a power of two, so x_num and x_den are shifts of
+    a_n and a_{n-1}; a divisor that is not a power of two is divided out.
     """
     pprev, prev, dn, num = 0, 1, 1, 1
     for n, a in enumerate(a_values):
@@ -222,8 +231,12 @@ def _derive_rows(a_values: Iterable[int]) -> Iterator[SeqRow]:
             dn *= gcd(num, n - 1)
         else:
             dn = gcd(a, prev)
-        num = a // dn
-        yield SeqRow(n, a, num, prev // dn, dn, e, a >> e)
+        k = _log2_exact(dn)
+        if k is None:
+            num, den = a // dn, prev // dn
+        else:
+            num, den = a >> k, prev >> k
+        yield SeqRow(n, a, num, den, dn, e, a >> e)
         pprev, prev = prev, a
 
 

@@ -50,11 +50,6 @@ def _require_same_order(f: TruncatedSeries, g: TruncatedSeries) -> None:
         raise ValueError(f"order mismatch: {f.order} != {g.order}")
 
 
-def ps_add(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    _require_same_order(f, g)
-    return TruncatedSeries(tuple(a + b for a, b in zip(f.coeffs, g.coeffs)))
-
-
 def ps_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at the common order.
 
@@ -108,12 +103,6 @@ def ps_subst_neg(f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(
         tuple(-c if j & 1 else c for j, c in enumerate(f.coeffs))
     )
-
-
-def ps_truncate(f: TruncatedSeries, order: int) -> TruncatedSeries:
-    if order < 0 or order > f.order:
-        raise ValueError("truncation order out of range")
-    return TruncatedSeries(f.coeffs[: order + 1])
 
 
 def egf_F(order: int, a_values: Optional[Sequence[int]] = None) -> TruncatedSeries:

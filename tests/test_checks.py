@@ -1,8 +1,11 @@
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlab import checks
@@ -26,11 +29,15 @@ from seqlab.checks import (
     check_x_bounds,
     required_length,
     run_all,
-    stirling_diagnostic,
+    _gap_certainly_inside,
+    _gap_side,
+    _square_certainly_above,
 )
 from seqlab.exact import GREATER, LESS, SIEVE_LIMIT, cmp_shifted_sqrt, primes_upto
+from seqlab.involutions import check_involution_identity
 from seqlab.report import VerifyConfig
 from seqlab.sequences import SeqRow, a_mod, a_seq, rows_from_a
+from test_sequences import positive_ints
 
 HI = 150
 
@@ -124,6 +131,117 @@ def rows_with_x_at_least_half(draw):
 def test_x_bounds_agrees_with_cmp_shifted_sqrt(rows):
     hi = len(rows) - 1
     assert check_x_bounds(4, hi, rows).counterexamples == _x_bounds_reference(4, hi, rows)
+
+
+def _gap_side_reference(n, p, q):
+    g, qq = p * (p - q), q * q
+    return -1 if g <= (n - 1) * qq else 1 if g >= n * qq else 0
+
+
+# q just below, at and just above the 96-bit cut of the gap filter, and with
+# 1 to 400 bits.
+filter_dens = st.one_of(
+    st.integers(2**95 - 64, 2**95 + 64),
+    st.integers(2**96 - 64, 2**96 + 64),
+    st.integers(2**97 - 64, 2**97 + 64),
+    st.integers(1, 400).flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1)),
+)
+gap_indices = st.one_of(st.integers(0, 6), st.integers(7, 10**6))
+
+
+@st.composite
+def gap_cases_at_the_ends(draw):
+    """(n, p, q) with p/q within a few units of 1/q of an end of the window."""
+    n, q = draw(gap_indices), draw(filter_dens)
+    m = draw(st.sampled_from([max(4 * n - 3, 0), 4 * n + 1]))
+    # (2p - q)^2 = m q^2 at an end; k moves p off it by k/q in x.
+    return n, (q + math.isqrt(m * q * q)) // 2 + draw(st.integers(-3, 3)), q
+
+
+@st.composite
+def gap_cases_below_one_half(draw):
+    """(n, p, q) with 0 <= p/q <= 1/2, where x^2 - x is not increasing."""
+    n, q = draw(gap_indices), draw(filter_dens)
+    return n, draw(st.integers(0, q // 2)), q
+
+
+def _assert_gap_filter_and_fallback_exact(n, p, q):
+    want = _gap_side_reference(n, p, q)
+    if _gap_certainly_inside(n, p, q):
+        assert want == 0
+    assert _gap_side(n, p, q) == want
+
+
+@settings(max_examples=500)
+@given(gap_cases_at_the_ends())
+def test_gap_filter_is_exact_at_the_ends_of_the_window(case):
+    _assert_gap_filter_and_fallback_exact(*case)
+
+
+@given(st.one_of(
+    gap_cases_below_one_half(),
+    st.tuples(gap_indices, st.integers(2**200, 2**400), st.integers(1, 9)),  # huge p, tiny q
+    st.tuples(st.integers(-5, 10), st.integers(-2**100, 2**100), st.integers(-2**100, 2**100)),
+))
+def test_gap_filter_is_exact_off_the_orbit(case):
+    _assert_gap_filter_and_fallback_exact(*case)
+
+
+def test_filters_never_fall_back_on_the_orbit():
+    a_values = a_seq(3000)
+    rows = rows_from_a(a_values)
+    assert [n for n in range(4, 3001) if not _gap_certainly_inside(n, rows[n].x_num, rows[n].x_den)] == []
+    fact, undecided = 1, []
+    for n in range(2, 3001):
+        fact *= n
+        if not _square_certainly_above(a_values[n], fact):
+            undecided.append(n)
+    assert undecided == []
+
+
+@st.composite
+def square_cases(draw):
+    """(a, m) with a^2 on or next to m, or with m next to a power of two."""
+    k = draw(st.integers(0, 300))
+    a = draw(st.one_of(st.just(1 << k), st.integers(1 << k, (2 << k) - 1), st.integers(0, 2**300)))
+    j = draw(st.integers(-3, 3))
+    m = draw(st.sampled_from([a * a + j, (1 << (2 * k)) + j, (1 << (2 * k + 1)) + j]))
+    return a, max(m, 0)
+
+
+@given(square_cases())
+def test_square_filter_is_exact_where_it_decides(case):
+    a, m = case
+    if _square_certainly_above(a, m):
+        assert a * a > m
+
+
+def _sqrt_factorial_reference(hi, a_values):
+    cex, fact = [], 1
+    for n in range(hi + 1):
+        fact *= max(n, 1)
+        sq = a_values[n] * a_values[n]
+        if sq < fact:
+            cex.append((n, f"a({n})^2 = {sq} < {n}! "))
+        elif sq == fact and n > 1:
+            cex.append((n, f"unexpected equality a({n})^2 = {n}!"))
+        elif sq > fact and n <= 1:
+            cex.append((n, f"expected equality a({n})^2 = {n}! fails"))
+        if len(cex) >= MAX_COUNTEREXAMPLES:
+            break
+    return cex
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.sampled_from([0, 1, 2])), min_size=1, max_size=60))
+def test_sqrt_factorial_matches_squaring_next_to_isqrt(steps):
+    # a_n = isqrt(n!) + k, or a power of two a bit length away from n!'s.
+    a_values = []
+    for n, (k, kind) in enumerate(steps):
+        root = math.isqrt(math.factorial(n))
+        half = (math.factorial(n).bit_length() + kind) // 2
+        a_values.append(max(root + k, 0) if kind == 0 else 1 << max(half + k, 0))
+    hi = len(a_values) - 1
+    assert check_sqrt_factorial_lower(hi, a_values).counterexamples == _sqrt_factorial_reference(hi, a_values)
 
 
 def test_rows_must_cover_range(rows150):
@@ -237,6 +355,39 @@ def test_quarter_bound_catches_broken_product(rows150):
     assert result.counterexamples[0][0] == 7
 
 
+def _quarter_bound_reference(hi, rows):
+    cex, fact, power = [], 1, 1
+    for n in range(1, hi + 1):
+        if n > 1:
+            fact, power = fact * (n - 1), power * 4
+        row = rows[n]
+        if row.d ** 4 > 1 << (n + 1):
+            cex.append((n, f"d({n})^4 = {row.d ** 4} exceeds 2^{n+1}"))
+        elif row.x_den * row.d != rows[n - 1].a:
+            cex.append((n, f"D({n}) * d({n}) != a({n-1})"))
+        elif n >= 4 and row.x_den <= 1:
+            cex.append((n, f"x({n}) reduced denominator is {row.x_den}"))
+        elif n >= 10 and fact <= power:
+            cex.append((n, f"({n-1})! does not exceed 4^{n-1}"))
+        elif n == 9 and fact >= power:
+            cex.append((n, "the factorial bound should still fail at n = 9"))
+        if len(cex) >= MAX_COUNTEREXAMPLES:
+            break
+    return cex
+
+
+@given(st.lists(positive_ints, min_size=2, max_size=40), st.data())
+def test_quarter_bound_matches_multiplying_by_d(values, data):
+    # Arbitrary values give gcds that are not powers of two; one x_den off by
+    # one breaks x_den * d = a_{n-1} whatever d is.
+    rows = rows_from_a(values)
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(1, len(rows) - 1))
+        rows[i] = replace(rows[i], x_den=rows[i].x_den + 1)
+    hi = len(rows) - 1
+    assert check_quarter_bound_and_D(hi, rows).counterexamples == _quarter_bound_reference(hi, rows)
+
+
 def test_parity_catches_shifted_value(a150):
     bad = list(a150[: HI + 1])
     bad[3] += 1
@@ -290,15 +441,62 @@ def test_counterexamples_are_capped():
     assert len(result.counterexamples) == MAX_COUNTEREXAMPLES
 
 
-def test_stirling_diagnostic_is_float_only(a150):
-    points = [0, 1, 2, 50, 100]
-    out = stirling_diagnostic(points, a150)
-    assert [n for n, _ in out] == points
-    assert out[0][1] == 0.0
-    assert out[1][1] == 0.0
-    for n, value in out[2:]:
-        assert isinstance(value, float)
-        assert value > 0.0
+@contextmanager
+def _int_str_digits(limit):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit")
+def test_counterexample_texts_print_values_past_the_str_digit_limit(a150, rows150):
+    big = 3 * 10**5000 + 1  # odd, 5001 digits
+    with _int_str_digits(0):  # the texts as str() prints them, with no limit
+        x = Fraction(big, 7)
+        expected = {
+            "x_bounds": f"x(10) = {x} is not below (1+sqrt(41))/2",
+            "quadratic_gap": f"x(10)^2 - x(10) = {x * x - x} escapes (9, 10)",
+            "mod4_exclusion": f"x(9) = {big} is an integer",
+            "integrality": f"x(9) = {big} is unexpectedly an integer",
+            "parity": f"denominator {big} has the wrong parity for n mod 4 = 0",
+            "d_power_of_two": f"d(10) = {big} is not a power of two",
+            "d_upper": f"d(10) = {big} exceeds 2^9",
+            "d_formula": f"d(10) = {big}, closed form gives 4",
+            "quarter_bound": f"d(10)^4 = {big ** 4} exceeds 2^11",
+            "e_q": f"q(5) = {big}, expected 13",
+            "involutions": f"enumerated 4 involutions but a(3) = {big}",
+        }
+        root = math.isqrt(math.factorial(1800)) // 2
+        expected["sqrt_factorial"] = f"a(1800)^2 = {root * root} < 1800! "
+    rows = list(rows150)
+    rows[4] = replace(rows[4], x_den=big)
+    rows[5] = replace(rows[5], a=big << 1, q=big)
+    rows[9] = replace(rows[9], x_num=big, x_den=1)
+    rows[10] = replace(rows[10], x_num=big, x_den=7, d=big)
+    a_sqrt = a_seq(1800)
+    a_sqrt[1800] = root
+    a_oracle = list(a150[:6])
+    a_oracle[3] = big
+    with _int_str_digits(4300):  # CPython's default limit
+        got = {
+            "x_bounds": check_x_bounds(4, HI, rows),
+            "quadratic_gap": check_quadratic_gap(4, HI, rows),
+            "mod4_exclusion": check_mod4_exclusion(4, HI, rows),
+            "integrality": check_integrality(HI, rows),
+            "parity": check_parity(HI, rows),
+            "d_power_of_two": check_d_power_of_two(HI, rows),
+            "d_upper": check_d_upper(HI, rows, a150, mechanism_hi=5),
+            "d_formula": check_d_formula(HI, rows),
+            "quarter_bound": check_quarter_bound_and_D(HI, rows),
+            "e_q": check_e_q(HI, rows),
+            "involutions": check_involution_identity(5, a_oracle),
+            "sqrt_factorial": check_sqrt_factorial_lower(1800, a_sqrt),
+        }
+    for name, want in expected.items():
+        assert want in [text for _, text in got[name].counterexamples], name
 
 
 def test_check_names_are_stable():

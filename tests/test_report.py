@@ -1,6 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
-from seqlab.report import FAIL, PASS, CheckResult, ReportDocument, VerifyConfig
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import seqlab
+from seqlab.report import FAIL, PASS, CheckResult, ReportDocument, VerifyConfig, decimal_text
 
 
 def _doc():
@@ -55,3 +64,22 @@ def test_text_rendering():
     assert lines[2] == "    n=4: something broke"
     assert lines[3] == "aggregate: fail"
     assert text.endswith("\n")
+
+
+@given(st.one_of(st.integers(-10**60, 10**60),
+                 st.fractions(max_denominator=10**40),
+                 st.fractions().map(lambda x: x * 10**50)))
+def test_decimal_text_prints_as_str(v):
+    assert decimal_text(v) == str(v)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit")
+def test_import_leaves_the_int_str_digit_limit_alone():
+    src = os.path.dirname(os.path.dirname(seqlab.__file__))
+    code = ("import sys; before = sys.get_int_max_str_digits(); import seqlab; "
+            "print(before, sys.get_int_max_str_digits())")
+    for limit in ("4300", "640"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONINTMAXSTRDIGITS=limit)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [limit, limit]

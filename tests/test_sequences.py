@@ -293,3 +293,41 @@ def test_row_gcds_on_the_orbit_take_a_small_argument(monkeypatch):
     assert len(calls) == len(rows) == 2001
     # Row n >= 2 takes gcd(x_num_{n-1}, n-1); rows 0 and 1 see a_0 = a_1 = 1.
     assert all(min(x, y) <= max(n, 1) for n, (x, y) in enumerate(calls))
+
+
+def _plain_rows(values):
+    """Rows by math.gcd and floor division alone."""
+    rows, prev = [], 1
+    for n, a in enumerate(values):
+        d = math.gcd(a, prev)
+        e = (a & -a).bit_length() - 1
+        rows.append(SeqRow(n, a, a // d, prev // d, d, e, a >> e))
+        prev = a
+    return rows
+
+
+@st.composite
+def values_corrupted_by_three(draw):
+    """A recurrence sequence, from the orbit or from random a_0, a_1, with one
+    index multiplied by 3, so some d_n is not a power of two."""
+    if draw(st.booleans()):
+        values = a_seq(draw(st.integers(1, 120)))
+    else:
+        values = [draw(positive_ints), draw(positive_ints)]
+        for n in range(2, draw(st.integers(2, 40))):
+            values.append(values[-1] + (n - 1) * values[-2])
+    values[draw(st.integers(0, len(values) - 1))] *= 3
+    return values
+
+
+@given(st.one_of(values_corrupted_by_three(), st.lists(positive_ints, min_size=1, max_size=25)))
+def test_rows_from_a_equals_plain_gcd_and_division(values):
+    assert rows_from_a(values) == _plain_rows(values)
+
+
+def test_row_divisors_shift_where_a_power_of_two_and_divide_elsewhere():
+    assert [sequences._log2_exact(v) for v in (1, 2, 3, 6, 8, 1 << 5000, (1 << 5000) + 1)] == [
+        0, 1, None, None, 3, 5000, None]
+    # d_2 = gcd(6, 3) = 3 is not a power of two; d_1 and d_3 are.
+    assert rows_from_a([1, 3, 6, 15]) == _plain_rows([1, 3, 6, 15])
+    assert [row.d for row in rows_from_a([1, 3, 6, 15])] == [1, 1, 3, 3]
