@@ -1,32 +1,38 @@
 """Mechanical verification sweeps over the sequence table.
 
 Each check scans an index range with exact arithmetic and returns a
-CheckResult; a counterexample is an (n, detail) pair. run_all wires the
-checks to a VerifyConfig, shares one computed table across them, and is what
-the command line drives. Checks accept precomputed a_values/rows so callers
-can feed deliberately corrupted data and confirm the sweeps catch it.
+CheckResult; a counterexample is an (n, detail) pair. Most checks are steps
+of one walk: a step reads row n, or the companion value a_n, together with at
+most the eight items before it. run_all derives the rows once, walks them and
+the values once for every selected step, keeps only the leading values that
+the checks reading whole prefixes need, and is what the command line drives.
+Checks accept precomputed a_values/rows so callers can feed deliberately
+corrupted data and confirm the sweeps catch it.
 """
 
 import random
-import time
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from itertools import chain, islice, tee, zip_longest
+from time import perf_counter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exact import gcd, primes_upto
 from .involutions import check_involution_identity
 from .report import CheckResult, VerifyConfig, decimal_text, finish_check
 from .sequences import (
     SeqRow,
+    _derive_rows,
     _log2_exact,
+    a_iter,
     a_mod,
     a_seq,
     a6_step,
     d_closed,
     e_closed,
-    integer_indices,
+    iter_rows,
     q_step,
-    rows_from_a,
 )
 from .series import convolution_lhs, expected_convolution, series_identity_parts
 
@@ -37,16 +43,89 @@ MAX_COUNTEREXAMPLES = 25
 # so it is capped independently of the main range.
 DEFAULT_MECHANISM_HI = 600
 
+# congruence recomputes its congruence from full-precision values up to here.
+CROSS_LIMIT = 200
+
 # The gap filter compares the leading bits of x_num and x_den, about this many.
 _FILTER_BITS = 96
 
+# A step reads item n and the eight items before it at most: the six-step
+# recurrences tie n to n - 4 and n - 8.
+_WINDOW = 9
 
-def _rows(hi: int, rows: Optional[Sequence[SeqRow]]) -> Sequence[SeqRow]:
-    if rows is None:
-        rows = rows_from_a(a_seq(hi))
-    if len(rows) < hi + 1:
-        raise ValueError("rows do not cover the requested range")
-    return rows
+Hit = Optional[tuple[int, str]]
+Step = Callable[[int, Sequence], Hit]
+
+
+class _Sweep:
+    """One check's steps over a walk, then the counterexamples found off it.
+
+    A step (first, last, step) is called as step(n, window) at each index
+    first <= n <= last of the walk, with window[-1] item n and window[-1-k]
+    item n-k (k <= 8); it returns an (n, detail) counterexample or None. `rows`
+    says whether the walk is over rows or over the companion values. Each
+    step's counterexamples follow those of the steps before it, and `then`, an
+    iterator read after the walk, follows them all. MAX_COUNTEREXAMPLES are
+    kept; a step whose finds could no longer be kept is not called again, and
+    `then` is read no further than needed.
+    """
+
+    def __init__(self, name: str, lo: int, hi: int, *steps: tuple[int, int, Step],
+                 rows: bool = True, then: Iterable[tuple[int, str]] = ()) -> None:
+        self.name, self.lo, self.hi, self.rows = name, lo, hi, rows
+        self.then = then
+        self.steps = [(first, last, step, []) for first, last, step in steps]
+        self.need = max((last + 1 for _, last, _ in steps), default=0)
+        self.seconds = 0.0
+
+    def result(self) -> CheckResult:
+        start = perf_counter()
+        found = (found for _, _, _, found in self.steps)
+        cex = list(islice(chain(*found, self.then), MAX_COUNTEREXAMPLES))
+        return finish_check(self.name, self.lo, self.hi, cex, self.seconds + perf_counter() - start)
+
+
+def _walk(*streams: tuple[Iterable, list[_Sweep]]) -> None:
+    """Walk the streams in lockstep: item n of each stream goes, in a window
+    with up to eight items before it, to the steps of that stream's sweeps (see
+    _Sweep), and the time the steps take adds to each sweep's seconds. Raises
+    ValueError where a stream ends before the last index a sweep on it reads."""
+    feeds = [(deque(maxlen=_WINDOW), sweeps) for _, sweeps in streams]
+    ends = [0] * len(streams)
+    for n, items in enumerate(zip_longest(*(items for items, _ in streams))):
+        for i, (item, (window, sweeps)) in enumerate(zip(items, feeds)):
+            if item is None:  # this stream has ended
+                continue
+            ends[i] = n + 1
+            window.append(item)
+            start = perf_counter()
+            for sweep in sweeps:
+                kept = 0
+                for first, last, step, found in sweep.steps:
+                    kept += len(found)
+                    if kept >= MAX_COUNTEREXAMPLES:
+                        break
+                    if first <= n <= last:
+                        hit = step(n, window)
+                        if hit is not None:
+                            found.append(hit)
+                            kept += 1
+                now = perf_counter()
+                sweep.seconds += now - start
+                start = now
+    for (_, sweeps), end in zip(streams, ends):
+        for sweep in sweeps:
+            if end < sweep.need:
+                raise ValueError(f"{sweep.name} reads indices 0..{sweep.need - 1}; the input stops at {end - 1}")
+
+
+def _check(sweep: _Sweep, items: Optional[Iterable]) -> CheckResult:
+    """The sweep's result on the given rows or values, or on the sequence's own
+    when None."""
+    if items is None:
+        items = iter_rows(sweep.need - 1) if sweep.rows else a_iter()
+    _walk((islice(items, sweep.need), [sweep]))
+    return sweep.result()
 
 
 def _gap_certainly_inside(n: int, p: int, q: int) -> bool:
@@ -88,6 +167,18 @@ def _gap_side(n: int, p: int, q: int) -> int:
     return 1 if g >= n * qq else 0
 
 
+def _x_bounds(lo: int, hi: int) -> _Sweep:
+    def step(n: int, w: Sequence[SeqRow]) -> Hit:
+        p, q = w[-1].x_num, w[-1].x_den
+        side = -1 if 2 * p <= q else _gap_side(n, p, q)
+        if side < 0:
+            return n, f"x({n}) = {decimal_text(w[-1].x)} is not above (1+sqrt({4*n-3}))/2"
+        if side > 0:
+            return n, f"x({n}) = {decimal_text(w[-1].x)} is not below (1+sqrt({4*n+1}))/2"
+
+    return _Sweep("x_bounds", lo, hi, (lo, hi, step))
+
+
 def check_x_bounds(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
     """(1 + sqrt(4n-3))/2 < x_n < (1 + sqrt(4n+1))/2, strictly, for n >= 4.
 
@@ -95,23 +186,17 @@ def check_x_bounds(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = None) ->
     t^2 > m q^2 (the comparison cmp_shifted_sqrt makes). Given t > 0, both
     bounds are read off the quadratic gap's predicate (see _gap_side).
     """
-    start = time.monotonic()
     if lo < 4:
         raise ValueError("the strict bounds start at n = 4")
-    rows = _rows(hi, rows)
-    cex: list[tuple[int, str]] = []
-    for n in range(lo, hi + 1):
-        p, q = rows[n].x_num, rows[n].x_den
-        side = -1 if 2 * p <= q else _gap_side(n, p, q)
-        if side:
-            x = decimal_text(rows[n].x)
-            if side < 0:
-                cex.append((n, f"x({n}) = {x} is not above (1+sqrt({4*n-3}))/2"))
-            else:
-                cex.append((n, f"x({n}) = {x} is not below (1+sqrt({4*n+1}))/2"))
-        if len(cex) >= MAX_COUNTEREXAMPLES:
-            break
-    return finish_check("x_bounds", lo, hi, cex, start)
+    return _check(_x_bounds(lo, hi), rows)
+
+
+def _mod4_exclusion(lo: int, hi: int) -> _Sweep:
+    def step(n: int, w: Sequence[SeqRow]) -> Hit:
+        if w[-1].x_den == 1:
+            return n, f"x({n}) = {decimal_text(w[-1].x)} is an integer"
+
+    return _Sweep("mod4_exclusion", lo, hi, (lo, hi, step))
 
 
 def check_mod4_exclusion(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
@@ -123,34 +208,26 @@ def check_mod4_exclusion(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = No
     every n, so what the sweep checks is its consequence: every reduced
     denominator exceeds 1.
     """
-    start = time.monotonic()
     if lo < 4:
         raise ValueError("the exclusion argument starts at n = 4")
-    rows = _rows(hi, rows)
-    cex: list[tuple[int, str]] = []
-    for n in range(lo, hi + 1):
-        if rows[n].x_den == 1:
-            cex.append((n, f"x({n}) = {decimal_text(rows[n].x)} is an integer"))
-            if len(cex) >= MAX_COUNTEREXAMPLES:
-                break
-    return finish_check("mod4_exclusion", lo, hi, cex, start)
+    return _check(_mod4_exclusion(lo, hi), rows)
+
+
+def _quadratic_gap(lo: int, hi: int) -> _Sweep:
+    def step(n: int, w: Sequence[SeqRow]) -> Hit:
+        p, q = w[-1].x_num, w[-1].x_den
+        if _gap_side(n, p, q):
+            gap = Fraction(p * (p - q), q * q)  # x^2 - x
+            return n, f"x({n})^2 - x({n}) = {decimal_text(gap)} escapes ({n-1}, {n})"
+
+    return _Sweep("quadratic_gap", lo, hi, (lo, hi, step))
 
 
 def check_quadratic_gap(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
     """n - 1 < x_n^2 - x_n < n, strictly, for n >= 4."""
-    start = time.monotonic()
     if lo < 4:
         raise ValueError("the strict gap starts at n = 4")
-    rows = _rows(hi, rows)
-    cex: list[tuple[int, str]] = []
-    for n in range(lo, hi + 1):
-        p, q = rows[n].x_num, rows[n].x_den
-        if _gap_side(n, p, q):
-            gap = Fraction(p * (p - q), q * q)  # x^2 - x
-            cex.append((n, f"x({n})^2 - x({n}) = {decimal_text(gap)} escapes ({n-1}, {n})"))
-            if len(cex) >= MAX_COUNTEREXAMPLES:
-                break
-    return finish_check("quadratic_gap", lo, hi, cex, start)
+    return _check(_quadratic_gap(lo, hi), rows)
 
 
 def _square_certainly_above(a: int, m: int) -> bool:
@@ -160,39 +237,40 @@ def _square_certainly_above(a: int, m: int) -> bool:
     return 2 * a.bit_length() - 1 > m.bit_length()
 
 
+def _sqrt_factorial(hi: int) -> _Sweep:
+    fact = 1  # n!
+
+    def step(n: int, w: Sequence[int]) -> Hit:
+        nonlocal fact
+        if n:
+            fact *= n
+        if n > 1 and _square_certainly_above(w[-1], fact):
+            return None
+        sq = w[-1] * w[-1]
+        if sq < fact:
+            return n, f"a({n})^2 = {decimal_text(sq)} < {n}! "
+        if sq == fact and n > 1:
+            return n, f"unexpected equality a({n})^2 = {n}!"
+        if sq > fact and n <= 1:
+            return n, f"expected equality a({n})^2 = {n}! fails"
+
+    return _Sweep("sqrt_factorial", 0, hi, (0, hi, step), rows=False)
+
+
 def check_sqrt_factorial_lower(hi: int, a_values: Optional[Sequence[int]] = None) -> CheckResult:
     """a_n^2 >= n! for all n, with equality exactly at n = 0 and n = 1.
 
     From n = 2 on, a row whose bit lengths already prove a_n^2 > n! passes
     without squaring; every other row, and n <= 1, compares the square.
     """
-    start = time.monotonic()
-    if a_values is None:
-        a_values = a_seq(hi)
-    cex: list[tuple[int, str]] = []
-    fact = 1
-    for n in range(hi + 1):
-        if n:
-            fact *= n
-        if n > 1 and _square_certainly_above(a_values[n], fact):
-            continue
-        sq = a_values[n] * a_values[n]
-        if sq < fact:
-            cex.append((n, f"a({n})^2 = {decimal_text(sq)} < {n}! "))
-        elif sq == fact and n > 1:
-            cex.append((n, f"unexpected equality a({n})^2 = {n}!"))
-        elif sq > fact and n <= 1:
-            cex.append((n, f"expected equality a({n})^2 = {n}! fails"))
-        if len(cex) >= MAX_COUNTEREXAMPLES:
-            break
-    return finish_check("sqrt_factorial", 0, hi, cex, start)
+    return _check(_sqrt_factorial(hi), a_values)
 
 
 def check_congruence(
     prime_limit: int,
     n_limit: int,
     a_values: Optional[Sequence[int]] = None,
-    cross_limit: int = 200,
+    cross_limit: int = CROSS_LIMIT,
 ) -> CheckResult:
     """a_n = 1 mod p whenever the odd prime p divides n.
 
@@ -201,39 +279,52 @@ def check_congruence(
     cross_limit so the modular walk itself is not trusted blindly. Primes
     above n_limit divide no index in range, so they are not swept.
     """
-    start = time.monotonic()
-    cex: list[tuple[int, str]] = []
-    odd_primes = [p for p in primes_upto(min(prime_limit, n_limit)) if p > 2]
-    for p in odd_primes:
-        residues = a_mod(n_limit, p)
-        for n in range(p, n_limit + 1, p):
-            if residues[n] != 1:
-                cex.append((n, f"a({n}) = {residues[n]} mod {p}, expected 1"))
-                if len(cex) >= MAX_COUNTEREXAMPLES:
-                    return finish_check("congruence", 3, n_limit, cex, start)
-    if a_values is not None:
-        hi_cross = min(cross_limit, n_limit, len(a_values) - 1)
+
+    def hits() -> Iterator[tuple[int, str]]:
+        odd_primes = [p for p in primes_upto(min(prime_limit, n_limit)) if p > 2]
         for p in odd_primes:
-            for n in range(p, hi_cross + 1, p):
-                if a_values[n] % p != 1:
-                    cex.append((n, f"full-precision a({n}) is not 1 mod {p}"))
-                    if len(cex) >= MAX_COUNTEREXAMPLES:
-                        return finish_check("congruence", 3, n_limit, cex, start)
-    return finish_check("congruence", 3, n_limit, cex, start)
+            residues = a_mod(n_limit, p)
+            for n in range(p, n_limit + 1, p):
+                if residues[n] != 1:
+                    yield n, f"a({n}) = {residues[n]} mod {p}, expected 1"
+        if a_values is not None:
+            hi_cross = min(cross_limit, n_limit, len(a_values) - 1)
+            for p in odd_primes:
+                for n in range(p, hi_cross + 1, p):
+                    if a_values[n] % p != 1:
+                        yield n, f"full-precision a({n}) is not 1 mod {p}"
+
+    return _Sweep("congruence", 3, n_limit, then=hits()).result()
+
+
+def _d_power_of_two(hi: int) -> _Sweep:
+    def step(n: int, w: Sequence[SeqRow]) -> Hit:
+        dn = w[-1].d
+        if dn <= 0 or dn & (dn - 1):
+            return n, f"d({n}) = {decimal_text(dn)} is not a power of two"
+
+    return _Sweep("d_power_of_two", 1, hi, (1, hi, step))
 
 
 def check_d_power_of_two(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
     """gcd(a_n, a_{n-1}) is a power of two for every n >= 1."""
-    start = time.monotonic()
-    rows = _rows(hi, rows)
-    cex: list[tuple[int, str]] = []
-    for n in range(1, hi + 1):
-        dn = rows[n].d
-        if dn <= 0 or dn & (dn - 1):
-            cex.append((n, f"d({n}) = {decimal_text(dn)} is not a power of two"))
-            if len(cex) >= MAX_COUNTEREXAMPLES:
-                break
-    return finish_check("d_power_of_two", 1, hi, cex, start)
+    return _check(_d_power_of_two(hi), rows)
+
+
+def _d_upper(hi: int, mechanism_hi: int, a_values: Sequence[int]) -> _Sweep:
+    def step(n: int, w: Sequence[SeqRow]) -> Hit:
+        if w[-1].d > 1 << (n - 1):
+            return n, f"d({n}) = {decimal_text(w[-1].d)} exceeds 2^{n-1}"
+
+    def mechanism() -> Iterator[tuple[int, str]]:
+        for n in range(1, mechanism_hi + 1):
+            want = expected_convolution(n)
+            if convolution_lhs(n, a_values) != want:
+                yield n, f"alternating convolution at 2n = {2*n} is not (2n)!/n!"
+            elif want % gcd(a_values[n + 1], a_values[n]):
+                yield n, f"d({n+1}) does not divide the convolution value"
+
+    return _Sweep("d_upper", 1, hi, (1, hi, step), then=mechanism())
 
 
 def check_d_upper(
@@ -250,28 +341,33 @@ def check_d_upper(
     so it runs to mechanism_hi (default min(hi, 600)) while the plain bound
     runs over the full range.
     """
-    start = time.monotonic()
-    rows = _rows(hi, rows)
     if mechanism_hi is None:
         mechanism_hi = min(hi, DEFAULT_MECHANISM_HI)
     if a_values is None:
         a_values = a_seq(max(2 * mechanism_hi, mechanism_hi + 1))
-    cex: list[tuple[int, str]] = []
-    for n in range(1, hi + 1):
-        if rows[n].d > 1 << (n - 1):
-            cex.append((n, f"d({n}) = {decimal_text(rows[n].d)} exceeds 2^{n-1}"))
-            if len(cex) >= MAX_COUNTEREXAMPLES:
-                return finish_check("d_upper", 1, hi, cex, start)
-    for n in range(1, mechanism_hi + 1):
-        got = convolution_lhs(n, a_values)
-        want = expected_convolution(n)
-        if got != want:
-            cex.append((n, f"alternating convolution at 2n = {2*n} is not (2n)!/n!"))
-        elif want % gcd(a_values[n + 1], a_values[n]):
-            cex.append((n, f"d({n+1}) does not divide the convolution value"))
-        if len(cex) >= MAX_COUNTEREXAMPLES:
-            break
-    return finish_check("d_upper", 1, hi, cex, start)
+    return _check(_d_upper(hi, mechanism_hi, a_values), rows)
+
+
+_FIRST_Q = (1, 1, 1, 1, 5, 13, 19, 29)
+
+
+def _e_q(hi: int) -> _Sweep:
+    def per_row(n: int, w: Sequence[SeqRow]) -> Hit:
+        row = w[-1]
+        if row.e != e_closed(n):
+            return n, f"v2(a({n})) = {row.e}, closed form gives {e_closed(n)}"
+        if not row.q & 1:
+            return n, f"odd part of a({n}) came out even"
+        if (row.q << row.e) != row.a:
+            return n, f"q({n}) * 2^e({n}) does not rebuild a({n})"
+        if n < 8 and row.q != _FIRST_Q[n]:
+            return n, f"q({n}) = {decimal_text(row.q)}, expected {_FIRST_Q[n]}"
+
+    def recurrence(n: int, w: Sequence[SeqRow]) -> Hit:
+        if w[-1].q != q_step(n - 6, w[-9].q, w[-5].q):
+            return n, f"odd-part recurrence fails tying q({n-8}), q({n-4}), q({n})"
+
+    return _Sweep("e_q", 0, hi, (0, hi, per_row), (8, hi, recurrence))
 
 
 def check_e_q(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
@@ -282,44 +378,45 @@ def check_e_q(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
     1,1,1,1,5,13,19,29, and q_{n+6} = (n^2+9n+19) q_{n+2}
     - (n(n-1)(n+2)(n+5)/4) q_{n-2} must hold wherever it fits in range.
     """
-    start = time.monotonic()
-    rows = _rows(hi, rows)
-    cex: list[tuple[int, str]] = []
-    first_q = (1, 1, 1, 1, 5, 13, 19, 29)
-    for n in range(hi + 1):
-        row = rows[n]
-        if row.e != e_closed(n):
-            cex.append((n, f"v2(a({n})) = {row.e}, closed form gives {e_closed(n)}"))
-        elif row.q % 2 == 0:
-            cex.append((n, f"odd part of a({n}) came out even"))
-        elif (row.q << row.e) != row.a:
-            cex.append((n, f"q({n}) * 2^e({n}) does not rebuild a({n})"))
-        elif n < 8 and row.q != first_q[n]:
-            cex.append((n, f"q({n}) = {decimal_text(row.q)}, expected {first_q[n]}"))
-        if len(cex) >= MAX_COUNTEREXAMPLES:
-            return finish_check("e_q", 0, hi, cex, start)
-    n = 2
-    while n + 6 <= hi:
-        want = q_step(n, rows[n - 2].q, rows[n + 2].q)
-        if rows[n + 6].q != want:
-            cex.append((n + 6, f"odd-part recurrence fails tying q({n-2}), q({n+2}), q({n+6})"))
-            if len(cex) >= MAX_COUNTEREXAMPLES:
-                break
-        n += 1
-    return finish_check("e_q", 0, hi, cex, start)
+    return _check(_e_q(hi), rows)
+
+
+def _d_formula(hi: int) -> _Sweep:
+    def step(n: int, w: Sequence[SeqRow]) -> Hit:
+        if w[-1].d != d_closed(n):
+            return n, f"d({n}) = {decimal_text(w[-1].d)}, closed form gives {d_closed(n)}"
+
+    return _Sweep("d_formula", 1, hi, (1, hi, step))
 
 
 def check_d_formula(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
     """gcd(a_n, a_{n-1}) equals its closed form 2^k / 2^{k+1} by n mod 4."""
-    start = time.monotonic()
-    rows = _rows(hi, rows)
-    cex: list[tuple[int, str]] = []
-    for n in range(1, hi + 1):
-        if rows[n].d != d_closed(n):
-            cex.append((n, f"d({n}) = {decimal_text(rows[n].d)}, closed form gives {d_closed(n)}"))
-            if len(cex) >= MAX_COUNTEREXAMPLES:
-                break
-    return finish_check("d_formula", 1, hi, cex, start)
+    return _check(_d_formula(hi), rows)
+
+
+def _quarter_bound(hi: int) -> _Sweep:
+    fact, power = 1, 1  # (n-1)! and 4^{n-1}
+
+    def step(n: int, w: Sequence[SeqRow]) -> Hit:
+        nonlocal fact, power
+        if n > 1:
+            fact *= n - 1
+            power *= 4
+        row = w[-1]
+        d4 = row.d ** 4
+        k = _log2_exact(row.d)  # on the orbit d is 2^k, and x_den * d a shift
+        if d4 > 1 << (n + 1):
+            return n, f"d({n})^4 = {decimal_text(d4)} exceeds 2^{n+1}"
+        if (row.x_den * row.d if k is None else row.x_den << k) != w[-2].a:
+            return n, f"D({n}) * d({n}) != a({n-1})"
+        if n >= 4 and row.x_den <= 1:
+            return n, f"x({n}) reduced denominator is {row.x_den}"
+        if n >= 10 and fact <= power:
+            return n, f"({n-1})! does not exceed 4^{n-1}"
+        if n == 9 and fact >= power:
+            return n, "the factorial bound should still fail at n = 9"
+
+    return _Sweep("quarter_bound", 1, hi, (1, hi, step))
 
 
 def check_quarter_bound_and_D(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
@@ -330,31 +427,20 @@ def check_quarter_bound_and_D(hi: int, rows: Optional[Sequence[SeqRow]] = None) 
     which is what makes the fourth-power bound eventually crush d_n^4
     against a_{n-1}^2 >= (n-1)!; the inequality is genuinely false at n = 9.
     """
-    start = time.monotonic()
-    rows = _rows(hi, rows)
-    cex: list[tuple[int, str]] = []
-    fact = 1  # (n-1)!
-    power = 1  # 4^{n-1}
-    for n in range(1, hi + 1):
-        if n > 1:
-            fact *= n - 1
-            power *= 4
-        row = rows[n]
-        d4 = row.d ** 4
-        k = _log2_exact(row.d)  # on the orbit d is 2^k, and x_den * d a shift
-        if d4 > 1 << (n + 1):
-            cex.append((n, f"d({n})^4 = {decimal_text(d4)} exceeds 2^{n+1}"))
-        elif (row.x_den * row.d if k is None else row.x_den << k) != rows[n - 1].a:
-            cex.append((n, f"D({n}) * d({n}) != a({n-1})"))
-        elif n >= 4 and row.x_den <= 1:
-            cex.append((n, f"x({n}) reduced denominator is {row.x_den}"))
-        elif n >= 10 and fact <= power:
-            cex.append((n, f"({n-1})! does not exceed 4^{n-1}"))
-        elif n == 9 and fact >= power:
-            cex.append((n, "the factorial bound should still fail at n = 9"))
-        if len(cex) >= MAX_COUNTEREXAMPLES:
-            break
-    return finish_check("quarter_bound", 1, hi, cex, start)
+    return _check(_quarter_bound(hi), rows)
+
+
+def _parity(hi: int) -> _Sweep:
+    def step(n: int, w: Sequence[SeqRow]) -> Hit:
+        row = w[-1]
+        if (not row.x_den & 1) != (n % 4 == 0):
+            return n, (f"denominator {decimal_text(row.x_den)} has the wrong parity "
+                       f"for n mod 4 = {n % 4}")
+        if (not row.x_num & 1) != (n % 4 in (2, 3)):
+            return n, (f"numerator {decimal_text(row.x_num)} has the wrong parity "
+                       f"for n mod 4 = {n % 4}")
+
+    return _Sweep("parity", 1, hi, (1, hi, step))
 
 
 def check_parity(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
@@ -363,65 +449,46 @@ def check_parity(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResul
     For n >= 1: x_den is even iff n = 0 mod 4, and x_num is even iff
     n = 2 or 3 mod 4.
     """
-    start = time.monotonic()
-    rows = _rows(hi, rows)
-    cex: list[tuple[int, str]] = []
-    for n in range(1, hi + 1):
-        row = rows[n]
-        if (row.x_den % 2 == 0) != (n % 4 == 0):
-            cex.append((n, f"denominator {decimal_text(row.x_den)} has the wrong parity "
-                            f"for n mod 4 = {n % 4}"))
-        elif (row.x_num % 2 == 0) != (n % 4 in (2, 3)):
-            cex.append((n, f"numerator {decimal_text(row.x_num)} has the wrong parity "
-                            f"for n mod 4 = {n % 4}"))
-        if len(cex) >= MAX_COUNTEREXAMPLES:
-            break
-    return finish_check("parity", 1, hi, cex, start)
+    return _check(_parity(hi), rows)
+
+
+def _integrality(hi: int) -> _Sweep:
+    def step(n: int, w: Sequence[SeqRow]) -> Hit:
+        if (w[-1].x_den == 1) != (n <= 3):
+            what = "should be" if n <= 3 else "is unexpectedly"
+            return n, f"x({n}) = {decimal_text(w[-1].x)} {what} an integer"
+
+    return _Sweep("integrality", 0, hi, (0, hi, step))
 
 
 def check_integrality(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
     """x_n is an integer exactly at n = 0, 1, 2, 3."""
-    start = time.monotonic()
-    rows = _rows(hi, rows)
-    cex: list[tuple[int, str]] = []
-    expected = [n for n in (0, 1, 2, 3) if n <= hi]
-    got = integer_indices(rows[: hi + 1])
-    for n in sorted(set(got) ^ set(expected)):
-        x = decimal_text(rows[n].x)
-        if n in got:
-            cex.append((n, f"x({n}) = {x} is unexpectedly an integer"))
-        else:
-            cex.append((n, f"x({n}) = {x} should be an integer"))
-        if len(cex) >= MAX_COUNTEREXAMPLES:
-            break
-    return finish_check("integrality", 0, hi, cex, start)
+    return _check(_integrality(hi), rows)
+
+
+def _a6_relation(hi: int) -> _Sweep:
+    def step(n: int, w: Sequence[int]) -> Hit:  # the relation at m = n - 6 ends at a_n
+        m = n - 6
+        if w[-1] != a6_step(m, w[-9], w[-5]):
+            return m, f"six-step recurrence fails tying a({m-2}), a({m+2}), a({m+6})"
+
+    return _Sweep("a6_relation", 2, hi, (8, hi + 6, step), rows=False)
 
 
 def check_a6_relation(hi: int, a_values: Optional[Sequence[int]] = None) -> CheckResult:
     """a_{n+6} = 2(n^2+9n+19) a_{n+2} - n(n-1)(n+2)(n+5) a_{n-2} for n >= 2."""
-    start = time.monotonic()
-    if a_values is None:
-        a_values = a_seq(hi + 6)
-    if len(a_values) < hi + 7:
-        raise ValueError("need companion values through hi + 6")
-    cex: list[tuple[int, str]] = []
-    for n in range(2, hi + 1):
-        if a_values[n + 6] != a6_step(n, a_values[n - 2], a_values[n + 2]):
-            cex.append((n, f"six-step recurrence fails tying a({n-2}), a({n+2}), a({n+6})"))
-            if len(cex) >= MAX_COUNTEREXAMPLES:
-                break
-    return finish_check("a6_relation", 2, hi, cex, start)
+    return _check(_a6_relation(hi), a_values)
 
 
 def check_series_identities(order: int, a_values: Optional[Sequence[int]] = None) -> CheckResult:
     """All generating-function identities, coefficient by coefficient."""
-    start = time.monotonic()
-    parts = series_identity_parts(order, a_values)
-    cex: list[tuple[int, str]] = []
-    for part, idx in parts.items():
-        if idx is not None:
-            cex.append((idx, f"{part}: first discrepancy at index {idx}"))
-    return finish_check("series", 0, order, cex, start)
+
+    def hits() -> Iterator[tuple[int, str]]:
+        for part, idx in series_identity_parts(order, a_values).items():
+            if idx is not None:
+                yield idx, f"{part}: first discrepancy at index {idx}"
+
+    return _Sweep("series", 0, order, then=hits()).result()
 
 
 def check_sign_flip(seed: int = 0, samples: int = 1000) -> CheckResult:
@@ -431,60 +498,63 @@ def check_sign_flip(seed: int = 0, samples: int = 1000) -> CheckResult:
     algebra behind the quadratic gap; sampling random rationals exercises it
     far outside the orbit of the actual sequence.
     """
-    start = time.monotonic()
-    rng = random.Random(seed)
-    cex: list[tuple[int, str]] = []
-    for i in range(1, samples + 1):
-        x = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
-        n = rng.randint(1, 10**6)
-        f = 1 + Fraction(n, 1) / x
-        lhs = (f * f - f - n) * x * x
-        rhs = -n * (x * x - x - n)
-        if lhs != rhs:
-            cex.append((i, f"identity fails at sample {i}: x = {x}, n = {n}"))
-            if len(cex) >= MAX_COUNTEREXAMPLES:
-                break
-    return finish_check("sign_flip", 1, samples, cex, start)
+
+    def hits() -> Iterator[tuple[int, str]]:
+        rng = random.Random(seed)
+        for i in range(1, samples + 1):
+            x = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+            n = rng.randint(1, 10**6)
+            f = 1 + Fraction(n, 1) / x
+            lhs = (f * f - f - n) * x * x
+            rhs = -n * (x * x - x - n)
+            if lhs != rhs:
+                yield i, f"identity fails at sample {i}: x = {x}, n = {n}"
+
+    return _Sweep("sign_flip", 1, samples, then=hits()).result()
 
 
 @dataclass(frozen=True)
 class _Check:
-    """One registered check: whether it reads rows, how many companion values
-    (a_0..a_{N-1}) it reads for a config, and how to run it."""
+    """One registered check: how many companion values (a_0..a_{N-1}) it reads
+    for a config, how many leading ones it reads off the walk (the prefix),
+    and either its sweep for the walk or how to run it on the prefix."""
 
-    needs_rows: bool
     need: Callable[[VerifyConfig], int]
-    run: Callable[[VerifyConfig, Sequence[int], Optional[Sequence[SeqRow]]], CheckResult]
+    prefix: Callable[[VerifyConfig], int] = lambda c: 0
+    sweep: Optional[Callable[[VerifyConfig, list[int]], _Sweep]] = None
+    run: Optional[Callable[[VerifyConfig, list[int]], CheckResult]] = None
 
 
 def _through_max_n(c: VerifyConfig) -> int:
     return c.max_n + 1
 
 
-def _d_upper_need(c: VerifyConfig) -> int:
+def _mechanism_prefix(c: VerifyConfig) -> int:
     mech = min(c.max_n, DEFAULT_MECHANISM_HI)
-    return max(2 * mech + 1, mech + 2, c.max_n + 1)
+    return max(2 * mech + 1, mech + 2)
 
 
 _REGISTRY: dict[str, _Check] = {
-    "x_bounds": _Check(True, _through_max_n, lambda c, a, r: check_x_bounds(4, c.max_n, r)),
-    "mod4_exclusion": _Check(True, _through_max_n, lambda c, a, r: check_mod4_exclusion(4, c.max_n, r)),
-    "quadratic_gap": _Check(True, _through_max_n, lambda c, a, r: check_quadratic_gap(4, c.max_n, r)),
-    "sqrt_factorial": _Check(False, _through_max_n, lambda c, a, r: check_sqrt_factorial_lower(c.max_n, a)),
-    "congruence": _Check(False, _through_max_n, lambda c, a, r: check_congruence(c.prime_limit, c.max_n, a)),
-    "d_power_of_two": _Check(True, _through_max_n, lambda c, a, r: check_d_power_of_two(c.max_n, r)),
-    "d_upper": _Check(True, _d_upper_need, lambda c, a, r: check_d_upper(c.max_n, r, a)),
-    "e_q": _Check(True, _through_max_n, lambda c, a, r: check_e_q(c.max_n, r)),
-    "d_formula": _Check(True, _through_max_n, lambda c, a, r: check_d_formula(c.max_n, r)),
-    "quarter_bound": _Check(True, _through_max_n, lambda c, a, r: check_quarter_bound_and_D(c.max_n, r)),
-    "parity": _Check(True, _through_max_n, lambda c, a, r: check_parity(c.max_n, r)),
-    "integrality": _Check(True, _through_max_n, lambda c, a, r: check_integrality(c.max_n, r)),
-    "a6_relation": _Check(False, lambda c: c.max_n + 7, lambda c, a, r: check_a6_relation(c.max_n, a)),
-    "series": _Check(False, lambda c: c.series_order + 1,
-                     lambda c, a, r: check_series_identities(c.series_order, a)),
-    "involutions": _Check(False, lambda c: c.oracle_max + 1,
-                          lambda c, a, r: check_involution_identity(c.oracle_max, a)),
-    "sign_flip": _Check(False, lambda c: 1, lambda c, a, r: check_sign_flip(c.seed)),
+    "x_bounds": _Check(_through_max_n, sweep=lambda c, a: _x_bounds(4, c.max_n)),
+    "mod4_exclusion": _Check(_through_max_n, sweep=lambda c, a: _mod4_exclusion(4, c.max_n)),
+    "quadratic_gap": _Check(_through_max_n, sweep=lambda c, a: _quadratic_gap(4, c.max_n)),
+    "sqrt_factorial": _Check(_through_max_n, sweep=lambda c, a: _sqrt_factorial(c.max_n)),
+    "congruence": _Check(_through_max_n, lambda c: min(CROSS_LIMIT, c.max_n) + 1,
+                         run=lambda c, a: check_congruence(c.prime_limit, c.max_n, a)),
+    "d_power_of_two": _Check(_through_max_n, sweep=lambda c, a: _d_power_of_two(c.max_n)),
+    "d_upper": _Check(lambda c: max(_mechanism_prefix(c), c.max_n + 1), _mechanism_prefix,
+                      sweep=lambda c, a: _d_upper(c.max_n, min(c.max_n, DEFAULT_MECHANISM_HI), a)),
+    "e_q": _Check(_through_max_n, sweep=lambda c, a: _e_q(c.max_n)),
+    "d_formula": _Check(_through_max_n, sweep=lambda c, a: _d_formula(c.max_n)),
+    "quarter_bound": _Check(_through_max_n, sweep=lambda c, a: _quarter_bound(c.max_n)),
+    "parity": _Check(_through_max_n, sweep=lambda c, a: _parity(c.max_n)),
+    "integrality": _Check(_through_max_n, sweep=lambda c, a: _integrality(c.max_n)),
+    "a6_relation": _Check(lambda c: c.max_n + 7, sweep=lambda c, a: _a6_relation(c.max_n)),
+    "series": _Check(lambda c: c.series_order + 1, lambda c: c.series_order + 1,
+                     run=lambda c, a: check_series_identities(c.series_order, a)),
+    "involutions": _Check(lambda c: c.oracle_max + 1, lambda c: c.oracle_max + 1,
+                          run=lambda c, a: check_involution_identity(c.oracle_max, a)),
+    "sign_flip": _Check(lambda c: 1, run=lambda c, a: check_sign_flip(c.seed)),
 }
 
 CHECK_NAMES = sorted(_REGISTRY)
@@ -510,14 +580,23 @@ def run_all(config: VerifyConfig, a_values: Optional[Sequence[int]] = None) -> l
 
     a_values, when given, replaces the internally computed sequence for every
     check that consumes companion values or rows; it must cover
-    required_length(config) entries.
+    required_length(config) entries. The rows are derived once and walked
+    once, in step with the values, through every selected sweep; only the
+    prefix of values that some check reads off the walk is kept.
     """
     checks = [_REGISTRY[name] for name in _selected(config)]
-    if a_values is None:
-        a_values = a_seq(required_length(config) - 1)
-    elif len(a_values) < required_length(config):
+    if a_values is not None and len(a_values) < required_length(config):
         raise ValueError("a_values too short for this configuration")
-    rows = None
-    if any(check.needs_rows for check in checks):
-        rows = rows_from_a(a_values[: config.max_n + 1])
-    return [check.run(config, a_values, rows) for check in checks]
+    source = iter(a_values) if a_values is not None else a_iter()
+    prefix = list(islice(source, max([0] + [c.prefix(config) for c in checks])))
+    sweeps = [c.sweep(config, prefix) if c.sweep else None for c in checks]
+    on_rows = [s for s in sweeps if s is not None and s.rows]
+    on_values = [s for s in sweeps if s is not None and not s.rows]
+    ahead = max([0] + [s.need - len(prefix) for s in on_rows + on_values])
+    values: Iterable[int] = chain(prefix, islice(source, ahead))
+    rows: Iterable[SeqRow] = ()
+    if on_rows:
+        values, for_rows = tee(values)
+        rows = _derive_rows(islice(for_rows, max(s.need for s in on_rows)))
+    _walk((rows, on_rows), (values, on_values))
+    return [s.result() if s is not None else c.run(config, prefix) for c, s in zip(checks, sweeps)]

@@ -55,9 +55,11 @@ def check_involution_identity(
         from .sequences import a_seq
 
         a_values = a_seq(max_n)
+    if len(a_values) < max_n + 1:
+        raise ValueError("need companion values a_0..a_max_n")
     cex = []
     for n in range(max_n + 1):
         got = count_involutions_enum(n)
         if got != a_values[n]:
             cex.append((n, f"enumerated {got} involutions but a({n}) = {decimal_text(a_values[n])}"))
-    return finish_check("involutions", 0, max_n, cex, start)
+    return finish_check("involutions", 0, max_n, cex, time.monotonic() - start)

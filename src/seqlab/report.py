@@ -1,7 +1,6 @@
 """Result containers shared by all checks and the CLI report rendering."""
 
 import json
-import time
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -57,10 +56,9 @@ def decimal_text(v: Union[int, Fraction]) -> str:
     return str(Decimal(v))
 
 
-def finish_check(name: str, lo: int, hi: int, cex: list, start: float) -> CheckResult:
-    """The result of a check that started at time.monotonic() == start."""
-    elapsed_ms = int((time.monotonic() - start) * 1000)
-    return CheckResult(name, lo, hi, PASS if not cex else FAIL, cex, elapsed_ms)
+def finish_check(name: str, lo: int, hi: int, cex: list, seconds: float) -> CheckResult:
+    """The result of a check that ran for the given number of seconds."""
+    return CheckResult(name, lo, hi, PASS if not cex else FAIL, cex, int(seconds * 1000))
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
@@ -36,7 +37,7 @@ from seqlab.checks import (
 from seqlab.exact import GREATER, LESS, SIEVE_LIMIT, cmp_shifted_sqrt, primes_upto
 from seqlab.involutions import check_involution_identity
 from seqlab.report import VerifyConfig
-from seqlab.sequences import SeqRow, a_mod, a_seq, rows_from_a
+from seqlab.sequences import SeqRow, a_mod, a_seq, e_closed, integer_indices, q_step, rows_from_a
 from test_sequences import positive_ints
 
 HI = 150
@@ -244,9 +245,33 @@ def test_sqrt_factorial_matches_squaring_next_to_isqrt(steps):
     assert check_sqrt_factorial_lower(hi, a_values).counterexamples == _sqrt_factorial_reference(hi, a_values)
 
 
-def test_rows_must_cover_range(rows150):
+# Each check that reads rows or companion values, on inputs that cover its
+# range exactly (k = 0) or stop one item short (k = 1). congruence is not here:
+# its cross-check reads as far as the values it is given reach.
+COVERAGE_CASES = {
+    "x_bounds": lambda r, a, k: check_x_bounds(4, HI, r[: HI + 1 - k]),
+    "mod4_exclusion": lambda r, a, k: check_mod4_exclusion(4, HI, r[: HI + 1 - k]),
+    "quadratic_gap": lambda r, a, k: check_quadratic_gap(4, HI, r[: HI + 1 - k]),
+    "sqrt_factorial": lambda r, a, k: check_sqrt_factorial_lower(HI, a[: HI + 1 - k]),
+    "d_power_of_two": lambda r, a, k: check_d_power_of_two(HI, r[: HI + 1 - k]),
+    "d_upper": lambda r, a, k: check_d_upper(HI, r[: HI + 1 - k], a),
+    "d_upper_mechanism": lambda r, a, k: check_d_upper(HI, r, a[: 2 * HI + 1 - k]),
+    "e_q": lambda r, a, k: check_e_q(HI, r[: HI + 1 - k]),
+    "d_formula": lambda r, a, k: check_d_formula(HI, r[: HI + 1 - k]),
+    "quarter_bound": lambda r, a, k: check_quarter_bound_and_D(HI, r[: HI + 1 - k]),
+    "parity": lambda r, a, k: check_parity(HI, r[: HI + 1 - k]),
+    "integrality": lambda r, a, k: check_integrality(HI, r[: HI + 1 - k]),
+    "a6_relation": lambda r, a, k: check_a6_relation(HI, a[: HI + 7 - k]),
+    "series": lambda r, a, k: check_series_identities(60, a[: 61 - k]),
+    "involutions": lambda r, a, k: check_involution_identity(8, a[: 9 - k]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COVERAGE_CASES))
+def test_rows_must_cover_range(name, a150, rows150):
+    assert COVERAGE_CASES[name](rows150, a150, 0).passed
     with pytest.raises(ValueError):
-        check_x_bounds(4, HI + 100, rows150)
+        COVERAGE_CASES[name](rows150, a150, 1)
 
 
 def test_mod4_exclusion_catches_forced_integer(rows150):
@@ -388,6 +413,73 @@ def test_quarter_bound_matches_multiplying_by_d(values, data):
     assert check_quarter_bound_and_D(hi, rows).counterexamples == _quarter_bound_reference(hi, rows)
 
 
+def _e_q_reference(hi, rows):
+    cex = []
+    first_q = (1, 1, 1, 1, 5, 13, 19, 29)
+    for n in range(hi + 1):
+        row = rows[n]
+        if row.e != e_closed(n):
+            cex.append((n, f"v2(a({n})) = {row.e}, closed form gives {e_closed(n)}"))
+        elif row.q % 2 == 0:
+            cex.append((n, f"odd part of a({n}) came out even"))
+        elif (row.q << row.e) != row.a:
+            cex.append((n, f"q({n}) * 2^e({n}) does not rebuild a({n})"))
+        elif n < 8 and row.q != first_q[n]:
+            cex.append((n, f"q({n}) = {row.q}, expected {first_q[n]}"))
+        if len(cex) >= MAX_COUNTEREXAMPLES:
+            return cex
+    n = 2
+    while n + 6 <= hi:
+        want = q_step(n, rows[n - 2].q, rows[n + 2].q)
+        if rows[n + 6].q != want:
+            cex.append((n + 6, f"odd-part recurrence fails tying q({n-2}), q({n+2}), q({n+6})"))
+            if len(cex) >= MAX_COUNTEREXAMPLES:
+                break
+        n += 1
+    return cex
+
+
+# Corruptions of a_n: a_n + 2^(e_n+1) keeps v2 and an odd q, so only the
+# odd-part recurrence sees it; the others also break the per-row facts.
+E_Q_CORRUPTIONS = [
+    lambda a: a + (a & -a) * 2,
+    lambda a: a + 1,
+    lambda a: a * 2,
+    lambda a: a * 3,
+    lambda a: max(a // 2, 1),
+]
+
+
+@st.composite
+def corrupted_indices(draw, hi):
+    """A few scattered indices in 0..hi, then a run of up to 80 of them, so
+    that many inputs fail at more indices than the cap keeps."""
+    start = draw(st.integers(0, hi))
+    run = range(start, min(start + draw(st.integers(0, 80)), hi + 1))
+    return draw(st.lists(st.integers(0, hi), max_size=8)) + list(run)
+
+
+@given(st.integers(0, 120), st.data())
+def test_e_q_matches_the_two_phase_loop(hi, data):
+    # Past the cap in either phase, or across both.
+    values = a_seq(hi)
+    for i in data.draw(corrupted_indices(hi)):
+        values[i] = data.draw(st.sampled_from(E_Q_CORRUPTIONS))(values[i])
+    rows = rows_from_a(values)
+    assert check_e_q(hi, rows).counterexamples == _e_q_reference(hi, rows)
+
+
+def test_e_q_recurrence_finds_follow_the_per_row_finds():
+    values = a_seq(120)
+    for i in range(10, 120, 3):
+        values[i] += (values[i] & -values[i]) * 2
+    values[100] += 1
+    got = check_e_q(120, rows_from_a(values)).counterexamples
+    assert got[0] == (100, "v2(a(100)) = 0, closed form gives 25")
+    assert got[1][0] == 10 and len(got) == MAX_COUNTEREXAMPLES
+    assert all("recurrence" in text for _, text in got[1:])
+
+
 def test_parity_catches_shifted_value(a150):
     bad = list(a150[: HI + 1])
     bad[3] += 1
@@ -412,6 +504,30 @@ def test_integrality_catches_both_directions(rows150):
     assert "should be" in result.counterexamples[0][1]
 
 
+def _integrality_reference(hi, rows):
+    cex = []
+    expected = [n for n in (0, 1, 2, 3) if n <= hi]
+    got = integer_indices(rows[: hi + 1])
+    for n in sorted(set(got) ^ set(expected)):
+        x = rows[n].x
+        if n in got:
+            cex.append((n, f"x({n}) = {x} is unexpectedly an integer"))
+        else:
+            cex.append((n, f"x({n}) = {x} should be an integer"))
+        if len(cex) >= MAX_COUNTEREXAMPLES:
+            break
+    return cex
+
+
+@given(st.integers(0, 100), st.data())
+def test_integrality_matches_the_symmetric_difference(hi, data):
+    # x_den + 2 removes an integer at n <= 3; x_den = 1 plants one later.
+    rows = rows_from_a(a_seq(hi))
+    for i in data.draw(corrupted_indices(hi)):
+        rows[i] = replace(rows[i], x_den=rows[i].x_den + 2 if i <= 3 else 1)
+    assert check_integrality(hi, rows).counterexamples == _integrality_reference(hi, rows)
+
+
 def test_a6_relation_catches_mutation_and_names_it(a150):
     bad = list(a150)
     bad[30] += 1
@@ -431,6 +547,63 @@ def test_series_check_names_the_index(a150):
     result = check_series_identities(60, bad)
     assert not result.passed
     assert any(n == 15 and "exp_closed_form" in detail for n, detail in result.counterexamples)
+
+
+def _counting_sweep(calls, a_fails, b_range):
+    """Step a fails where a_fails(n), step b at every index of b_range, and
+    `then` yields without end; calls counts what each was asked for."""
+
+    def step(name, fails):
+        def run(n, window):
+            calls[name] += 1
+            return (n, name) if fails(n) else None
+        return run
+
+    def then():
+        while True:
+            calls["then"] += 1
+            yield 0, "then"
+
+    return checks._Sweep("s", 0, 99, (0, 99, step("a", a_fails)),
+                         (*b_range, step("b", lambda n: True)), then=then())
+
+
+def test_a_capped_step_is_not_called_again():
+    # a finds 10 in all; b stops once a and b together hold the cap, at n = 21,
+    # and `then` is never read.
+    calls = {"a": 0, "b": 0, "then": 0}
+    sweep = _counting_sweep(calls, lambda n: n % 10 == 0, (0, 99))
+    checks._walk((range(100), [sweep]))
+    texts = [text for _, text in sweep.result().counterexamples]
+    assert (calls["a"], calls["b"], calls["then"]) == (100, 22, 0)
+    assert texts == ["a"] * 10 + ["b"] * 15
+    # With 15 found on the walk, `then` is read for the 10 that fit.
+    calls = {"a": 0, "b": 0, "then": 0}
+    sweep = _counting_sweep(calls, lambda n: n >= 90, (95, 99))
+    checks._walk((range(100), [sweep]))
+    texts = [text for _, text in sweep.result().counterexamples]
+    assert (calls["a"], calls["b"], calls["then"]) == (100, 5, 10)
+    assert texts == ["a"] * 10 + ["b"] * 5 + ["then"] * 10
+
+
+def test_run_all_holds_no_table():
+    # The row and value checks walk one row and nine values at a time; the
+    # rows of the whole range would hold 40 times what the walk peaks at.
+    walked = [name for name in CHECK_NAMES
+              if name not in ("congruence", "d_upper", "involutions", "series", "sign_flip")]
+    tracemalloc.start()
+    try:
+        rows = rows_from_a(a_seq(3000))
+        held = tracemalloc.get_traced_memory()[0]
+        del rows
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        results = run_all(VerifyConfig(max_n=3000, checks=walked))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results) and len(results) == 11
+    assert peak < held / 4
 
 
 def test_counterexamples_are_capped():
