@@ -12,15 +12,14 @@ corrupted data and confirm the sweeps catch it.
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, tee, zip_longest
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exact import gcd, primes_upto
-from .involutions import check_involution_identity
-from .report import CheckResult, VerifyConfig, decimal_text, finish_check
+from .involutions import _involutions
+from .report import MAX_COUNTEREXAMPLES, CheckResult, Hit, VerifyConfig, _Sweep, decimal_text
 from .sequences import (
     SeqRow,
     _derive_rows,
@@ -36,9 +35,6 @@ from .sequences import (
 )
 from .series import convolution_lhs, expected_convolution, series_identity_parts
 
-# A failing sweep reports at most this many witnesses; more adds no signal.
-MAX_COUNTEREXAMPLES = 25
-
 # The divisibility mechanism behind the gcd upper bound needs a_0..a_{2n},
 # so it is capped independently of the main range.
 DEFAULT_MECHANISM_HI = 600
@@ -52,37 +48,6 @@ _FILTER_BITS = 96
 # A step reads item n and the eight items before it at most: the six-step
 # recurrences tie n to n - 4 and n - 8.
 _WINDOW = 9
-
-Hit = Optional[tuple[int, str]]
-Step = Callable[[int, Sequence], Hit]
-
-
-class _Sweep:
-    """One check's steps over a walk, then the counterexamples found off it.
-
-    A step (first, last, step) is called as step(n, window) at each index
-    first <= n <= last of the walk, with window[-1] item n and window[-1-k]
-    item n-k (k <= 8); it returns an (n, detail) counterexample or None. `rows`
-    says whether the walk is over rows or over the companion values. Each
-    step's counterexamples follow those of the steps before it, and `then`, an
-    iterator read after the walk, follows them all. MAX_COUNTEREXAMPLES are
-    kept; a step whose finds could no longer be kept is not called again, and
-    `then` is read no further than needed.
-    """
-
-    def __init__(self, name: str, lo: int, hi: int, *steps: tuple[int, int, Step],
-                 rows: bool = True, then: Iterable[tuple[int, str]] = ()) -> None:
-        self.name, self.lo, self.hi, self.rows = name, lo, hi, rows
-        self.then = then
-        self.steps = [(first, last, step, []) for first, last, step in steps]
-        self.need = max((last + 1 for _, last, _ in steps), default=0)
-        self.seconds = 0.0
-
-    def result(self) -> CheckResult:
-        start = perf_counter()
-        found = (found for _, _, _, found in self.steps)
-        cex = list(islice(chain(*found, self.then), MAX_COUNTEREXAMPLES))
-        return finish_check(self.name, self.lo, self.hi, cex, self.seconds + perf_counter() - start)
 
 
 def _walk(*streams: tuple[Iterable, list[_Sweep]]) -> None:
@@ -266,19 +231,8 @@ def check_sqrt_factorial_lower(hi: int, a_values: Optional[Sequence[int]] = None
     return _check(_sqrt_factorial(hi), a_values)
 
 
-def check_congruence(
-    prime_limit: int,
-    n_limit: int,
-    a_values: Optional[Sequence[int]] = None,
-    cross_limit: int = CROSS_LIMIT,
-) -> CheckResult:
-    """a_n = 1 mod p whenever the odd prime p divides n.
-
-    One modular sweep per prime covers the whole range cheaply; the same
-    congruence is then recomputed from full-precision values for n up to
-    cross_limit so the modular walk itself is not trusted blindly. Primes
-    above n_limit divide no index in range, so they are not swept.
-    """
+def _congruence(prime_limit: int, n_limit: int, a_values: Sequence[int]) -> _Sweep:
+    cross = min(CROSS_LIMIT, n_limit)
 
     def hits() -> Iterator[tuple[int, str]]:
         odd_primes = [p for p in primes_upto(min(prime_limit, n_limit)) if p > 2]
@@ -287,14 +241,29 @@ def check_congruence(
             for n in range(p, n_limit + 1, p):
                 if residues[n] != 1:
                     yield n, f"a({n}) = {residues[n]} mod {p}, expected 1"
-        if a_values is not None:
-            hi_cross = min(cross_limit, n_limit, len(a_values) - 1)
-            for p in odd_primes:
-                for n in range(p, hi_cross + 1, p):
-                    if a_values[n] % p != 1:
-                        yield n, f"full-precision a({n}) is not 1 mod {p}"
+        for p in odd_primes:
+            for n in range(p, cross + 1, p):
+                if a_values[n] % p != 1:
+                    yield n, f"full-precision a({n}) is not 1 mod {p}"
 
-    return _Sweep("congruence", 3, n_limit, then=hits()).result()
+    return _Sweep("congruence", 3, n_limit, then=hits(), prefix=cross + 1)
+
+
+def check_congruence(prime_limit: int, n_limit: int, a_values: Optional[Sequence[int]] = None) -> CheckResult:
+    """a_n = 1 mod p whenever the odd prime p divides n.
+
+    One modular sweep per prime covers the whole range cheaply; the same
+    congruence is then recomputed from full-precision values for n up to
+    CROSS_LIMIT so the modular walk itself is not trusted blindly. Primes
+    above n_limit divide no index in range, so they are not swept. Raises
+    ValueError when a_values stop before the cross-check's last index.
+    """
+    reach = _congruence(prime_limit, n_limit, []).prefix
+    if a_values is None:
+        a_values = a_seq(reach - 1)
+    if len(a_values) < reach:
+        raise ValueError(f"congruence reads a_0..a_{reach - 1}; the input stops at {len(a_values) - 1}")
+    return _congruence(prime_limit, n_limit, a_values).result()
 
 
 def _d_power_of_two(hi: int) -> _Sweep:
@@ -311,20 +280,22 @@ def check_d_power_of_two(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> Ch
     return _check(_d_power_of_two(hi), rows)
 
 
-def _d_upper(hi: int, mechanism_hi: int, a_values: Sequence[int]) -> _Sweep:
+def _d_upper(hi: int, a_values: Sequence[int], mechanism_hi: Optional[int] = None) -> _Sweep:
+    mech = min(hi, DEFAULT_MECHANISM_HI) if mechanism_hi is None else mechanism_hi
+
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
         if w[-1].d > 1 << (n - 1):
             return n, f"d({n}) = {decimal_text(w[-1].d)} exceeds 2^{n-1}"
 
     def mechanism() -> Iterator[tuple[int, str]]:
-        for n in range(1, mechanism_hi + 1):
+        for n in range(1, mech + 1):
             want = expected_convolution(n)
             if convolution_lhs(n, a_values) != want:
                 yield n, f"alternating convolution at 2n = {2*n} is not (2n)!/n!"
             elif want % gcd(a_values[n + 1], a_values[n]):
                 yield n, f"d({n+1}) does not divide the convolution value"
 
-    return _Sweep("d_upper", 1, hi, (1, hi, step), then=mechanism())
+    return _Sweep("d_upper", 1, hi, (1, hi, step), then=mechanism(), prefix=max(2 * mech + 1, mech + 2))
 
 
 def check_d_upper(
@@ -341,11 +312,9 @@ def check_d_upper(
     so it runs to mechanism_hi (default min(hi, 600)) while the plain bound
     runs over the full range.
     """
-    if mechanism_hi is None:
-        mechanism_hi = min(hi, DEFAULT_MECHANISM_HI)
     if a_values is None:
-        a_values = a_seq(max(2 * mechanism_hi, mechanism_hi + 1))
-    return _check(_d_upper(hi, mechanism_hi, a_values), rows)
+        a_values = a_seq(_d_upper(hi, [], mechanism_hi).prefix - 1)
+    return _check(_d_upper(hi, a_values, mechanism_hi), rows)
 
 
 _FIRST_Q = (1, 1, 1, 1, 5, 13, 19, 29)
@@ -480,25 +449,21 @@ def check_a6_relation(hi: int, a_values: Optional[Sequence[int]] = None) -> Chec
     return _check(_a6_relation(hi), a_values)
 
 
-def check_series_identities(order: int, a_values: Optional[Sequence[int]] = None) -> CheckResult:
-    """All generating-function identities, coefficient by coefficient."""
-
+def _series(order: int, a_values: Optional[Sequence[int]]) -> _Sweep:
     def hits() -> Iterator[tuple[int, str]]:
         for part, idx in series_identity_parts(order, a_values).items():
             if idx is not None:
                 yield idx, f"{part}: first discrepancy at index {idx}"
 
-    return _Sweep("series", 0, order, then=hits()).result()
+    return _Sweep("series", 0, order, then=hits(), prefix=order + 1)
 
 
-def check_sign_flip(seed: int = 0, samples: int = 1000) -> CheckResult:
-    """(f^2 - f - n) x^2 = -n (x^2 - x - n) for f = 1 + n/x, sampled randomly.
+def check_series_identities(order: int, a_values: Optional[Sequence[int]] = None) -> CheckResult:
+    """All generating-function identities, coefficient by coefficient."""
+    return _series(order, a_values).result()
 
-    The step map sends the sign of x^2 - x - n to its opposite, which is the
-    algebra behind the quadratic gap; sampling random rationals exercises it
-    far outside the orbit of the actual sequence.
-    """
 
+def _sign_flip(seed: int, samples: int) -> _Sweep:
     def hits() -> Iterator[tuple[int, str]]:
         rng = random.Random(seed)
         for i in range(1, samples + 1):
@@ -510,51 +475,36 @@ def check_sign_flip(seed: int = 0, samples: int = 1000) -> CheckResult:
             if lhs != rhs:
                 yield i, f"identity fails at sample {i}: x = {x}, n = {n}"
 
-    return _Sweep("sign_flip", 1, samples, then=hits()).result()
+    return _Sweep("sign_flip", 1, samples, then=hits())
 
 
-@dataclass(frozen=True)
-class _Check:
-    """One registered check: how many companion values (a_0..a_{N-1}) it reads
-    for a config, how many leading ones it reads off the walk (the prefix),
-    and either its sweep for the walk or how to run it on the prefix."""
+def check_sign_flip(seed: int = 0, samples: int = 1000) -> CheckResult:
+    """(f^2 - f - n) x^2 = -n (x^2 - x - n) for f = 1 + n/x, sampled randomly.
 
-    need: Callable[[VerifyConfig], int]
-    prefix: Callable[[VerifyConfig], int] = lambda c: 0
-    sweep: Optional[Callable[[VerifyConfig, list[int]], _Sweep]] = None
-    run: Optional[Callable[[VerifyConfig, list[int]], CheckResult]] = None
+    The step map sends the sign of x^2 - x - n to its opposite, which is the
+    algebra behind the quadratic gap; sampling random rationals exercises it
+    far outside the orbit of the actual sequence.
+    """
+    return _sign_flip(seed, samples).result()
 
 
-def _through_max_n(c: VerifyConfig) -> int:
-    return c.max_n + 1
-
-
-def _mechanism_prefix(c: VerifyConfig) -> int:
-    mech = min(c.max_n, DEFAULT_MECHANISM_HI)
-    return max(2 * mech + 1, mech + 2)
-
-
-_REGISTRY: dict[str, _Check] = {
-    "x_bounds": _Check(_through_max_n, sweep=lambda c, a: _x_bounds(4, c.max_n)),
-    "mod4_exclusion": _Check(_through_max_n, sweep=lambda c, a: _mod4_exclusion(4, c.max_n)),
-    "quadratic_gap": _Check(_through_max_n, sweep=lambda c, a: _quadratic_gap(4, c.max_n)),
-    "sqrt_factorial": _Check(_through_max_n, sweep=lambda c, a: _sqrt_factorial(c.max_n)),
-    "congruence": _Check(_through_max_n, lambda c: min(CROSS_LIMIT, c.max_n) + 1,
-                         run=lambda c, a: check_congruence(c.prime_limit, c.max_n, a)),
-    "d_power_of_two": _Check(_through_max_n, sweep=lambda c, a: _d_power_of_two(c.max_n)),
-    "d_upper": _Check(lambda c: max(_mechanism_prefix(c), c.max_n + 1), _mechanism_prefix,
-                      sweep=lambda c, a: _d_upper(c.max_n, min(c.max_n, DEFAULT_MECHANISM_HI), a)),
-    "e_q": _Check(_through_max_n, sweep=lambda c, a: _e_q(c.max_n)),
-    "d_formula": _Check(_through_max_n, sweep=lambda c, a: _d_formula(c.max_n)),
-    "quarter_bound": _Check(_through_max_n, sweep=lambda c, a: _quarter_bound(c.max_n)),
-    "parity": _Check(_through_max_n, sweep=lambda c, a: _parity(c.max_n)),
-    "integrality": _Check(_through_max_n, sweep=lambda c, a: _integrality(c.max_n)),
-    "a6_relation": _Check(lambda c: c.max_n + 7, sweep=lambda c, a: _a6_relation(c.max_n)),
-    "series": _Check(lambda c: c.series_order + 1, lambda c: c.series_order + 1,
-                     run=lambda c, a: check_series_identities(c.series_order, a)),
-    "involutions": _Check(lambda c: c.oracle_max + 1, lambda c: c.oracle_max + 1,
-                          run=lambda c, a: check_involution_identity(c.oracle_max, a)),
-    "sign_flip": _Check(lambda c: 1, run=lambda c, a: check_sign_flip(c.seed)),
+_REGISTRY: dict[str, Callable[[VerifyConfig, Sequence[int]], _Sweep]] = {
+    "x_bounds": lambda c, a: _x_bounds(4, c.max_n),
+    "mod4_exclusion": lambda c, a: _mod4_exclusion(4, c.max_n),
+    "quadratic_gap": lambda c, a: _quadratic_gap(4, c.max_n),
+    "sqrt_factorial": lambda c, a: _sqrt_factorial(c.max_n),
+    "congruence": lambda c, a: _congruence(c.prime_limit, c.max_n, a),
+    "d_power_of_two": lambda c, a: _d_power_of_two(c.max_n),
+    "d_upper": lambda c, a: _d_upper(c.max_n, a),
+    "e_q": lambda c, a: _e_q(c.max_n),
+    "d_formula": lambda c, a: _d_formula(c.max_n),
+    "quarter_bound": lambda c, a: _quarter_bound(c.max_n),
+    "parity": lambda c, a: _parity(c.max_n),
+    "integrality": lambda c, a: _integrality(c.max_n),
+    "a6_relation": lambda c, a: _a6_relation(c.max_n),
+    "series": lambda c, a: _series(c.series_order, a),
+    "involutions": lambda c, a: _involutions(c.oracle_max, a),
+    "sign_flip": lambda c, a: _sign_flip(c.seed, 1000),
 }
 
 CHECK_NAMES = sorted(_REGISTRY)
@@ -570,9 +520,17 @@ def _selected(config: VerifyConfig) -> list[str]:
     return names
 
 
+def _sweeps(config: VerifyConfig, prefix: Sequence[int]) -> list[_Sweep]:
+    return [_REGISTRY[name](config, prefix) for name in _selected(config)]
+
+
+def _reach(sweeps: list[_Sweep]) -> int:
+    return max([1] + [max(s.need, s.prefix) for s in sweeps])
+
+
 def required_length(config: VerifyConfig) -> int:
     """How many companion values (a_0..a_{N-1}) a run of this config reads."""
-    return max([1] + [_REGISTRY[name].need(config) for name in _selected(config)])
+    return _reach(_sweeps(config, []))
 
 
 def run_all(config: VerifyConfig, a_values: Optional[Sequence[int]] = None) -> list[CheckResult]:
@@ -582,16 +540,16 @@ def run_all(config: VerifyConfig, a_values: Optional[Sequence[int]] = None) -> l
     check that consumes companion values or rows; it must cover
     required_length(config) entries. The rows are derived once and walked
     once, in step with the values, through every selected sweep; only the
-    prefix of values that some check reads off the walk is kept.
+    prefix of values that some sweep reads whole is kept.
     """
-    checks = [_REGISTRY[name] for name in _selected(config)]
-    if a_values is not None and len(a_values) < required_length(config):
+    sweeps = _sweeps(config, [])
+    if a_values is not None and len(a_values) < _reach(sweeps):
         raise ValueError("a_values too short for this configuration")
     source = iter(a_values) if a_values is not None else a_iter()
-    prefix = list(islice(source, max([0] + [c.prefix(config) for c in checks])))
-    sweeps = [c.sweep(config, prefix) if c.sweep else None for c in checks]
-    on_rows = [s for s in sweeps if s is not None and s.rows]
-    on_values = [s for s in sweeps if s is not None and not s.rows]
+    prefix = list(islice(source, max([0] + [s.prefix for s in sweeps])))
+    sweeps = _sweeps(config, prefix)
+    on_rows = [s for s in sweeps if s.steps and s.rows]
+    on_values = [s for s in sweeps if s.steps and not s.rows]
     ahead = max([0] + [s.need - len(prefix) for s in on_rows + on_values])
     values: Iterable[int] = chain(prefix, islice(source, ahead))
     rows: Iterable[SeqRow] = ()
@@ -599,4 +557,4 @@ def run_all(config: VerifyConfig, a_values: Optional[Sequence[int]] = None) -> l
         values, for_rows = tee(values)
         rows = _derive_rows(islice(for_rows, max(s.need for s in on_rows)))
     _walk((rows, on_rows), (values, on_values))
-    return [s.result() if s is not None else c.run(config, prefix) for c, s in zip(checks, sweeps)]
+    return [s.result() for s in sweeps]

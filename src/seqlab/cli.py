@@ -255,10 +255,9 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.max < 0:
-        return _usage_error("--max must be nonnegative")
-    if args.max > ENUMERATION_MAX:
-        return _usage_error(f"--max is capped at {ENUMERATION_MAX} for exhaustive enumeration")
+    bad = _check_range("--max", args.max, 0, ENUMERATION_MAX)
+    if bad is not None:
+        return bad
     out = _open_out(args.out)
     if out is None:
         return EXIT_USAGE

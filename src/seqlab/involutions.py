@@ -7,11 +7,10 @@ so exhaustive enumeration gives an oracle for a_n that shares no code with
 the recurrence, the closed form, or the generating function.
 """
 
-import time
 from itertools import permutations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .report import CheckResult, decimal_text, finish_check
+from .report import CheckResult, _Sweep, decimal_text
 
 # 10! = 3628800 permutations enumerate in well under a second; 11! does not
 # stay cheap, and nothing in the package needs it.
@@ -44,11 +43,20 @@ def count_involutions_enum(n: int) -> int:
     return count
 
 
+def _involutions(max_n: int, a_values: Sequence[int]) -> _Sweep:
+    def hits() -> Iterator[tuple[int, str]]:
+        for n in range(max_n + 1):
+            got = count_involutions_enum(n)
+            if got != a_values[n]:
+                yield n, f"enumerated {got} involutions but a({n}) = {decimal_text(a_values[n])}"
+
+    return _Sweep("involutions", 0, max_n, then=hits(), prefix=max_n + 1)
+
+
 def check_involution_identity(
     max_n: int, a_values: Optional[Sequence[int]] = None
 ) -> CheckResult:
     """Confirm a_n equals the enumerated involution count for 0 <= n <= max_n."""
-    start = time.monotonic()
     if max_n > ENUMERATION_MAX:
         raise ValueError(f"enumeration capped at n = {ENUMERATION_MAX}")
     if a_values is None:
@@ -57,9 +65,4 @@ def check_involution_identity(
         a_values = a_seq(max_n)
     if len(a_values) < max_n + 1:
         raise ValueError("need companion values a_0..a_max_n")
-    cex = []
-    for n in range(max_n + 1):
-        got = count_involutions_enum(n)
-        if got != a_values[n]:
-            cex.append((n, f"enumerated {got} involutions but a({n}) = {decimal_text(a_values[n])}"))
-    return finish_check("involutions", 0, max_n, cex, time.monotonic() - start)
+    return _involutions(max_n, a_values).result()

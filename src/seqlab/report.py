@@ -1,13 +1,22 @@
-"""Result containers shared by all checks and the CLI report rendering."""
+"""The check shape and result containers shared by all checks, and the CLI
+report rendering."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional, Union
+from itertools import chain, islice
+from time import perf_counter
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 PASS = "pass"
 FAIL = "fail"
+
+# A failing sweep reports at most this many witnesses; more adds no signal.
+MAX_COUNTEREXAMPLES = 25
+
+Hit = Optional[tuple[int, str]]
+Step = Callable[[int, Sequence], Hit]
 
 
 @dataclass
@@ -56,9 +65,39 @@ def decimal_text(v: Union[int, Fraction]) -> str:
     return str(Decimal(v))
 
 
-def finish_check(name: str, lo: int, hi: int, cex: list, seconds: float) -> CheckResult:
-    """The result of a check that ran for the given number of seconds."""
-    return CheckResult(name, lo, hi, PASS if not cex else FAIL, cex, int(seconds * 1000))
+class _Sweep:
+    """One check: its steps over a walk, then the counterexamples found off it.
+
+    A step (first, last, step) is called as step(n, window) at each index
+    first <= n <= last of the walk, with window[-1] item n and window[-1-k]
+    item n-k (k <= 8); it returns an (n, detail) counterexample or None. `rows`
+    says whether the walk is over rows or over the companion values. Each
+    step's counterexamples follow those of the steps before it, and `then`, an
+    iterator read after the walk, follows them all. MAX_COUNTEREXAMPLES are
+    kept; a step whose finds could no longer be kept is not called again, and
+    `then` is read no further than needed.
+
+    The sweep reads the companion values a_0..a_{R-1} with R = max(need,
+    prefix). `need` is how far the walk goes: one past the last index a step
+    reads. `prefix` is how many leading values `then` reads whole, from a
+    sequence it was built with, not off the walk.
+    """
+
+    def __init__(self, name: str, lo: int, hi: int, *steps: tuple[int, int, Step],
+                 rows: bool = True, then: Iterable[tuple[int, str]] = (), prefix: int = 0) -> None:
+        self.name, self.lo, self.hi, self.rows = name, lo, hi, rows
+        self.then, self.prefix = then, prefix
+        self.steps = [(first, last, step, []) for first, last, step in steps]
+        self.need = max((last + 1 for _, last, _ in steps), default=0)
+        self.seconds = 0.0
+
+    def result(self) -> CheckResult:
+        """The check's result; reading `then` counts toward its elapsed time."""
+        start = perf_counter()
+        found = (found for _, _, _, found in self.steps)
+        cex = list(islice(chain(*found, self.then), MAX_COUNTEREXAMPLES))
+        ms = int((self.seconds + perf_counter() - start) * 1000)
+        return CheckResult(self.name, self.lo, self.hi, FAIL if cex else PASS, cex, ms)
 
 
 @dataclass
@@ -77,14 +116,7 @@ class VerifyConfig:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "max_n": self.max_n,
-            "prime_limit": self.prime_limit,
-            "series_order": self.series_order,
-            "oracle_max": self.oracle_max,
-            "checks": self.checks,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -114,7 +114,7 @@ def test_criterion_05_factorial_lower_bound(avalues):
 def test_criterion_06_prime_congruence(avalues):
     with criterion(6):
         start = time.monotonic()
-        result = check_congruence(97, 5000, avalues, cross_limit=200)
+        result = check_congruence(97, 5000, avalues)
         assert result.passed, result.counterexamples
         assert (result.lo, result.hi) == (3, 5000)
         assert time.monotonic() - start < 60.0

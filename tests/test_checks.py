@@ -246,13 +246,13 @@ def test_sqrt_factorial_matches_squaring_next_to_isqrt(steps):
 
 
 # Each check that reads rows or companion values, on inputs that cover its
-# range exactly (k = 0) or stop one item short (k = 1). congruence is not here:
-# its cross-check reads as far as the values it is given reach.
+# range exactly (k = 0) or stop one item short (k = 1).
 COVERAGE_CASES = {
     "x_bounds": lambda r, a, k: check_x_bounds(4, HI, r[: HI + 1 - k]),
     "mod4_exclusion": lambda r, a, k: check_mod4_exclusion(4, HI, r[: HI + 1 - k]),
     "quadratic_gap": lambda r, a, k: check_quadratic_gap(4, HI, r[: HI + 1 - k]),
     "sqrt_factorial": lambda r, a, k: check_sqrt_factorial_lower(HI, a[: HI + 1 - k]),
+    "congruence": lambda r, a, k: check_congruence(97, HI, a[: HI + 1 - k]),
     "d_power_of_two": lambda r, a, k: check_d_power_of_two(HI, r[: HI + 1 - k]),
     "d_upper": lambda r, a, k: check_d_upper(HI, r[: HI + 1 - k], a),
     "d_upper_mechanism": lambda r, a, k: check_d_upper(HI, r, a[: 2 * HI + 1 - k]),
@@ -310,6 +310,19 @@ def test_congruence_cross_check_catches_drift(a150):
     result = check_congruence(97, HI, bad)
     assert not result.passed
     assert result.counterexamples[0][0] == 6
+
+
+def test_congruence_cross_checks_its_own_values(monkeypatch):
+    # Given no values, the check computes a_0..a_{min(200, n_limit)} and
+    # cross-checks them.
+    def drifted(n):
+        values = a_seq(n)
+        values[6] += 1
+        return values
+
+    monkeypatch.setattr(checks, "a_seq", drifted)
+    result = check_congruence(97, 40)
+    assert result.counterexamples == [(6, "full-precision a(6) is not 1 mod 3")]
 
 
 def test_congruence_trivial_without_odd_primes(a150):
@@ -687,6 +700,7 @@ def test_required_length_covers_the_lookahead():
     large = VerifyConfig(max_n=700, series_order=30, oracle_max=5)
     expected = {name: (51, 701) for name in CHECK_NAMES}
     expected.update({
+        "congruence": (51, 201),  # the cross-check reads a_0..a_{min(200, max_n)}
         "a6_relation": (57, 707),
         "d_upper": (101, 1201),  # mechanism reads a_0..a_{2n}, n <= min(max_n, 600)
         "series": (31, 31),

@@ -302,9 +302,10 @@ def test_oracle_output(capsys):
     assert all(line.endswith(" ok") for line in lines)
 
 
-def test_oracle_cap(capsys):
-    assert main(["oracle", "--max", "11"]) == 2
-    assert "capped at 10" in capsys.readouterr().err
+@pytest.mark.parametrize("value, message", [("-1", "must be nonnegative"), ("11", "capped at 10")])
+def test_oracle_cap(capsys, value, message):
+    assert main(["oracle", "--max", value]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_missing_subcommand_is_usage_error(capsys):
