@@ -3,11 +3,13 @@
 Each check scans an index range with exact arithmetic and returns a
 CheckResult; a counterexample is an (n, detail) pair. Most checks are steps
 of one walk: a step reads row n, or the companion value a_n, together with at
-most the eight items before it. run_all derives the rows once, walks them and
-the values once for every selected step, keeps only the leading values that
-the checks reading whole prefixes need, and is what the command line drives.
-Checks accept precomputed a_values/rows so callers can feed deliberately
-corrupted data and confirm the sweeps catch it.
+most the eight items before it. One driver, _run, runs every check, for
+run_all (what the command line drives) and for each public check_* alike: it
+derives the rows once, walks them and the values once for every selected
+step, and keeps only the leading values that the checks reading whole
+prefixes need. Checks accept precomputed a_values/rows so callers can feed
+deliberately corrupted data and confirm the sweeps catch it; a check given
+values and no rows reads the rows derived from those values.
 """
 
 import random
@@ -26,11 +28,9 @@ from .sequences import (
     _log2_exact,
     a_iter,
     a_mod,
-    a_seq,
     a6_step,
     d_closed,
     e_closed,
-    iter_rows,
     q_step,
 )
 from .series import convolution_lhs, expected_convolution, series_identity_parts
@@ -84,15 +84,6 @@ def _walk(*streams: tuple[Iterable, list[_Sweep]]) -> None:
                 raise ValueError(f"{sweep.name} reads indices 0..{sweep.need - 1}; the input stops at {end - 1}")
 
 
-def _check(sweep: _Sweep, items: Optional[Iterable]) -> CheckResult:
-    """The sweep's result on the given rows or values, or on the sequence's own
-    when None."""
-    if items is None:
-        items = iter_rows(sweep.need - 1) if sweep.rows else a_iter()
-    _walk((islice(items, sweep.need), [sweep]))
-    return sweep.result()
-
-
 def _gap_certainly_inside(n: int, p: int, q: int) -> bool:
     """True only if (n-1) q^2 < p(p-q) < n q^2, decided on the leading bits.
 
@@ -133,6 +124,9 @@ def _gap_side(n: int, p: int, q: int) -> int:
 
 
 def _x_bounds(lo: int, hi: int) -> _Sweep:
+    if lo < 4:
+        raise ValueError("the strict bounds start at n = 4")
+
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
         p, q = w[-1].x_num, w[-1].x_den
         side = -1 if 2 * p <= q else _gap_side(n, p, q)
@@ -151,12 +145,13 @@ def check_x_bounds(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = None) ->
     t^2 > m q^2 (the comparison cmp_shifted_sqrt makes). Given t > 0, both
     bounds are read off the quadratic gap's predicate (see _gap_side).
     """
-    if lo < 4:
-        raise ValueError("the strict bounds start at n = 4")
-    return _check(_x_bounds(lo, hi), rows)
+    return _run([_x_bounds(lo, hi)], rows=rows)[0]
 
 
 def _mod4_exclusion(lo: int, hi: int) -> _Sweep:
+    if lo < 4:
+        raise ValueError("the exclusion argument starts at n = 4")
+
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
         if w[-1].x_den == 1:
             return n, f"x({n}) = {decimal_text(w[-1].x)} is an integer"
@@ -173,12 +168,13 @@ def check_mod4_exclusion(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = No
     every n, so what the sweep checks is its consequence: every reduced
     denominator exceeds 1.
     """
-    if lo < 4:
-        raise ValueError("the exclusion argument starts at n = 4")
-    return _check(_mod4_exclusion(lo, hi), rows)
+    return _run([_mod4_exclusion(lo, hi)], rows=rows)[0]
 
 
 def _quadratic_gap(lo: int, hi: int) -> _Sweep:
+    if lo < 4:
+        raise ValueError("the strict gap starts at n = 4")
+
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
         p, q = w[-1].x_num, w[-1].x_den
         if _gap_side(n, p, q):
@@ -190,9 +186,7 @@ def _quadratic_gap(lo: int, hi: int) -> _Sweep:
 
 def check_quadratic_gap(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
     """n - 1 < x_n^2 - x_n < n, strictly, for n >= 4."""
-    if lo < 4:
-        raise ValueError("the strict gap starts at n = 4")
-    return _check(_quadratic_gap(lo, hi), rows)
+    return _run([_quadratic_gap(lo, hi)], rows=rows)[0]
 
 
 def _square_certainly_above(a: int, m: int) -> bool:
@@ -228,13 +222,13 @@ def check_sqrt_factorial_lower(hi: int, a_values: Optional[Sequence[int]] = None
     From n = 2 on, a row whose bit lengths already prove a_n^2 > n! passes
     without squaring; every other row, and n <= 1, compares the square.
     """
-    return _check(_sqrt_factorial(hi), a_values)
+    return _run([_sqrt_factorial(hi)], a_values)[0]
 
 
-def _congruence(prime_limit: int, n_limit: int, a_values: Sequence[int]) -> _Sweep:
+def _congruence(prime_limit: int, n_limit: int) -> _Sweep:
     cross = min(CROSS_LIMIT, n_limit)
 
-    def hits() -> Iterator[tuple[int, str]]:
+    def hits(a_values: Sequence[int]) -> Iterator[tuple[int, str]]:
         odd_primes = [p for p in primes_upto(min(prime_limit, n_limit)) if p > 2]
         for p in odd_primes:
             residues = a_mod(n_limit, p)
@@ -246,7 +240,7 @@ def _congruence(prime_limit: int, n_limit: int, a_values: Sequence[int]) -> _Swe
                 if a_values[n] % p != 1:
                     yield n, f"full-precision a({n}) is not 1 mod {p}"
 
-    return _Sweep("congruence", 3, n_limit, then=hits(), prefix=cross + 1)
+    return _Sweep("congruence", 3, n_limit, then=hits, prefix=cross + 1)
 
 
 def check_congruence(prime_limit: int, n_limit: int, a_values: Optional[Sequence[int]] = None) -> CheckResult:
@@ -258,12 +252,7 @@ def check_congruence(prime_limit: int, n_limit: int, a_values: Optional[Sequence
     above n_limit divide no index in range, so they are not swept. Raises
     ValueError when a_values stop before the cross-check's last index.
     """
-    reach = _congruence(prime_limit, n_limit, []).prefix
-    if a_values is None:
-        a_values = a_seq(reach - 1)
-    if len(a_values) < reach:
-        raise ValueError(f"congruence reads a_0..a_{reach - 1}; the input stops at {len(a_values) - 1}")
-    return _congruence(prime_limit, n_limit, a_values).result()
+    return _run([_congruence(prime_limit, n_limit)], a_values)[0]
 
 
 def _d_power_of_two(hi: int) -> _Sweep:
@@ -277,17 +266,17 @@ def _d_power_of_two(hi: int) -> _Sweep:
 
 def check_d_power_of_two(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
     """gcd(a_n, a_{n-1}) is a power of two for every n >= 1."""
-    return _check(_d_power_of_two(hi), rows)
+    return _run([_d_power_of_two(hi)], rows=rows)[0]
 
 
-def _d_upper(hi: int, a_values: Sequence[int], mechanism_hi: Optional[int] = None) -> _Sweep:
+def _d_upper(hi: int, mechanism_hi: Optional[int] = None) -> _Sweep:
     mech = min(hi, DEFAULT_MECHANISM_HI) if mechanism_hi is None else mechanism_hi
 
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
         if w[-1].d > 1 << (n - 1):
             return n, f"d({n}) = {decimal_text(w[-1].d)} exceeds 2^{n-1}"
 
-    def mechanism() -> Iterator[tuple[int, str]]:
+    def mechanism(a_values: Sequence[int]) -> Iterator[tuple[int, str]]:
         for n in range(1, mech + 1):
             want = expected_convolution(n)
             if convolution_lhs(n, a_values) != want:
@@ -295,7 +284,7 @@ def _d_upper(hi: int, a_values: Sequence[int], mechanism_hi: Optional[int] = Non
             elif want % gcd(a_values[n + 1], a_values[n]):
                 yield n, f"d({n+1}) does not divide the convolution value"
 
-    return _Sweep("d_upper", 1, hi, (1, hi, step), then=mechanism(), prefix=max(2 * mech + 1, mech + 2))
+    return _Sweep("d_upper", 1, hi, (1, hi, step), then=mechanism, prefix=max(2 * mech + 1, mech + 2))
 
 
 def check_d_upper(
@@ -310,11 +299,10 @@ def check_d_upper(
     2^n (2n-1)!!, and d_{n+1} divides it; since d_{n+1} is a power of two and
     (2n-1)!! is odd, d_{n+1} <= 2^n follows. The mechanism needs a_0..a_{2n},
     so it runs to mechanism_hi (default min(hi, 600)) while the plain bound
-    runs over the full range.
+    runs over the full range. Given a_values and no rows, the plain bound reads
+    the rows derived from a_values.
     """
-    if a_values is None:
-        a_values = a_seq(_d_upper(hi, [], mechanism_hi).prefix - 1)
-    return _check(_d_upper(hi, a_values, mechanism_hi), rows)
+    return _run([_d_upper(hi, mechanism_hi)], a_values, rows)[0]
 
 
 _FIRST_Q = (1, 1, 1, 1, 5, 13, 19, 29)
@@ -347,7 +335,7 @@ def check_e_q(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
     1,1,1,1,5,13,19,29, and q_{n+6} = (n^2+9n+19) q_{n+2}
     - (n(n-1)(n+2)(n+5)/4) q_{n-2} must hold wherever it fits in range.
     """
-    return _check(_e_q(hi), rows)
+    return _run([_e_q(hi)], rows=rows)[0]
 
 
 def _d_formula(hi: int) -> _Sweep:
@@ -360,7 +348,7 @@ def _d_formula(hi: int) -> _Sweep:
 
 def check_d_formula(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
     """gcd(a_n, a_{n-1}) equals its closed form 2^k / 2^{k+1} by n mod 4."""
-    return _check(_d_formula(hi), rows)
+    return _run([_d_formula(hi)], rows=rows)[0]
 
 
 def _quarter_bound(hi: int) -> _Sweep:
@@ -396,7 +384,7 @@ def check_quarter_bound_and_D(hi: int, rows: Optional[Sequence[SeqRow]] = None) 
     which is what makes the fourth-power bound eventually crush d_n^4
     against a_{n-1}^2 >= (n-1)!; the inequality is genuinely false at n = 9.
     """
-    return _check(_quarter_bound(hi), rows)
+    return _run([_quarter_bound(hi)], rows=rows)[0]
 
 
 def _parity(hi: int) -> _Sweep:
@@ -418,7 +406,7 @@ def check_parity(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResul
     For n >= 1: x_den is even iff n = 0 mod 4, and x_num is even iff
     n = 2 or 3 mod 4.
     """
-    return _check(_parity(hi), rows)
+    return _run([_parity(hi)], rows=rows)[0]
 
 
 def _integrality(hi: int) -> _Sweep:
@@ -432,7 +420,7 @@ def _integrality(hi: int) -> _Sweep:
 
 def check_integrality(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
     """x_n is an integer exactly at n = 0, 1, 2, 3."""
-    return _check(_integrality(hi), rows)
+    return _run([_integrality(hi)], rows=rows)[0]
 
 
 def _a6_relation(hi: int) -> _Sweep:
@@ -446,25 +434,28 @@ def _a6_relation(hi: int) -> _Sweep:
 
 def check_a6_relation(hi: int, a_values: Optional[Sequence[int]] = None) -> CheckResult:
     """a_{n+6} = 2(n^2+9n+19) a_{n+2} - n(n-1)(n+2)(n+5) a_{n-2} for n >= 2."""
-    return _check(_a6_relation(hi), a_values)
+    return _run([_a6_relation(hi)], a_values)[0]
 
 
-def _series(order: int, a_values: Optional[Sequence[int]]) -> _Sweep:
-    def hits() -> Iterator[tuple[int, str]]:
+def _series(order: int) -> _Sweep:
+    if order < 2:
+        raise ValueError("order must be at least 2")
+
+    def hits(a_values: Sequence[int]) -> Iterator[tuple[int, str]]:
         for part, idx in series_identity_parts(order, a_values).items():
             if idx is not None:
                 yield idx, f"{part}: first discrepancy at index {idx}"
 
-    return _Sweep("series", 0, order, then=hits(), prefix=order + 1)
+    return _Sweep("series", 0, order, then=hits, prefix=order + 1)
 
 
 def check_series_identities(order: int, a_values: Optional[Sequence[int]] = None) -> CheckResult:
     """All generating-function identities, coefficient by coefficient."""
-    return _series(order, a_values).result()
+    return _run([_series(order)], a_values)[0]
 
 
 def _sign_flip(seed: int, samples: int) -> _Sweep:
-    def hits() -> Iterator[tuple[int, str]]:
+    def hits(_: Sequence[int]) -> Iterator[tuple[int, str]]:
         rng = random.Random(seed)
         for i in range(1, samples + 1):
             x = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
@@ -475,7 +466,7 @@ def _sign_flip(seed: int, samples: int) -> _Sweep:
             if lhs != rhs:
                 yield i, f"identity fails at sample {i}: x = {x}, n = {n}"
 
-    return _Sweep("sign_flip", 1, samples, then=hits())
+    return _Sweep("sign_flip", 1, samples, then=hits)
 
 
 def check_sign_flip(seed: int = 0, samples: int = 1000) -> CheckResult:
@@ -485,52 +476,71 @@ def check_sign_flip(seed: int = 0, samples: int = 1000) -> CheckResult:
     algebra behind the quadratic gap; sampling random rationals exercises it
     far outside the orbit of the actual sequence.
     """
-    return _sign_flip(seed, samples).result()
+    return _run([_sign_flip(seed, samples)])[0]
 
 
-_REGISTRY: dict[str, Callable[[VerifyConfig, Sequence[int]], _Sweep]] = {
-    "x_bounds": lambda c, a: _x_bounds(4, c.max_n),
-    "mod4_exclusion": lambda c, a: _mod4_exclusion(4, c.max_n),
-    "quadratic_gap": lambda c, a: _quadratic_gap(4, c.max_n),
-    "sqrt_factorial": lambda c, a: _sqrt_factorial(c.max_n),
-    "congruence": lambda c, a: _congruence(c.prime_limit, c.max_n, a),
-    "d_power_of_two": lambda c, a: _d_power_of_two(c.max_n),
-    "d_upper": lambda c, a: _d_upper(c.max_n, a),
-    "e_q": lambda c, a: _e_q(c.max_n),
-    "d_formula": lambda c, a: _d_formula(c.max_n),
-    "quarter_bound": lambda c, a: _quarter_bound(c.max_n),
-    "parity": lambda c, a: _parity(c.max_n),
-    "integrality": lambda c, a: _integrality(c.max_n),
-    "a6_relation": lambda c, a: _a6_relation(c.max_n),
-    "series": lambda c, a: _series(c.series_order, a),
-    "involutions": lambda c, a: _involutions(c.oracle_max, a),
-    "sign_flip": lambda c, a: _sign_flip(c.seed, 1000),
+_REGISTRY: dict[str, Callable[[VerifyConfig], _Sweep]] = {
+    "x_bounds": lambda c: _x_bounds(4, c.max_n),
+    "mod4_exclusion": lambda c: _mod4_exclusion(4, c.max_n),
+    "quadratic_gap": lambda c: _quadratic_gap(4, c.max_n),
+    "sqrt_factorial": lambda c: _sqrt_factorial(c.max_n),
+    "congruence": lambda c: _congruence(c.prime_limit, c.max_n),
+    "d_power_of_two": lambda c: _d_power_of_two(c.max_n),
+    "d_upper": lambda c: _d_upper(c.max_n),
+    "e_q": lambda c: _e_q(c.max_n),
+    "d_formula": lambda c: _d_formula(c.max_n),
+    "quarter_bound": lambda c: _quarter_bound(c.max_n),
+    "parity": lambda c: _parity(c.max_n),
+    "integrality": lambda c: _integrality(c.max_n),
+    "a6_relation": lambda c: _a6_relation(c.max_n),
+    "series": lambda c: _series(c.series_order),
+    "involutions": lambda c: _involutions(c.oracle_max),
+    "sign_flip": lambda c: _sign_flip(c.seed, 1000),
 }
 
 CHECK_NAMES = sorted(_REGISTRY)
 
 
-def _selected(config: VerifyConfig) -> list[str]:
-    if config.checks is None:
-        return list(CHECK_NAMES)
-    names = sorted(set(config.checks))
+def _sweeps(config: VerifyConfig) -> list[_Sweep]:
+    """The selected checks' sweeps, ordered by name; a bad config raises here."""
+    names = CHECK_NAMES if config.checks is None else sorted(set(config.checks))
     unknown = [x for x in names if x not in _REGISTRY]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
-    return names
-
-
-def _sweeps(config: VerifyConfig, prefix: Sequence[int]) -> list[_Sweep]:
-    return [_REGISTRY[name](config, prefix) for name in _selected(config)]
+    return [_REGISTRY[name](config) for name in names]
 
 
 def _reach(sweeps: list[_Sweep]) -> int:
     return max([1] + [max(s.need, s.prefix) for s in sweeps])
 
 
+def _run(sweeps: list[_Sweep], a_values: Optional[Sequence[int]] = None,
+         rows: Optional[Sequence[SeqRow]] = None) -> list[CheckResult]:
+    """The sweeps' results: one walk over the rows and the values, then each
+    sweep's `then` on the leading values.
+
+    The values are a_values, or the sequence's own when None; only the prefix
+    that some sweep reads whole is kept. Rows, when not given, are derived
+    once from those values, through a tee that the walk drains in step.
+    """
+    source = iter(a_values) if a_values is not None else a_iter()
+    prefix = list(islice(source, max([0] + [s.prefix for s in sweeps])))
+    on_rows = [s for s in sweeps if s.steps and s.rows]
+    on_values = [s for s in sweeps if s.steps and not s.rows]
+    derive = rows is None and on_rows
+    walked = max([0] + [s.need for s in on_rows])
+    ahead = max([walked if derive else 0] + [s.need for s in on_values])
+    values: Iterable[int] = chain(prefix, islice(source, max(0, ahead - len(prefix))))
+    if derive:
+        values, for_rows = tee(values)
+        rows = _derive_rows(islice(for_rows, walked))
+    _walk((islice(rows or (), walked), on_rows), (values, on_values))
+    return [s.result(prefix) for s in sweeps]
+
+
 def required_length(config: VerifyConfig) -> int:
     """How many companion values (a_0..a_{N-1}) a run of this config reads."""
-    return _reach(_sweeps(config, []))
+    return _reach(_sweeps(config))
 
 
 def run_all(config: VerifyConfig, a_values: Optional[Sequence[int]] = None) -> list[CheckResult]:
@@ -539,22 +549,9 @@ def run_all(config: VerifyConfig, a_values: Optional[Sequence[int]] = None) -> l
     a_values, when given, replaces the internally computed sequence for every
     check that consumes companion values or rows; it must cover
     required_length(config) entries. The rows are derived once and walked
-    once, in step with the values, through every selected sweep; only the
-    prefix of values that some sweep reads whole is kept.
+    once, in step with the values, through every selected sweep (see _run).
     """
-    sweeps = _sweeps(config, [])
+    sweeps = _sweeps(config)
     if a_values is not None and len(a_values) < _reach(sweeps):
         raise ValueError("a_values too short for this configuration")
-    source = iter(a_values) if a_values is not None else a_iter()
-    prefix = list(islice(source, max([0] + [s.prefix for s in sweeps])))
-    sweeps = _sweeps(config, prefix)
-    on_rows = [s for s in sweeps if s.steps and s.rows]
-    on_values = [s for s in sweeps if s.steps and not s.rows]
-    ahead = max([0] + [s.need - len(prefix) for s in on_rows + on_values])
-    values: Iterable[int] = chain(prefix, islice(source, ahead))
-    rows: Iterable[SeqRow] = ()
-    if on_rows:
-        values, for_rows = tee(values)
-        rows = _derive_rows(islice(for_rows, max(s.need for s in on_rows)))
-    _walk((rows, on_rows), (values, on_values))
-    return [s.result() for s in sweeps]
+    return _run(sweeps, a_values)

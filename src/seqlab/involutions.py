@@ -43,26 +43,23 @@ def count_involutions_enum(n: int) -> int:
     return count
 
 
-def _involutions(max_n: int, a_values: Sequence[int]) -> _Sweep:
-    def hits() -> Iterator[tuple[int, str]]:
+def _involutions(max_n: int) -> _Sweep:
+    if max_n > ENUMERATION_MAX:
+        raise ValueError(f"enumeration capped at n = {ENUMERATION_MAX}")
+
+    def hits(a_values: Sequence[int]) -> Iterator[tuple[int, str]]:
         for n in range(max_n + 1):
             got = count_involutions_enum(n)
             if got != a_values[n]:
                 yield n, f"enumerated {got} involutions but a({n}) = {decimal_text(a_values[n])}"
 
-    return _Sweep("involutions", 0, max_n, then=hits(), prefix=max_n + 1)
+    return _Sweep("involutions", 0, max_n, then=hits, prefix=max_n + 1)
 
 
 def check_involution_identity(
     max_n: int, a_values: Optional[Sequence[int]] = None
 ) -> CheckResult:
     """Confirm a_n equals the enumerated involution count for 0 <= n <= max_n."""
-    if max_n > ENUMERATION_MAX:
-        raise ValueError(f"enumeration capped at n = {ENUMERATION_MAX}")
-    if a_values is None:
-        from .sequences import a_seq
+    from .sequences import a_seq
 
-        a_values = a_seq(max_n)
-    if len(a_values) < max_n + 1:
-        raise ValueError("need companion values a_0..a_max_n")
-    return _involutions(max_n, a_values).result()
+    return _involutions(max_n).result(a_seq(max_n) if a_values is None else a_values)

@@ -66,36 +66,46 @@ def decimal_text(v: Union[int, Fraction]) -> str:
 
 
 class _Sweep:
-    """One check: its steps over a walk, then the counterexamples found off it.
+    """One check: its steps over a walk, then the counterexamples read off the
+    leading companion values.
 
     A step (first, last, step) is called as step(n, window) at each index
     first <= n <= last of the walk, with window[-1] item n and window[-1-k]
     item n-k (k <= 8); it returns an (n, detail) counterexample or None. `rows`
     says whether the walk is over rows or over the companion values. Each
-    step's counterexamples follow those of the steps before it, and `then`, an
-    iterator read after the walk, follows them all. MAX_COUNTEREXAMPLES are
-    kept; a step whose finds could no longer be kept is not called again, and
-    `then` is read no further than needed.
+    step's counterexamples follow those of the steps before it, and those of
+    `then(values)`, an iterator over the leading values that result() is
+    handed, follow them all. MAX_COUNTEREXAMPLES are kept; a step whose finds
+    could no longer be kept is not called again, and `then` is read no further
+    than needed.
 
     The sweep reads the companion values a_0..a_{R-1} with R = max(need,
     prefix). `need` is how far the walk goes: one past the last index a step
-    reads. `prefix` is how many leading values `then` reads whole, from a
-    sequence it was built with, not off the walk.
+    reads; the walk checks that its input reaches it. `prefix` is how many
+    leading values `then` reads; result() checks that it is handed them, even
+    when `then` is never read. A range that ends before n = 0 is rejected when
+    the sweep is built.
     """
 
-    def __init__(self, name: str, lo: int, hi: int, *steps: tuple[int, int, Step],
-                 rows: bool = True, then: Iterable[tuple[int, str]] = (), prefix: int = 0) -> None:
+    def __init__(self, name: str, lo: int, hi: int, *steps: tuple[int, int, Step], rows: bool = True,
+                 then: Callable[[Sequence[int]], Iterable[tuple[int, str]]] = lambda values: (),
+                 prefix: int = 0) -> None:
+        if hi < 0:
+            raise ValueError(f"{name} ends at n = {hi}, before n = 0")
         self.name, self.lo, self.hi, self.rows = name, lo, hi, rows
         self.then, self.prefix = then, prefix
         self.steps = [(first, last, step, []) for first, last, step in steps]
         self.need = max((last + 1 for _, last, _ in steps), default=0)
         self.seconds = 0.0
 
-    def result(self) -> CheckResult:
-        """The check's result; reading `then` counts toward its elapsed time."""
+    def result(self, values: Sequence[int] = ()) -> CheckResult:
+        """The check's result, `then` reading the given leading values; reading
+        it counts toward the elapsed time."""
+        if len(values) < self.prefix:
+            raise ValueError(f"{self.name} reads a_0..a_{self.prefix - 1}; the input stops at {len(values) - 1}")
         start = perf_counter()
         found = (found for _, _, _, found in self.steps)
-        cex = list(islice(chain(*found, self.then), MAX_COUNTEREXAMPLES))
+        cex = list(islice(chain(*found, self.then(values)), MAX_COUNTEREXAMPLES))
         ms = int((self.seconds + perf_counter() - start) * 1000)
         return CheckResult(self.name, self.lo, self.hi, FAIL if cex else PASS, cex, ms)
 

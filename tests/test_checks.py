@@ -315,12 +315,12 @@ def test_congruence_cross_check_catches_drift(a150):
 def test_congruence_cross_checks_its_own_values(monkeypatch):
     # Given no values, the check computes a_0..a_{min(200, n_limit)} and
     # cross-checks them.
-    def drifted(n):
-        values = a_seq(n)
+    def drifted():
+        values = a_seq(40)
         values[6] += 1
-        return values
+        return iter(values)
 
-    monkeypatch.setattr(checks, "a_seq", drifted)
+    monkeypatch.setattr(checks, "a_iter", drifted)
     result = check_congruence(97, 40)
     assert result.counterexamples == [(6, "full-precision a(6) is not 1 mod 3")]
 
@@ -368,6 +368,24 @@ def test_d_upper_catches_convolution_drift(a150):
     result = check_d_upper(40, rows_from_a(bad[:41]), bad, mechanism_hi=20)
     assert not result.passed
     assert any("convolution" in detail for _, detail in result.counterexamples)
+
+
+def test_d_upper_checks_its_values_reach_past_a_capped_walk(a150):
+    # Every row from n = 1 on breaks the plain bound, so the walk holds 25
+    # counterexamples and the mechanism is never read; three values still
+    # cannot cover its a_0..a_200.
+    rows = [replace(row, d=1 << 400) if row.n else row for row in rows_from_a(a150[: HI + 1])]
+    with pytest.raises(ValueError, match="a_0..a_200"):
+        check_d_upper(100, rows, a_values=[1, 1, 2])
+
+
+def test_d_upper_reads_the_rows_of_its_values():
+    # Given values and no rows, the plain bound reads the rows derived from
+    # them, as run_all does: d(10) = gcd(5 << 20, 3 << 20) = 2^20.
+    bad = a_seq(80)
+    bad[9], bad[10] = 3 << 20, 5 << 20
+    result = check_d_upper(40, a_values=bad)
+    assert (10, "d(10) = 1048576 exceeds 2^9") in result.counterexamples
 
 
 def test_e_q_catches_parity_break(a150):
@@ -572,13 +590,13 @@ def _counting_sweep(calls, a_fails, b_range):
             return (n, name) if fails(n) else None
         return run
 
-    def then():
+    def then(values):
         while True:
             calls["then"] += 1
             yield 0, "then"
 
     return checks._Sweep("s", 0, 99, (0, 99, step("a", a_fails)),
-                         (*b_range, step("b", lambda n: True)), then=then())
+                         (*b_range, step("b", lambda n: True)), then=then)
 
 
 def test_a_capped_step_is_not_called_again():
@@ -723,6 +741,32 @@ def test_run_all_selection_and_order():
 def test_run_all_rejects_unknown_names():
     with pytest.raises(ValueError, match="unknown checks"):
         run_all(VerifyConfig(checks=["nope"]))
+
+
+@pytest.mark.parametrize("config", [
+    VerifyConfig(oracle_max=11),
+    VerifyConfig(oracle_max=-1),
+    VerifyConfig(max_n=-1),
+    VerifyConfig(series_order=1),
+], ids=["oracle_max=11", "oracle_max=-1", "max_n=-1", "series_order=1"])
+def test_a_bad_config_is_rejected_before_any_work(config):
+    with pytest.raises(ValueError):
+        required_length(config)
+    with pytest.raises(ValueError):
+        run_all(config)
+
+
+def test_run_all_builds_each_sweep_once(monkeypatch):
+    built = []
+    for name, make in list(checks._REGISTRY.items()):
+        monkeypatch.setitem(checks._REGISTRY, name,
+                            lambda c, make=make, name=name: built.append(name) or make(c))
+    config = VerifyConfig(max_n=40, series_order=20, oracle_max=5)
+    required_length(config)
+    assert built == CHECK_NAMES
+    built.clear()
+    run_all(config)
+    assert built == CHECK_NAMES
 
 
 def test_run_all_rejects_short_input():
