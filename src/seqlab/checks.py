@@ -7,11 +7,15 @@ most the eight items before it. One driver, _run, runs every check, for
 run_all (what the command line drives) and for each public check_* alike: it
 derives the rows once, walks them and the values once for every selected
 step, and keeps only the leading values that the checks reading whole
-prefixes need. Checks accept precomputed a_values/rows so callers can feed
-deliberately corrupted data and confirm the sweeps catch it; a check given
-values and no rows reads the rows derived from those values.
+prefixes need. A check's tail reads only those leading values, so in a run of
+two or more checks, where os.fork exists, each tail is read in a forked child
+while the walk goes on; a run of one check reads its tail in process. Either
+way the results are the same. Checks accept precomputed a_values/rows so
+callers can feed deliberately corrupted data and confirm the sweeps catch it;
+a check given values and no rows reads the rows derived from those values.
 """
 
+import os
 import random
 from collections import deque
 from fractions import Fraction
@@ -226,6 +230,8 @@ def check_sqrt_factorial_lower(hi: int, a_values: Optional[Sequence[int]] = None
 
 
 def _congruence(prime_limit: int, n_limit: int) -> _Sweep:
+    if prime_limit < 0:
+        raise ValueError(f"prime_limit must be nonnegative, got {prime_limit}")
     cross = min(CROSS_LIMIT, n_limit)
 
     def hits(a_values: Sequence[int]) -> Iterator[tuple[int, str]]:
@@ -514,14 +520,100 @@ def _reach(sweeps: list[_Sweep]) -> int:
     return max([1] + [max(s.need, s.prefix) for s in sweeps])
 
 
+def _replay(hits: list[tuple[int, str]], error: Optional[Exception]) -> Iterator[tuple[int, str]]:
+    yield from hits
+    if error is not None:
+        raise error
+
+
+class _ForkedTail:
+    """A sweep's tail, read in a forked child from the given leading values.
+
+    The child reads at most MAX_COUNTEREXAMPLES counterexamples, stopping at
+    the exception the tail raises if it does, and sends them, that exception
+    and the seconds the reading took through a pipe. Its whole body ends in
+    os._exit, so it never returns into the caller's frames, runs no atexit
+    handler and flushes no inherited buffer; it collects no garbage, so no
+    inherited finalizer runs in it either.
+    """
+
+    def __init__(self, sweep: _Sweep, values: Sequence[int]) -> None:
+        import gc
+        import pickle  # here, so that the child imports nothing
+
+        self.name = sweep.name
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read_end)
+                gc.disable()
+                start = perf_counter()
+                hits, error = [], None
+                try:
+                    hits.extend(islice(sweep.then(values), MAX_COUNTEREXAMPLES))
+                except Exception as raised:  # sent, and raised where the parent reads it
+                    error = raised
+                seconds = perf_counter() - start
+                with open(write_end, "wb") as pipe:
+                    pickle.dump((hits, error, seconds), pipe)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)
+        self.pid: Optional[int] = pid
+        self.fd: Optional[int] = read_end
+
+    def read(self) -> tuple[Iterator[tuple[int, str]], float]:
+        """The child's counterexamples, raising where the tail raised, and the
+        seconds it took; reaps the child."""
+        import pickle
+
+        fd, self.fd = self.fd, None
+        with open(fd, "rb") as pipe:
+            message = pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if status:
+            raise RuntimeError(f"{self.name}: the child reading its tail exited without a result")
+        hits, error, seconds = pickle.loads(message)
+        return _replay(hits, error), seconds
+
+    def close(self) -> None:
+        """Close the pipe; kill and reap the child unless read() reaped it."""
+        import signal
+
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def _run(sweeps: list[_Sweep], a_values: Optional[Sequence[int]] = None,
          rows: Optional[Sequence[SeqRow]] = None) -> list[CheckResult]:
-    """The sweeps' results: one walk over the rows and the values, then each
-    sweep's `then` on the leading values.
+    """The sweeps' results: one walk over the rows and the values, and each
+    sweep's tail on the leading values.
 
     The values are a_values, or the sequence's own when None; only the prefix
     that some sweep reads whole is kept. Rows, when not given, are derived
     once from those values, through a tee that the walk drains in step.
+
+    A run of two or more sweeps, where os.fork exists, starts each tail that
+    has its leading values in a child of its own (_ForkedTail) as soon as the
+    prefix is built, walks meanwhile, and then reads each child's
+    counterexamples in the sweep's place: the results, and the errors raised,
+    are those of reading every tail in process, as a run of one sweep does.
+    Every child is reaped before _run returns or raises; an error or an
+    interrupt kills the children not yet read.
     """
     source = iter(a_values) if a_values is not None else a_iter()
     prefix = list(islice(source, max([0] + [s.prefix for s in sweeps])))
@@ -531,11 +623,20 @@ def _run(sweeps: list[_Sweep], a_values: Optional[Sequence[int]] = None,
     walked = max([0] + [s.need for s in on_rows])
     ahead = max([walked if derive else 0] + [s.need for s in on_values])
     values: Iterable[int] = chain(prefix, islice(source, max(0, ahead - len(prefix))))
-    if derive:
-        values, for_rows = tee(values)
-        rows = _derive_rows(islice(for_rows, walked))
-    _walk((islice(rows or (), walked), on_rows), (values, on_values))
-    return [s.result(prefix) for s in sweeps]
+    forked: dict[int, _ForkedTail] = {}
+    try:
+        if len(sweeps) > 1 and hasattr(os, "fork"):
+            for i, s in enumerate(sweeps):
+                if s.then is not None and len(prefix) >= s.prefix:
+                    forked[i] = _ForkedTail(s, prefix)
+        if derive:
+            values, for_rows = tee(values)
+            rows = _derive_rows(islice(for_rows, walked))
+        _walk((islice(rows or (), walked), on_rows), (values, on_values))
+        return [s.result(prefix, forked[i].read() if i in forked else None) for i, s in enumerate(sweeps)]
+    finally:
+        for tail in forked.values():
+            tail.close()
 
 
 def required_length(config: VerifyConfig) -> int:

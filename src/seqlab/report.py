@@ -74,10 +74,11 @@ class _Sweep:
     item n-k (k <= 8); it returns an (n, detail) counterexample or None. `rows`
     says whether the walk is over rows or over the companion values. Each
     step's counterexamples follow those of the steps before it, and those of
-    `then(values)`, an iterator over the leading values that result() is
-    handed, follow them all. MAX_COUNTEREXAMPLES are kept; a step whose finds
-    could no longer be kept is not called again, and `then` is read no further
-    than needed.
+    the tail follow them all. The tail, `then(values)`, is an iterator over
+    the counterexamples read off the leading values that result() is handed;
+    `then=None` means the check has none. MAX_COUNTEREXAMPLES are kept; a step
+    whose finds could no longer be kept is not called again, and the tail is
+    read no further than needed.
 
     The sweep reads the companion values a_0..a_{R-1} with R = max(need,
     prefix). `need` is how far the walk goes: one past the last index a step
@@ -88,7 +89,7 @@ class _Sweep:
     """
 
     def __init__(self, name: str, lo: int, hi: int, *steps: tuple[int, int, Step], rows: bool = True,
-                 then: Callable[[Sequence[int]], Iterable[tuple[int, str]]] = lambda values: (),
+                 then: Optional[Callable[[Sequence[int]], Iterable[tuple[int, str]]]] = None,
                  prefix: int = 0) -> None:
         if hi < 0:
             raise ValueError(f"{name} ends at n = {hi}, before n = 0")
@@ -98,15 +99,21 @@ class _Sweep:
         self.need = max((last + 1 for _, last, _ in steps), default=0)
         self.seconds = 0.0
 
-    def result(self, values: Sequence[int] = ()) -> CheckResult:
-        """The check's result, `then` reading the given leading values; reading
-        it counts toward the elapsed time."""
+    def result(self, values: Sequence[int] = (),
+               tail: Optional[tuple[Iterable[tuple[int, str]], float]] = None) -> CheckResult:
+        """The check's result, the tail reading the given leading values; reading
+        it counts toward the elapsed time. `tail`, when given, is the tail as
+        read elsewhere: its counterexamples, which raise where `then` raised,
+        and the seconds that reading took."""
         if len(values) < self.prefix:
             raise ValueError(f"{self.name} reads a_0..a_{self.prefix - 1}; the input stops at {len(values) - 1}")
         start = perf_counter()
+        if tail is None:
+            tail = (() if self.then is None else self.then(values)), 0.0
+        hits, seconds = tail
         found = (found for _, _, _, found in self.steps)
-        cex = list(islice(chain(*found, self.then(values)), MAX_COUNTEREXAMPLES))
-        ms = int((self.seconds + perf_counter() - start) * 1000)
+        cex = list(islice(chain(*found, hits), MAX_COUNTEREXAMPLES))
+        ms = int((self.seconds + seconds + perf_counter() - start) * 1000)
         return CheckResult(self.name, self.lo, self.hi, FAIL if cex else PASS, cex, ms)
 
 

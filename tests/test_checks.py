@@ -1,5 +1,7 @@
 import math
+import os
 import sys
+import time
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
@@ -748,7 +750,8 @@ def test_run_all_rejects_unknown_names():
     VerifyConfig(oracle_max=-1),
     VerifyConfig(max_n=-1),
     VerifyConfig(series_order=1),
-], ids=["oracle_max=11", "oracle_max=-1", "max_n=-1", "series_order=1"])
+    VerifyConfig(max_n=50, prime_limit=-5, checks=["congruence"]),
+], ids=["oracle_max=11", "oracle_max=-1", "max_n=-1", "series_order=1", "prime_limit=-5"])
 def test_a_bad_config_is_rejected_before_any_work(config):
     with pytest.raises(ValueError):
         required_length(config)
@@ -803,3 +806,153 @@ def test_run_all_check_alone_sees_the_given_values():
     row_checks = ["x_bounds", "mod4_exclusion", "quadratic_gap", "d_power_of_two", "d_upper",
                   "e_q", "d_formula", "quarter_bound", "parity", "integrality"]
     assert not any(together[name].passed for name in row_checks)
+
+
+fork_only = pytest.mark.skipif(not hasattr(os, "fork"), reason="tails are read in process without os.fork")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the calls to os.fork."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def _tail_sweep(name, then, walk_fails=0, fail=lambda n: None):
+    """A sweep over the values 0..99 whose step finds a counterexample at each
+    index below walk_fails, calling fail(n) first, and whose tail is `then`."""
+
+    def step(n, window):
+        fail(n)
+        return (n, "walk") if n < walk_fails else None
+
+    return checks._Sweep(name, 0, 99, (0, 99, step), rows=False, then=then, prefix=10)
+
+
+def _three_then_boom(values):
+    for n in range(3):
+        yield n, "tail"
+    raise ValueError("boom")
+
+
+def _sleeps(seconds):
+    def then(values):
+        time.sleep(seconds)
+        return ()
+    return then
+
+
+def _outcome(sweeps):
+    try:
+        return [(r.status, r.counterexamples) for r in checks._run(sweeps, list(range(100)))]
+    except ValueError as error:
+        return type(error), str(error)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@fork_only
+@pytest.mark.parametrize("walk_fails", [0, 21, 22, 25])
+def test_a_forked_tail_raises_where_the_tail_read_in_process_raises(forks, walk_fails):
+    # The tail yields 3 and then raises; read in process, the raise is reached
+    # unless the walk's finds and those 3 already fill MAX_COUNTEREXAMPLES.
+    in_process = _outcome([_tail_sweep("boom", _three_then_boom, walk_fails)])
+    assert not forks
+    forked = _outcome([_tail_sweep("boom", _three_then_boom, walk_fails), _tail_sweep("quiet", lambda v: ())])
+    assert len(forks) == 2
+    if walk_fails < 22:
+        assert forked == in_process == (ValueError, "boom")
+    else:
+        assert forked == in_process + [("pass", [])]
+        assert len(forked[0][1]) == MAX_COUNTEREXAMPLES
+    _assert_no_child_left()
+
+
+@fork_only
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_no_child_outlives_a_walk_that_raises(forks, error):
+    def interrupt(n):
+        if n == 50:
+            raise KeyboardInterrupt
+
+    # The short input makes the walk raise ValueError once it ends at index 49.
+    values = list(range(50 if error is ValueError else 100))
+    sweeps = [_tail_sweep("walk", lambda v: (), fail=interrupt), _tail_sweep("slow", _sleeps(30))]
+    with pytest.raises(error):
+        checks._run(sweeps, values)
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+@fork_only
+def test_no_child_outlives_run_all(forks):
+    results = run_all(VerifyConfig(max_n=40, series_order=20, oracle_max=5))
+    assert all(r.passed for r in results)
+    assert len(forks) == 5  # congruence, d_upper, involutions, series and sign_flip
+    _assert_no_child_left()
+
+
+@fork_only
+def test_a_child_without_a_result_raises_naming_its_check(forks):
+    def unpicklable(values):
+        yield 0, lambda: None
+
+    with pytest.raises(RuntimeError, match="^odd: "):
+        checks._run([_tail_sweep("odd", unpicklable), _tail_sweep("quiet", lambda v: ())], list(range(100)))
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+def test_a_single_sweep_never_forks(monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    config = VerifyConfig(max_n=40, series_order=20, oracle_max=5)
+    for name in ("congruence", "d_upper", "involutions", "series", "sign_flip"):
+        assert run_all(replace(config, checks=[name]))[0].passed
+    assert check_d_upper(40).passed and check_involution_identity(5).passed
+
+
+def test_without_fork_tails_are_read_in_process(monkeypatch):
+    config = VerifyConfig(max_n=40, series_order=20, oracle_max=5)
+    bad = list(a_seq(required_length(config) - 1))
+    bad[4] += 1
+    forked = run_all(config, a_values=bad)
+    monkeypatch.delattr(os, "fork", raising=False)
+    in_process = run_all(config, a_values=bad)
+    assert [(r.name, r.status, r.counterexamples) for r in in_process] == [
+        (r.name, r.status, r.counterexamples) for r in forked]
+    assert not all(r.passed for r in in_process)
+
+
+@pytest.mark.parametrize("others", [0, 1], ids=["alone", "beside another"])
+def test_a_tail_s_time_reaches_elapsed_ms(others):
+    sweeps = [_tail_sweep("sleepy", _sleeps(0.05))] + [_tail_sweep("quiet", lambda v: ())] * others
+    assert checks._run(sweeps, list(range(100)))[0].elapsed_ms >= 50
+
+
+@fork_only
+def test_a_tail_short_of_its_prefix_raises_as_in_process(forks):
+    # The tail is not started; result() rejects the short prefix in its place.
+    def wide():
+        return checks._Sweep("wide", 0, 5, then=lambda values: [(0, str(values[19]))], prefix=20)
+
+    values = list(range(10))
+    message = "wide reads a_0..a_19; the input stops at 9"
+    with pytest.raises(ValueError, match=message):
+        checks._run([wide()], values)
+    with pytest.raises(ValueError, match=message):
+        checks._run([wide(), checks._Sweep("quiet", 0, 5, then=lambda v: ())], values)
+    assert len(forks) == 1
+    _assert_no_child_left()
