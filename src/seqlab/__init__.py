@@ -14,9 +14,7 @@ from .exact import (
     EQUAL,
     GREATER,
     LESS,
-    binomial,
     cmp_shifted_sqrt,
-    factorial,
     gcd,
     odd_semifactorial,
     primes_upto,
@@ -25,20 +23,16 @@ from .exact import (
 from .sequences import (
     MoebiusMatrix,
     SeqRow,
-    a_closed,
     a_mod,
     a_seq,
     a6_step,
-    d,
     d_closed,
     e_closed,
-    integer_indices,
     moebius,
     moebius_apply,
     q_step,
     rows_from_a,
     table,
-    x_seq,
 )
 from .series import (
     TruncatedSeries,
@@ -47,7 +41,6 @@ from .series import (
     ps_derivative,
     ps_exp,
     ps_mul,
-    ps_subst_neg,
     series,
 )
 from .involutions import check_involution_identity, count_involutions_enum
@@ -57,14 +50,14 @@ from .checks import required_length, run_all
 __all__ = [
     "__version__",
     "LESS", "EQUAL", "GREATER",
-    "gcd", "v2", "factorial", "odd_semifactorial", "binomial",
+    "gcd", "v2", "odd_semifactorial",
     "cmp_shifted_sqrt", "primes_upto",
     "SeqRow", "MoebiusMatrix",
-    "a_seq", "x_seq", "a_closed", "a_mod", "d", "e_closed", "d_closed",
+    "a_seq", "a_mod", "e_closed", "d_closed",
     "moebius", "moebius_apply", "a6_step", "q_step",
-    "integer_indices", "table", "rows_from_a",
+    "table", "rows_from_a",
     "TruncatedSeries", "series", "ps_mul", "ps_derivative",
-    "ps_exp", "ps_subst_neg", "egf_F", "convolution_lhs",
+    "ps_exp", "egf_F", "convolution_lhs",
     "count_involutions_enum", "check_involution_identity",
     "CheckResult", "VerifyConfig", "ReportDocument",
     "run_all", "required_length",

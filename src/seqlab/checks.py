@@ -43,6 +43,9 @@ from .series import convolution_lhs, expected_convolution, series_identity_parts
 # so it is capped independently of the main range.
 DEFAULT_MECHANISM_HI = 600
 
+# sign_flip draws this many random (x, n) samples.
+SIGN_FLIP_SAMPLES = 1000
+
 # congruence recomputes its congruence from full-precision values up to here.
 CROSS_LIMIT = 200
 
@@ -263,9 +266,8 @@ def check_congruence(prime_limit: int, n_limit: int, a_values: Optional[Sequence
 
 def _d_power_of_two(hi: int) -> _Sweep:
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
-        dn = w[-1].d
-        if dn <= 0 or dn & (dn - 1):
-            return n, f"d({n}) = {decimal_text(dn)} is not a power of two"
+        if _log2_exact(w[-1].d) is None:
+            return n, f"d({n}) = {decimal_text(w[-1].d)} is not a power of two"
 
     return _Sweep("d_power_of_two", 1, hi, (1, hi, step))
 
@@ -275,8 +277,8 @@ def check_d_power_of_two(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> Ch
     return _run([_d_power_of_two(hi)], rows=rows)[0]
 
 
-def _d_upper(hi: int, mechanism_hi: Optional[int] = None) -> _Sweep:
-    mech = min(hi, DEFAULT_MECHANISM_HI) if mechanism_hi is None else mechanism_hi
+def _d_upper(hi: int) -> _Sweep:
+    mech = min(hi, DEFAULT_MECHANISM_HI)
 
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
         if w[-1].d > 1 << (n - 1):
@@ -294,21 +296,18 @@ def _d_upper(hi: int, mechanism_hi: Optional[int] = None) -> _Sweep:
 
 
 def check_d_upper(
-    hi: int,
-    rows: Optional[Sequence[SeqRow]] = None,
-    a_values: Optional[Sequence[int]] = None,
-    mechanism_hi: Optional[int] = None,
+    hi: int, rows: Optional[Sequence[SeqRow]] = None, a_values: Optional[Sequence[int]] = None
 ) -> CheckResult:
     """d_n <= 2^{n-1}, plus the divisibility that forces the bound.
 
     The alternating convolution sum_{m+r=2n} (-1)^r C(2n,m) a_m a_r equals
     2^n (2n-1)!!, and d_{n+1} divides it; since d_{n+1} is a power of two and
     (2n-1)!! is odd, d_{n+1} <= 2^n follows. The mechanism needs a_0..a_{2n},
-    so it runs to mechanism_hi (default min(hi, 600)) while the plain bound
-    runs over the full range. Given a_values and no rows, the plain bound reads
-    the rows derived from a_values.
+    so it runs to n = min(hi, DEFAULT_MECHANISM_HI), 600 at most, while the
+    plain bound runs over the full range. Given a_values and no rows, the plain
+    bound reads the rows derived from a_values.
     """
-    return _run([_d_upper(hi, mechanism_hi)], a_values, rows)[0]
+    return _run([_d_upper(hi)], a_values, rows)[0]
 
 
 _FIRST_Q = (1, 1, 1, 1, 5, 13, 19, 29)
@@ -460,10 +459,10 @@ def check_series_identities(order: int, a_values: Optional[Sequence[int]] = None
     return _run([_series(order)], a_values)[0]
 
 
-def _sign_flip(seed: int, samples: int) -> _Sweep:
+def _sign_flip(seed: int) -> _Sweep:
     def hits(_: Sequence[int]) -> Iterator[tuple[int, str]]:
         rng = random.Random(seed)
-        for i in range(1, samples + 1):
+        for i in range(1, SIGN_FLIP_SAMPLES + 1):
             x = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
             n = rng.randint(1, 10**6)
             f = 1 + Fraction(n, 1) / x
@@ -472,36 +471,41 @@ def _sign_flip(seed: int, samples: int) -> _Sweep:
             if lhs != rhs:
                 yield i, f"identity fails at sample {i}: x = {x}, n = {n}"
 
-    return _Sweep("sign_flip", 1, samples, then=hits)
+    return _Sweep("sign_flip", 1, SIGN_FLIP_SAMPLES, then=hits)
 
 
-def check_sign_flip(seed: int = 0, samples: int = 1000) -> CheckResult:
+def check_sign_flip(seed: int = 0) -> CheckResult:
     """(f^2 - f - n) x^2 = -n (x^2 - x - n) for f = 1 + n/x, sampled randomly.
 
     The step map sends the sign of x^2 - x - n to its opposite, which is the
-    algebra behind the quadratic gap; sampling random rationals exercises it
-    far outside the orbit of the actual sequence.
+    algebra behind the quadratic gap; sampling SIGN_FLIP_SAMPLES random
+    rationals from the seed exercises it far outside the orbit of the actual
+    sequence.
     """
-    return _run([_sign_flip(seed, samples)])[0]
+    return _run([_sign_flip(seed)])[0]
 
 
+# Keyed by each sweep's own name, read off the sweep the default config builds.
 _REGISTRY: dict[str, Callable[[VerifyConfig], _Sweep]] = {
-    "x_bounds": lambda c: _x_bounds(4, c.max_n),
-    "mod4_exclusion": lambda c: _mod4_exclusion(4, c.max_n),
-    "quadratic_gap": lambda c: _quadratic_gap(4, c.max_n),
-    "sqrt_factorial": lambda c: _sqrt_factorial(c.max_n),
-    "congruence": lambda c: _congruence(c.prime_limit, c.max_n),
-    "d_power_of_two": lambda c: _d_power_of_two(c.max_n),
-    "d_upper": lambda c: _d_upper(c.max_n),
-    "e_q": lambda c: _e_q(c.max_n),
-    "d_formula": lambda c: _d_formula(c.max_n),
-    "quarter_bound": lambda c: _quarter_bound(c.max_n),
-    "parity": lambda c: _parity(c.max_n),
-    "integrality": lambda c: _integrality(c.max_n),
-    "a6_relation": lambda c: _a6_relation(c.max_n),
-    "series": lambda c: _series(c.series_order),
-    "involutions": lambda c: _involutions(c.oracle_max),
-    "sign_flip": lambda c: _sign_flip(c.seed, 1000),
+    make(VerifyConfig()).name: make
+    for make in (
+        lambda c: _x_bounds(4, c.max_n),
+        lambda c: _mod4_exclusion(4, c.max_n),
+        lambda c: _quadratic_gap(4, c.max_n),
+        lambda c: _sqrt_factorial(c.max_n),
+        lambda c: _congruence(c.prime_limit, c.max_n),
+        lambda c: _d_power_of_two(c.max_n),
+        lambda c: _d_upper(c.max_n),
+        lambda c: _e_q(c.max_n),
+        lambda c: _d_formula(c.max_n),
+        lambda c: _quarter_bound(c.max_n),
+        lambda c: _parity(c.max_n),
+        lambda c: _integrality(c.max_n),
+        lambda c: _a6_relation(c.max_n),
+        lambda c: _series(c.series_order),
+        lambda c: _involutions(c.oracle_max),
+        lambda c: _sign_flip(c.seed),
+    )
 }
 
 CHECK_NAMES = sorted(_REGISTRY)

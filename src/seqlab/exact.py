@@ -32,25 +32,11 @@ def v2(a: int) -> int:
     return (a & -a).bit_length() - 1
 
 
-def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError("factorial requires a nonnegative integer")
-    return math.factorial(n)
-
-
 def odd_semifactorial(s: int) -> int:
     """(2s-1)!! = 1 * 3 * ... * (2s-1), with the empty product 1 at s=0."""
     if s < 0:
         raise ValueError("odd_semifactorial requires a nonnegative integer")
     return math.prod(range(1, 2 * s, 2))
-
-
-def binomial(n: int, k: int) -> int:
-    if n < 0 or k < 0:
-        raise ValueError("binomial requires nonnegative arguments")
-    if k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def cmp_shifted_sqrt(x: Fraction, m: int) -> int:

@@ -16,12 +16,6 @@ from .report import CheckResult, _Sweep, decimal_text
 # stay cheap, and nothing in the package needs it.
 ENUMERATION_MAX = 10
 
-Permutation = tuple[int, ...]
-
-
-def is_involution(p: Permutation) -> bool:
-    return all(p[p[i]] == i for i in range(len(p)))
-
 
 def count_involutions_enum(n: int) -> int:
     """Count involutions on n elements by scanning all n! permutations."""

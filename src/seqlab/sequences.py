@@ -24,9 +24,9 @@ for any values at which that step of the recurrence holds.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
-from .exact import binomial, gcd, odd_semifactorial, v2
+from .exact import gcd, v2
 
 
 @dataclass(frozen=True)
@@ -65,32 +65,6 @@ def a_seq(max_n: int) -> list[int]:
     return list(islice(a_iter(), max_n + 1))
 
 
-def x_seq(max_n: int) -> list[Fraction]:
-    """[x_0, ..., x_max_n], computed directly from the rational recurrence.
-
-    Deliberately independent of a_seq so the two can cross-check each other.
-    """
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    xs = [Fraction(1)]
-    x = Fraction(1)
-    for n in range(max_n):
-        x = 1 + Fraction(n, 1) / x
-        xs.append(x)
-    return xs
-
-
-def a_closed(n: int) -> int:
-    """a_n as the sum over s of C(n, 2s) * (2s-1)!!.
-
-    Counts choices of 2s elements times a perfect matching on them, which is
-    an independent route to the same numbers as the recurrence.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return sum(binomial(n, 2 * s) * odd_semifactorial(s) for s in range(n // 2 + 1))
-
-
 def a_mod(max_n: int, m: int) -> list[int]:
     """[a_0 mod m, ..., a_max_n mod m] via the recurrence carried mod m."""
     if m < 2:
@@ -106,15 +80,6 @@ def a_mod(max_n: int, m: int) -> list[int]:
         prev, cur = cur, (cur + (n + 1) * prev) % m
         out.append(cur)
     return out
-
-
-def d(n: int, a_values: Optional[Sequence[int]] = None) -> int:
-    """d_n = gcd(a_n, a_{n-1}) for n >= 1."""
-    if n < 1:
-        raise ValueError("d is defined for n >= 1")
-    if a_values is None:
-        a_values = a_seq(n)
-    return gcd(a_values[n], a_values[n - 1])
 
 
 def e_closed(n: int) -> int:
@@ -256,7 +221,3 @@ def table(max_n: int) -> list[SeqRow]:
     """Rows 0..max_n of the derived table."""
     return list(iter_rows(max_n))
 
-
-def integer_indices(rows: Iterable[SeqRow]) -> list[int]:
-    """Indices n in the given rows at which x_n is an integer."""
-    return [row.n for row in rows if row.x_den == 1]

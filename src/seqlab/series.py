@@ -98,21 +98,10 @@ def ps_exp(g: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
-def ps_subst_neg(f: TruncatedSeries) -> TruncatedSeries:
-    """f(-x): negate the odd-index coefficients."""
-    return TruncatedSeries(
-        tuple(-c if j & 1 else c for j, c in enumerate(f.coeffs))
-    )
-
-
-def egf_F(order: int, a_values: Optional[Sequence[int]] = None) -> TruncatedSeries:
+def egf_F(order: int, a_values: Sequence[int]) -> TruncatedSeries:
     """The generating function sum a_n x^n / n!, truncated at the given order."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if a_values is None:
-        from .sequences import a_seq
-
-        a_values = a_seq(order)
     if len(a_values) < order + 1:
         raise ValueError("not enough companion values for the requested order")
     out = []
@@ -152,7 +141,7 @@ def expected_convolution(n: int) -> int:
     return (1 << n) * odd_semifactorial(n)
 
 
-def series_identity_parts(order: int, a_values: Optional[Sequence[int]] = None) -> dict[str, Optional[int]]:
+def series_identity_parts(order: int, a_values: Sequence[int]) -> dict[str, Optional[int]]:
     """Check each generating-function identity to the given order.
 
     Returns a dict mapping the identity name to None when it holds or to the
@@ -170,10 +159,6 @@ def series_identity_parts(order: int, a_values: Optional[Sequence[int]] = None) 
     """
     if order < 2:
         raise ValueError("order must be at least 2")
-    if a_values is None:
-        from .sequences import a_seq
-
-        a_values = a_seq(order)
     f = egf_F(order, a_values)
     parts: dict[str, Optional[int]] = {}
 

@@ -1,0 +1,151 @@
+"""Mutation gate: every mutant listed here must be killed by its tests.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python tests/mutants.py
+
+Each entry is (name, file under src/, exact old text, new text, test
+selection). For each one the script copies src/ to a temporary directory,
+checks that the old text occurs in the file exactly once, applies the edit,
+and runs the selection with -x against the copy. A mutant is killed when its
+selection fails (pytest exit status 1). Every selection first runs once
+against an unedited copy and must pass there. The script exits 1 and names
+every mutant that survives, no longer applies or whose selection no longer
+runs; a refactor that moves the mutated code carries its entry along.
+
+Standard library only. pytest does not collect this file: its name does not
+start with test_.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CHECKS = "seqlab/checks.py"
+T = "tests/test_checks.py::"
+
+MUTANTS = [
+    # The fork path: a check's tail read in a forked child while the walk runs.
+    (
+        "no kill on error",
+        CHECKS,
+        "            os.kill(self.pid, signal.SIGKILL)\n",
+        "",
+        [T + "test_no_child_outlives_a_walk_that_raises"],
+    ),
+    (
+        "tail time dropped",
+        "seqlab/report.py",
+        "ms = int((self.seconds + seconds + perf_counter() - start) * 1000)",
+        "ms = int((self.seconds + perf_counter() - start) * 1000)",
+        [T + "test_a_tail_s_time_reaches_elapsed_ms"],
+    ),
+    (
+        "error replayed first",
+        CHECKS,
+        "    yield from hits\n    if error is not None:\n        raise error\n",
+        "    if error is not None:\n        raise error\n    yield from hits\n",
+        [T + "test_a_forked_tail_raises_where_the_tail_read_in_process_raises"],
+    ),
+    (
+        "one sweep forking",
+        CHECKS,
+        'if len(sweeps) > 1 and hasattr(os, "fork"):',
+        'if hasattr(os, "fork"):',
+        [T + "test_a_single_sweep_never_forks"],
+    ),
+    (
+        "prime_limit unchecked",
+        CHECKS,
+        "    if prime_limit < 0:\n",
+        "    if False:\n",
+        [T + "test_a_bad_config_is_rejected_before_any_work"],
+    ),
+    (
+        "child exit status ignored",
+        CHECKS,
+        "        if status:\n",
+        "        if False:\n",
+        [T + "test_a_child_without_a_result_raises_naming_its_check"],
+    ),
+    (
+        "prefix guard dropped",
+        CHECKS,
+        "if s.then is not None and len(prefix) >= s.prefix:",
+        "if s.then is not None:",
+        [T + "test_a_tail_short_of_its_prefix_raises_as_in_process"],
+    ),
+    # The power-of-two kernel without its guard lets d = 0 through.
+    (
+        "d & (d - 1) as the power-of-two test",
+        CHECKS,
+        "if _log2_exact(w[-1].d) is None:",
+        "if w[-1].d & (w[-1].d - 1):",
+        [T + "test_d_power_of_two_rejects_a_d_that_is_no_power_of_two"],
+    ),
+    # A check's name is spelled only in its sweep; a typo there renames the check.
+    (
+        "a sweep's name changed",
+        CHECKS,
+        '_Sweep("x_bounds", lo, hi, (lo, hi, step))',
+        '_Sweep("x_bound", lo, hi, (lo, hi, step))',
+        [T + "test_check_names_are_stable"],
+    ),
+]
+
+
+def pytest(src: Path, selection: list[str], log: Path) -> int:
+    """Run the selection against the package under src; the exit status.
+
+    Output goes to a file, not a pipe: a forked child that a mutant leaves
+    running would hold a pipe open after pytest exits."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    with open(log, "w") as out:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection],
+            cwd=ROOT, env=env, stdout=out, stderr=subprocess.STDOUT,
+        ).returncode
+
+
+def main() -> int:
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="seqlab-mutants-") as tmp:
+        src, log = Path(tmp) / "src", Path(tmp) / "pytest.log"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        every = sorted({test for *_, selection in MUTANTS for test in selection})
+        status = pytest(src, every, log)
+        if status:
+            print(log.read_text()[-3000:])
+            print(f"the selections do not pass on the unedited source (pytest exit status {status})")
+            return 1
+        for name, file, old, new, selection in MUTANTS:
+            path = src / file
+            original = path.read_text()
+            count = original.count(old)
+            if count != 1:
+                failures.append(f"{name}: the old text occurs {count} times in {file}")
+                continue
+            path.write_text(original.replace(old, new))
+            try:
+                status = pytest(src, selection, log)
+            finally:
+                path.write_text(original)
+            if status == 0:
+                failures.append(f"{name}: survives {' '.join(selection)}")
+            elif status != 1:
+                print(log.read_text()[-3000:])
+                failures.append(f"{name}: the selection did not run (pytest exit status {status})")
+            else:
+                print(f"killed: {name}")
+    for failure in failures:
+        print(f"FAILED: {failure}")
+    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,6 +10,7 @@ import re
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from math import factorial
 
 import _criteria
 
@@ -30,7 +31,7 @@ from seqlab.checks import (
     run_all,
 )
 from seqlab.cli import main
-from seqlab.exact import EQUAL, GREATER, LESS, cmp_shifted_sqrt, factorial
+from seqlab.exact import EQUAL, GREATER, LESS, cmp_shifted_sqrt
 from seqlab.involutions import check_involution_identity, count_involutions_enum
 from seqlab.report import VerifyConfig
 from seqlab.sequences import a_seq, a6_step

@@ -39,7 +39,7 @@ from seqlab.checks import (
 from seqlab.exact import GREATER, LESS, SIEVE_LIMIT, cmp_shifted_sqrt, primes_upto
 from seqlab.involutions import check_involution_identity
 from seqlab.report import VerifyConfig
-from seqlab.sequences import SeqRow, a_mod, a_seq, e_closed, integer_indices, q_step, rows_from_a
+from seqlab.sequences import SeqRow, a_mod, a_seq, e_closed, q_step, rows_from_a
 from test_sequences import positive_ints
 
 HI = 150
@@ -77,8 +77,8 @@ def test_all_checks_pass_on_clean_data(a150, rows150):
     assert check_integrality(HI, rows150).passed
     assert check_a6_relation(HI, a150).passed
     assert check_series_identities(60, a150).passed
-    assert check_sign_flip(seed=0, samples=200).passed
-    assert check_sign_flip(seed=123, samples=200).passed
+    assert check_sign_flip(seed=0).passed
+    assert check_sign_flip(seed=123).passed
 
 
 def test_x_bounds_catches_shifted_values(a150):
@@ -364,10 +364,19 @@ def test_d_power_of_two_catches_odd_factor(a150):
     assert result.counterexamples[0][0] in (10, 11)
 
 
+@pytest.mark.parametrize("d", [0, -4, 6])
+def test_d_power_of_two_rejects_a_d_that_is_no_power_of_two(rows150, d):
+    # d & (d - 1) alone would let d = 0 through: 0 & -1 is 0.
+    rows = list(rows150)
+    rows[10] = replace(rows[10], d=d)
+    result = check_d_power_of_two(HI, rows)
+    assert result.counterexamples == [(10, f"d(10) = {d} is not a power of two")]
+
+
 def test_d_upper_catches_convolution_drift(a150):
     bad = list(a150)
     bad[30] += 2
-    result = check_d_upper(40, rows_from_a(bad[:41]), bad, mechanism_hi=20)
+    result = check_d_upper(40, rows_from_a(bad[:41]), bad)
     assert not result.passed
     assert any("convolution" in detail for _, detail in result.counterexamples)
 
@@ -540,7 +549,7 @@ def test_integrality_catches_both_directions(rows150):
 def _integrality_reference(hi, rows):
     cex = []
     expected = [n for n in (0, 1, 2, 3) if n <= hi]
-    got = integer_indices(rows[: hi + 1])
+    got = [row.n for row in rows[: hi + 1] if row.x_den == 1]
     for n in sorted(set(got) ^ set(expected)):
         x = rows[n].x
         if n in got:
@@ -694,7 +703,7 @@ def test_counterexample_texts_print_values_past_the_str_digit_limit(a150, rows15
             "integrality": check_integrality(HI, rows),
             "parity": check_parity(HI, rows),
             "d_power_of_two": check_d_power_of_two(HI, rows),
-            "d_upper": check_d_upper(HI, rows, a150, mechanism_hi=5),
+            "d_upper": check_d_upper(HI, rows, a150),
             "d_formula": check_d_formula(HI, rows),
             "quarter_bound": check_quarter_bound_and_D(HI, rows),
             "e_q": check_e_q(HI, rows),
@@ -706,10 +715,13 @@ def test_counterexample_texts_print_values_past_the_str_digit_limit(a150, rows15
 
 
 def test_check_names_are_stable():
-    assert len(CHECK_NAMES) == 16
-    assert CHECK_NAMES == sorted(CHECK_NAMES)
-    assert "x_bounds" in CHECK_NAMES
-    assert "involutions" in CHECK_NAMES
+    # --checks, the JSON reports and the benchmark's gates all read these names.
+    assert CHECK_NAMES == [
+        "a6_relation", "congruence", "d_formula", "d_power_of_two", "d_upper",
+        "e_q", "integrality", "involutions", "mod4_exclusion", "parity",
+        "quadratic_gap", "quarter_bound", "series", "sign_flip", "sqrt_factorial",
+        "x_bounds",
+    ]
 
 
 def test_required_length_covers_the_lookahead():
@@ -888,8 +900,10 @@ def test_no_child_outlives_a_walk_that_raises(forks, error):
     # The short input makes the walk raise ValueError once it ends at index 49.
     values = list(range(50 if error is ValueError else 100))
     sweeps = [_tail_sweep("walk", lambda v: (), fail=interrupt), _tail_sweep("slow", _sleeps(30))]
+    start = time.perf_counter()
     with pytest.raises(error):
         checks._run(sweeps, values)
+    assert time.perf_counter() - start < 15  # the sleeping child is killed, not waited for
     assert len(forks) == 2
     _assert_no_child_left()
 

@@ -10,9 +10,7 @@ from seqlab.exact import (
     GREATER,
     LESS,
     SIEVE_LIMIT,
-    binomial,
     cmp_shifted_sqrt,
-    factorial,
     gcd,
     odd_semifactorial,
     primes_upto,
@@ -61,12 +59,6 @@ def test_v2_reads_off_the_power(k, odd):
     assert v2(odd << k) == k
 
 
-def test_factorial():
-    assert [factorial(n) for n in range(6)] == [1, 1, 2, 6, 24, 120]
-    with pytest.raises(ValueError):
-        factorial(-1)
-
-
 def test_odd_semifactorial():
     assert [odd_semifactorial(s) for s in range(6)] == [1, 1, 3, 15, 105, 945]
     with pytest.raises(ValueError):
@@ -76,21 +68,7 @@ def test_odd_semifactorial():
 @given(st.integers(0, 60))
 def test_odd_semifactorial_vs_factorials(s):
     # (2s)! = 2^s * s! * (2s-1)!!
-    assert factorial(2 * s) == 2**s * factorial(s) * odd_semifactorial(s)
-
-
-def test_binomial():
-    assert [binomial(5, k) for k in range(6)] == [1, 5, 10, 10, 5, 1]
-    assert binomial(3, 7) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-    with pytest.raises(ValueError):
-        binomial(3, -2)
-
-
-@given(st.integers(0, 80), st.integers(0, 80))
-def test_binomial_pascal(n, k):
-    assert binomial(n + 1, k + 1) == binomial(n, k) + binomial(n, k + 1)
+    assert math.factorial(2 * s) == 2**s * math.factorial(s) * odd_semifactorial(s)
 
 
 def test_cmp_shifted_sqrt_strict_sides():

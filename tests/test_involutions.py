@@ -4,16 +4,8 @@ from seqlab.involutions import (
     ENUMERATION_MAX,
     check_involution_identity,
     count_involutions_enum,
-    is_involution,
 )
 from seqlab.sequences import a_seq
-
-
-def test_is_involution():
-    assert is_involution((0, 1, 2))
-    assert is_involution((1, 0, 2))
-    assert not is_involution((1, 2, 0))
-    assert is_involution(())
 
 
 def test_counts_small():

@@ -12,22 +12,18 @@ from seqlab.exact import gcd, v2
 from seqlab.sequences import (
     MoebiusMatrix,
     SeqRow,
-    a_closed,
     a_iter,
     a_mod,
     a_seq,
     a6_step,
-    d,
     d_closed,
     e_closed,
-    integer_indices,
     iter_rows,
     moebius,
     moebius_apply,
     q_step,
     rows_from_a,
     table,
-    x_seq,
 )
 
 FIRST_A = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496]
@@ -44,6 +40,20 @@ FIRST_X = [
     Fraction(191, 58),
     Fraction(655, 191),
 ]
+
+
+# Independent routes to the sequences, for the cross-checks below.
+def x_seq(max_n):
+    """[x_0, ..., x_max_n] from the rational recurrence alone, not from a_seq."""
+    xs = [Fraction(1)]
+    for n in range(max_n):
+        xs.append(1 + Fraction(n) / xs[-1])
+    return xs
+
+
+def a_closed(n):
+    """a_n = sum_s C(n, 2s) (2s-1)!!: choose 2s elements, then match them in pairs."""
+    return sum(math.comb(n, 2 * s) * math.prod(range(1, 2 * s, 2)) for s in range(n // 2 + 1))
 
 
 def test_a_seq_first_values():
@@ -66,7 +76,7 @@ def test_a_closed_agrees_with_recurrence():
 
 
 def test_x_seq_first_values():
-    assert x_seq(9) == FIRST_X
+    assert x_seq(9) == FIRST_X == [row.x for row in table(9)]
 
 
 def test_x_is_ratio_of_consecutive_a():
@@ -94,9 +104,7 @@ def test_a_mod_rejects_bad_modulus():
 
 
 def test_d_values():
-    assert [d(n) for n in range(1, 10)] == [1, 1, 2, 2, 2, 2, 4, 4, 4]
-    with pytest.raises(ValueError):
-        d(0)
+    assert [row.d for row in table(9)[1:]] == [1, 1, 2, 2, 2, 2, 4, 4, 4]
 
 
 def test_closed_forms_match_definitions():
@@ -198,7 +206,7 @@ def test_rows_from_a_accepts_any_prefix():
 
 
 def test_integer_indices():
-    assert integer_indices(table(50)) == [0, 1, 2, 3]
+    assert [row.n for row in table(50) if row.x_den == 1] == [0, 1, 2, 3]
 
 
 def test_seqrow_holds_the_output_columns_as_ints():

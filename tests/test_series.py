@@ -1,10 +1,10 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqlab.exact import binomial, factorial
 from seqlab.sequences import a_seq
 from seqlab.series import (
     TruncatedSeries,
@@ -14,7 +14,6 @@ from seqlab.series import (
     ps_derivative,
     ps_exp,
     ps_mul,
-    ps_subst_neg,
     series,
     series_identity_parts,
 )
@@ -33,6 +32,11 @@ def ps_add(f, g):
 
 def ps_truncate(f, order):
     return TruncatedSeries(f.coeffs[: order + 1])
+
+
+# f(-x), for the Cauchy-product reference below.
+def ps_subst_neg(f):
+    return TruncatedSeries(tuple(-c if j & 1 else c for j, c in enumerate(f.coeffs)))
 
 
 def test_series_basics():
@@ -113,7 +117,7 @@ def test_egf_coefficients():
 
 def direct_convolution(n, a):
     return sum(
-        (-1) ** r * binomial(2 * n, m) * a[m] * a[r]
+        (-1) ** r * comb(2 * n, m) * a[m] * a[r]
         for m in range(2 * n + 1)
         for r in (2 * n - m,)
     )
@@ -140,7 +144,7 @@ def test_convolution_needs_enough_values():
 
 
 def test_identity_parts_all_hold():
-    parts = series_identity_parts(40)
+    parts = series_identity_parts(40, a_seq(40))
     assert parts == {
         "exp_closed_form": None,
         "second_order_ode": None,
@@ -193,4 +197,4 @@ def test_identity_parts_match_cauchy_product_under_corruption(order, data):
 
 def test_identity_parts_domain():
     with pytest.raises(ValueError):
-        series_identity_parts(1)
+        series_identity_parts(1, a_seq(1))
