@@ -8,11 +8,13 @@ run_all (what the command line drives) and for each public check_* alike: it
 derives the rows once, walks them and the values once for every selected
 step, and keeps only the leading values that the checks reading whole
 prefixes need. A check's tail reads only those leading values, so in a run of
-two or more checks, where os.fork exists, each tail is read in a forked child
-while the walk goes on; a run of one check reads its tail in process. Either
-way the results are the same. Checks accept precomputed a_values/rows so
-callers can feed deliberately corrupted data and confirm the sweeps catch it;
-a check given values and no rows reads the rows derived from those values.
+two or more checks, where os.fork exists, each tail is read in forked children
+while the walk goes on, one child for each of its parts (d_upper's mechanism
+has two, split where its cost halves); a run of one check reads its tail in
+process. Either way the results are the same. Checks accept precomputed
+a_values/rows so callers can feed deliberately corrupted data and confirm the
+sweeps catch it; a check given values and no rows reads the rows derived from
+those values.
 """
 
 import os
@@ -25,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exact import gcd, primes_upto
 from .involutions import _involutions
-from .report import MAX_COUNTEREXAMPLES, CheckResult, Hit, VerifyConfig, _Sweep, decimal_text
+from .report import MAX_COUNTEREXAMPLES, CheckResult, Hit, Tail, VerifyConfig, _Sweep, decimal_text
 from .sequences import (
     SeqRow,
     _derive_rows,
@@ -277,22 +279,38 @@ def check_d_power_of_two(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> Ch
     return _run([_d_power_of_two(hi)], rows=rows)[0]
 
 
+def _cost_half(m: int) -> int:
+    """The first h with 1^3 + ... + h^3 at least half of 1^3 + ... + m^3.
+
+    The mechanism's cost at n grows about as n^3, so it costs about as much
+    on 1..h as on h+1..m: for m = 600, h = 505, and timed in process on a
+    2-vCPU host its cost halves between n = 477 and 506. Since
+    1^3 + ... + h^3 = (h(h+1)/2)^2, the test stays in ints.
+    """
+    whole = (m * (m + 1)) ** 2
+    return next(h for h in range(m + 1) if 2 * (h * (h + 1)) ** 2 >= whole)
+
+
 def _d_upper(hi: int) -> _Sweep:
     mech = min(hi, DEFAULT_MECHANISM_HI)
+    half = _cost_half(mech)
 
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
         if w[-1].d > 1 << (n - 1):
             return n, f"d({n}) = {decimal_text(w[-1].d)} exceeds 2^{n-1}"
 
-    def mechanism(a_values: Sequence[int]) -> Iterator[tuple[int, str]]:
-        for n in range(1, mech + 1):
-            want = expected_convolution(n)
-            if convolution_lhs(n, a_values) != want:
-                yield n, f"alternating convolution at 2n = {2*n} is not (2n)!/n!"
-            elif want % gcd(a_values[n + 1], a_values[n]):
-                yield n, f"d({n+1}) does not divide the convolution value"
+    def mechanism(first: int, last: int) -> Tail:
+        def hits(a_values: Sequence[int]) -> Iterator[tuple[int, str]]:
+            for n in range(first, last + 1):
+                want = expected_convolution(n)
+                if convolution_lhs(n, a_values) != want:
+                    yield n, f"alternating convolution at 2n = {2*n} is not (2n)!/n!"
+                elif want % gcd(a_values[n + 1], a_values[n]):
+                    yield n, f"d({n+1}) does not divide the convolution value"
+        return hits
 
-    return _Sweep("d_upper", 1, hi, (1, hi, step), then=mechanism, prefix=max(2 * mech + 1, mech + 2))
+    return _Sweep("d_upper", 1, hi, (1, hi, step), then=(mechanism(1, half), mechanism(half + 1, mech)),
+                  prefix=max(2 * mech + 1, mech + 2))
 
 
 def check_d_upper(
@@ -304,8 +322,11 @@ def check_d_upper(
     2^n (2n-1)!!, and d_{n+1} divides it; since d_{n+1} is a power of two and
     (2n-1)!! is odd, d_{n+1} <= 2^n follows. The mechanism needs a_0..a_{2n},
     so it runs to n = min(hi, DEFAULT_MECHANISM_HI), 600 at most, while the
-    plain bound runs over the full range. Given a_values and no rows, the plain
-    bound reads the rows derived from a_values.
+    plain bound runs over the full range. The mechanism is a tail of two
+    parts, n = 1..h and h+1..600, split where its cost halves (see
+    _cost_half), so a run of several checks reads the two in two children.
+    Given a_values and no rows, the plain bound reads the rows derived from
+    a_values.
     """
     return _run([_d_upper(hi)], a_values, rows)[0]
 
@@ -365,10 +386,9 @@ def _quarter_bound(hi: int) -> _Sweep:
             fact *= n - 1
             power *= 4
         row = w[-1]
-        d4 = row.d ** 4
-        k = _log2_exact(row.d)  # on the orbit d is 2^k, and x_den * d a shift
-        if d4 > 1 << (n + 1):
-            return n, f"d({n})^4 = {decimal_text(d4)} exceeds 2^{n+1}"
+        k = _log2_exact(row.d)  # on the orbit d = 2^k: d^4 > 2^(n+1) is 4k > n+1, x_den * d a shift
+        if (row.d ** 4 > 1 << (n + 1)) if k is None else 4 * k > n + 1:
+            return n, f"d({n})^4 = {decimal_text(row.d ** 4)} exceeds 2^{n+1}"
         if (row.x_den * row.d if k is None else row.x_den << k) != w[-2].a:
             return n, f"D({n}) * d({n}) != a({n-1})"
         if n >= 4 and row.x_den <= 1:
@@ -531,21 +551,22 @@ def _replay(hits: list[tuple[int, str]], error: Optional[Exception]) -> Iterator
 
 
 class _ForkedTail:
-    """A sweep's tail, read in a forked child from the given leading values.
+    """One part of the named sweep's tail, read in a forked child from the
+    given leading values.
 
     The child reads at most MAX_COUNTEREXAMPLES counterexamples, stopping at
-    the exception the tail raises if it does, and sends them, that exception
+    the exception the part raises if it does, and sends them, that exception
     and the seconds the reading took through a pipe. Its whole body ends in
     os._exit, so it never returns into the caller's frames, runs no atexit
     handler and flushes no inherited buffer; it collects no garbage, so no
     inherited finalizer runs in it either.
     """
 
-    def __init__(self, sweep: _Sweep, values: Sequence[int]) -> None:
+    def __init__(self, name: str, part: Tail, values: Sequence[int]) -> None:
         import gc
         import pickle  # here, so that the child imports nothing
 
-        self.name = sweep.name
+        self.name = name
         read_end, write_end = os.pipe()
         try:
             pid = os.fork()
@@ -561,7 +582,7 @@ class _ForkedTail:
                 start = perf_counter()
                 hits, error = [], None
                 try:
-                    hits.extend(islice(sweep.then(values), MAX_COUNTEREXAMPLES))
+                    hits.extend(islice(part(values), MAX_COUNTEREXAMPLES))
                 except Exception as raised:  # sent, and raised where the parent reads it
                     error = raised
                 seconds = perf_counter() - start
@@ -575,7 +596,7 @@ class _ForkedTail:
         self.fd: Optional[int] = read_end
 
     def read(self) -> tuple[Iterator[tuple[int, str]], float]:
-        """The child's counterexamples, raising where the tail raised, and the
+        """The child's counterexamples, raising where the part raised, and the
         seconds it took; reaps the child."""
         import pickle
 
@@ -602,6 +623,14 @@ class _ForkedTail:
             self.pid = None
 
 
+def _read(tails: list[_ForkedTail]) -> tuple[Iterator[tuple[int, str]], float]:
+    """A tail read in forked parts, as _Sweep.result takes it: the parts'
+    counterexamples in order, a part's error raised before any later part's
+    counterexamples, and the parts' seconds summed. Reaps every child."""
+    reads = [tail.read() for tail in tails]
+    return chain.from_iterable(hits for hits, _ in reads), sum(seconds for _, seconds in reads)
+
+
 def _run(sweeps: list[_Sweep], a_values: Optional[Sequence[int]] = None,
          rows: Optional[Sequence[SeqRow]] = None) -> list[CheckResult]:
     """The sweeps' results: one walk over the rows and the values, and each
@@ -611,13 +640,15 @@ def _run(sweeps: list[_Sweep], a_values: Optional[Sequence[int]] = None,
     that some sweep reads whole is kept. Rows, when not given, are derived
     once from those values, through a tee that the walk drains in step.
 
-    A run of two or more sweeps, where os.fork exists, starts each tail that
-    has its leading values in a child of its own (_ForkedTail) as soon as the
-    prefix is built, walks meanwhile, and then reads each child's
-    counterexamples in the sweep's place: the results, and the errors raised,
-    are those of reading every tail in process, as a run of one sweep does.
-    Every child is reaped before _run returns or raises; an error or an
-    interrupt kills the children not yet read.
+    A run of two or more sweeps, where os.fork exists, starts each part of
+    each tail that has its leading values in a child of its own (_ForkedTail)
+    as soon as the prefix is built, walks meanwhile, and then reads each
+    sweep's children in the sweep's place, their counterexamples in the order
+    of the parts and under the one MAX_COUNTEREXAMPLES cap, and the sweep's
+    seconds the sum of its parts' seconds. So the results, and the errors
+    raised, are those of reading every tail in process, as a run of one sweep
+    does. Every child is reaped before _run returns or raises; an error, an
+    interrupt or a fork that fails kills the children not yet read.
     """
     source = iter(a_values) if a_values is not None else a_iter()
     prefix = list(islice(source, max([0] + [s.prefix for s in sweeps])))
@@ -627,20 +658,23 @@ def _run(sweeps: list[_Sweep], a_values: Optional[Sequence[int]] = None,
     walked = max([0] + [s.need for s in on_rows])
     ahead = max([walked if derive else 0] + [s.need for s in on_values])
     values: Iterable[int] = chain(prefix, islice(source, max(0, ahead - len(prefix))))
-    forked: dict[int, _ForkedTail] = {}
+    forked: dict[int, list[_ForkedTail]] = {}
     try:
         if len(sweeps) > 1 and hasattr(os, "fork"):
             for i, s in enumerate(sweeps):
-                if s.then is not None and len(prefix) >= s.prefix:
-                    forked[i] = _ForkedTail(s, prefix)
+                if s.parts and len(prefix) >= s.prefix:
+                    forked[i] = []
+                    for part in s.parts:  # each child is in `forked` before the next fork
+                        forked[i].append(_ForkedTail(s.name, part, prefix))
         if derive:
             values, for_rows = tee(values)
             rows = _derive_rows(islice(for_rows, walked))
         _walk((islice(rows or (), walked), on_rows), (values, on_values))
-        return [s.result(prefix, forked[i].read() if i in forked else None) for i, s in enumerate(sweeps)]
+        return [s.result(prefix, _read(forked[i]) if i in forked else None) for i, s in enumerate(sweeps)]
     finally:
-        for tail in forked.values():
-            tail.close()
+        for tails in forked.values():
+            for tail in tails:
+                tail.close()
 
 
 def required_length(config: VerifyConfig) -> int:

@@ -75,9 +75,64 @@ MUTANTS = [
     (
         "prefix guard dropped",
         CHECKS,
-        "if s.then is not None and len(prefix) >= s.prefix:",
-        "if s.then is not None:",
+        "if s.parts and len(prefix) >= s.prefix:",
+        "if s.parts:",
         [T + "test_a_tail_short_of_its_prefix_raises_as_in_process"],
+    ),
+    # A tail in parts: d_upper's mechanism split where its cost halves, each
+    # part read in a child of its own.
+    (
+        "split skips n = h+1",
+        CHECKS,
+        "mechanism(half + 1, mech)",
+        "mechanism(half + 2, mech)",
+        [T + "test_the_mechanism_s_parts_cover_its_range_once_in_order"],
+    ),
+    (
+        "split reads n = h twice",
+        CHECKS,
+        "mechanism(half + 1, mech)",
+        "mechanism(half, mech)",
+        [T + "test_the_mechanism_s_parts_cover_its_range_once_in_order"],
+    ),
+    (
+        "parts replayed in reverse",
+        CHECKS,
+        "reads = [tail.read() for tail in tails]",
+        "reads = [tail.read() for tail in reversed(tails)]",
+        [T + "test_the_mechanism_s_parts_report_as_in_process",
+         T + "test_a_part_s_error_raises_before_the_later_parts_hits"],
+    ),
+    (
+        "a part's seconds dropped",
+        CHECKS,
+        "sum(seconds for _, seconds in reads)",
+        "reads[0][1]",
+        [T + "test_a_tail_s_time_reaches_elapsed_ms"],
+    ),
+    (
+        "only the first part forked",
+        CHECKS,
+        "for part in s.parts:  # each child",
+        "for part in s.parts[:1]:  # each child",
+        [T + "test_the_mechanism_s_parts_report_as_in_process", T + "test_no_child_outlives_run_all"],
+    ),
+    (
+        "children listed only after every fork",
+        CHECKS,
+        "                    forked[i] = []\n"
+        "                    for part in s.parts:  # each child is in `forked` before the next fork\n"
+        "                        forked[i].append(_ForkedTail(s.name, part, prefix))\n",
+        "                    forked[i] = [_ForkedTail(s.name, part, prefix) for part in s.parts]\n",
+        [T + "test_no_child_outlives_a_fork_that_fails"],
+    ),
+    # quarter_bound decides d^4 > 2^(n+1) from the exponent where d = 2^k.
+    (
+        "d^4 exponent test weakened to >=",
+        CHECKS,
+        "else 4 * k > n + 1:",
+        "else 4 * k >= n + 1:",
+        [T + "test_quarter_bound_decides_d4_at_the_boundary"],
     ),
     # The power-of-two kernel without its guard lets d = 0 through.
     (

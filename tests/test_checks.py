@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import sys
@@ -455,6 +456,16 @@ def test_quarter_bound_matches_multiplying_by_d(values, data):
     assert check_quarter_bound_and_D(hi, rows).counterexamples == _quarter_bound_reference(hi, rows)
 
 
+@given(st.integers(1, 37), st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1]))
+def test_quarter_bound_decides_d4_at_the_boundary(rows150, k, offset, nudge):
+    # d = 2^k at n with 4k = n + 1 + offset decides by 4k > n + 1; d = 2^k +- 1
+    # is no power of two (for k > 1) and decides by d^4 > 2^(n+1).
+    n = 4 * k - 1 - offset
+    rows = list(rows150)
+    rows[n] = replace(rows[n], d=(1 << k) + nudge)
+    assert check_quarter_bound_and_D(HI, rows).counterexamples == _quarter_bound_reference(HI, rows)
+
+
 def _e_q_reference(hi, rows):
     cex = []
     first_q = (1, 1, 1, 1, 5, 13, 19, 29)
@@ -868,6 +879,11 @@ def _outcome(sweeps):
         return type(error), str(error)
 
 
+def _late_hits(values):
+    for n in range(MAX_COUNTEREXAMPLES):
+        yield 50 + n, "late"
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -912,7 +928,7 @@ def test_no_child_outlives_a_walk_that_raises(forks, error):
 def test_no_child_outlives_run_all(forks):
     results = run_all(VerifyConfig(max_n=40, series_order=20, oracle_max=5))
     assert all(r.passed for r in results)
-    assert len(forks) == 5  # congruence, d_upper, involutions, series and sign_flip
+    assert len(forks) == 6  # congruence, d_upper's two parts, involutions, series and sign_flip
     _assert_no_child_left()
 
 
@@ -952,8 +968,11 @@ def test_without_fork_tails_are_read_in_process(monkeypatch):
 
 @pytest.mark.parametrize("others", [0, 1], ids=["alone", "beside another"])
 def test_a_tail_s_time_reaches_elapsed_ms(others):
-    sweeps = [_tail_sweep("sleepy", _sleeps(0.05))] + [_tail_sweep("quiet", lambda v: ())] * others
-    assert checks._run(sweeps, list(range(100)))[0].elapsed_ms >= 50
+    # Beside another sweep, each part is read in a child of its own, and the
+    # two children's seconds add up.
+    sleepy = _tail_sweep("sleepy", (_sleeps(0.05), _sleeps(0.05)))
+    sweeps = [sleepy] + [_tail_sweep("quiet", lambda v: ())] * others
+    assert checks._run(sweeps, list(range(100)))[0].elapsed_ms >= 100
 
 
 @fork_only
@@ -970,3 +989,89 @@ def test_a_tail_short_of_its_prefix_raises_as_in_process(forks):
         checks._run([wide(), checks._Sweep("quiet", 0, 5, then=lambda v: ())], values)
     assert len(forks) == 1
     _assert_no_child_left()
+
+
+@fork_only
+@pytest.mark.parametrize("walk_fails", [0, 21, 22])
+def test_a_part_s_error_raises_before_the_later_parts_hits(forks, walk_fails):
+    # Part 1 yields 3 and then raises, part 2 yields a full report: the raise
+    # is reached unless the walk's finds and part 1's 3 fill the report first.
+    def sweeps():
+        return [_tail_sweep("parts", (_three_then_boom, _late_hits), walk_fails),
+                _tail_sweep("quiet", lambda v: ())]
+
+    in_process = _outcome(sweeps()[:1])
+    assert not forks
+    forked = _outcome(sweeps())
+    assert len(forks) == 3
+    if walk_fails < 22:
+        assert forked == in_process == (ValueError, "boom")
+    else:
+        assert forked == in_process + [("pass", [])]
+        assert [text for _, text in forked[0][1]] == ["walk"] * 22 + ["tail"] * 3
+    _assert_no_child_left()
+
+
+@fork_only
+def test_no_child_outlives_a_fork_that_fails(monkeypatch):
+    # The second fork fails: the child already reading part 1 is killed and
+    # reaped, not left asleep.
+    real_fork, calls = os.fork, []
+
+    def fork():
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError(errno.EAGAIN, "no process left")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    sweeps = [_tail_sweep("parts", (_sleeps(30), lambda v: ())), _tail_sweep("quiet", lambda v: ())]
+    start = time.perf_counter()
+    with pytest.raises(OSError, match="no process left"):
+        checks._run(sweeps, list(range(100)))
+    assert time.perf_counter() - start < 15  # the sleeping child is killed, not waited for
+    assert len(calls) == 2
+    _assert_no_child_left()
+
+
+# With hi = 100 the mechanism's parts are n = 1..85 and 86..100. A changed a_k
+# breaks the convolution at every n >= k/2, and nowhere else.
+MECH_SPLIT_CASES = {
+    "first failing n in part 1, report full there": (100, range(50, 75)),
+    "all in part 2": (180, range(90, 101)),
+    "in each part": (166, range(83, 101)),
+    "full report across the split": (150, range(75, 100)),
+}
+
+
+@fork_only
+@pytest.mark.parametrize("k, failing", list(MECH_SPLIT_CASES.values()), ids=list(MECH_SPLIT_CASES))
+def test_the_mechanism_s_parts_report_as_in_process(forks, a150, k, failing):
+    assert checks._cost_half(100) == 85
+    bad = list(a150[:201])
+    bad[k] += 2
+    in_process = check_d_upper(100, a_values=bad)
+    assert not forks
+    forked = checks._run([checks._d_upper(100), checks._Sweep("empty", 0, 0)], bad)[0]
+    assert len(forks) == 2
+    assert forked.counterexamples == in_process.counterexamples
+    assert [n for n, _ in forked.counterexamples] == list(failing)
+    assert all("convolution at 2n" in text for _, text in forked.counterexamples)
+    _assert_no_child_left()
+
+
+def _cube_sum(m):
+    return sum(k ** 3 for k in range(m + 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, checks.DEFAULT_MECHANISM_HI + 100))
+def test_the_mechanism_s_parts_cover_its_range_once_in_order(hi):
+    # Zeros break the convolution at every n, so each part yields each n it reads.
+    mech = min(hi, checks.DEFAULT_MECHANISM_HI)
+    half = checks._cost_half(mech)
+    assert 2 * _cube_sum(half) >= _cube_sum(mech) > 2 * _cube_sum(half - 1)
+    zeros = [0] * (2 * mech + 2)
+    first, second = checks._d_upper(hi).parts
+    assert [n for n, _ in first(zeros)] == list(range(1, half + 1))
+    assert [n for n, _ in second(zeros)] == list(range(half + 1, mech + 1))
