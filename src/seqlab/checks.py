@@ -15,6 +15,11 @@ process. Either way the results are the same. Checks accept precomputed
 a_values/rows so callers can feed deliberately corrupted data and confirm the
 sweeps catch it; a check given values and no rows reads the rows derived from
 those values.
+
+This module owns that protocol: the sweep (_Sweep, with Hit, Step, Tail and
+MAX_COUNTEREXAMPLES), the walk, the forked tails and the driver. Every check's
+sweep is built here, involutions' too, whose public check_involution_identity
+stays in involutions and runs through _run like the rest.
 """
 
 import os
@@ -26,8 +31,8 @@ from time import perf_counter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exact import gcd, primes_upto
-from .involutions import _involutions
-from .report import MAX_COUNTEREXAMPLES, CheckResult, Hit, Tail, VerifyConfig, _Sweep, decimal_text
+from .involutions import ENUMERATION_MAX, count_involutions_enum
+from .report import FAIL, PASS, CheckResult, VerifyConfig, decimal_text
 from .sequences import (
     SeqRow,
     _derive_rows,
@@ -57,6 +62,67 @@ _FILTER_BITS = 96
 # A step reads item n and the eight items before it at most: the six-step
 # recurrences tie n to n - 4 and n - 8.
 _WINDOW = 9
+
+# A failing sweep reports at most this many witnesses; more adds no signal.
+MAX_COUNTEREXAMPLES = 25
+
+Hit = Optional[tuple[int, str]]
+Step = Callable[[int, Sequence], Hit]
+Tail = Callable[[Sequence[int]], Iterable[tuple[int, str]]]
+
+
+class _Sweep:
+    """One check: its steps over a walk, then the counterexamples its tail
+    reads off the leading companion values.
+
+    A step (first, last, step) is called as step(n, window) at each index
+    first <= n <= last of the walk, with window[-1] item n and window[-1-k]
+    item n-k (k <= 8); it returns an (n, detail) counterexample or None. `rows`
+    says whether the walk is over rows or over the companion values. Each
+    step's counterexamples follow those of the steps before it, and those of
+    the tail follow them all. The tail is `parts`, a tuple of callables, empty
+    for none: part(values) iterates over counterexamples read off the leading
+    values that result() is handed. The parts' counterexamples follow one
+    another in order, and no part reads anything of another, so each can be
+    read apart (see _run). MAX_COUNTEREXAMPLES are kept; a step whose finds
+    could no longer be kept is not called again, and the tail is read no
+    further than needed: a part is not called before the parts ahead of it
+    are read out.
+
+    The sweep reads the companion values a_0..a_{R-1} with R = max(need,
+    prefix). `need` is how far the walk goes: one past the last index a step
+    reads; the walk checks that its input reaches it. `prefix` is how many
+    leading values the parts read; result() checks that it is handed them,
+    even when no part is read. A range that ends before n = 0 is rejected when
+    the sweep is built.
+    """
+
+    def __init__(self, name: str, lo: int, hi: int, *steps: tuple[int, int, Step], rows: bool = True,
+                 parts: tuple[Tail, ...] = (), prefix: int = 0) -> None:
+        if hi < 0:
+            raise ValueError(f"{name} ends at n = {hi}, before n = 0")
+        self.name, self.lo, self.hi, self.rows = name, lo, hi, rows
+        self.parts, self.prefix = parts, prefix
+        self.steps = [(first, last, step, []) for first, last, step in steps]
+        self.need = max((last + 1 for _, last, _ in steps), default=0)
+        self.seconds = 0.0
+
+    def result(self, values: Sequence[int] = (),
+               tail: Optional[tuple[Iterable[tuple[int, str]], float]] = None) -> CheckResult:
+        """The check's result, the tail reading the given leading values; reading
+        it counts toward the elapsed time. `tail`, when given, is the tail as
+        read elsewhere: its parts' counterexamples in order, which raise where a
+        part raised, and the seconds that reading its parts took, summed."""
+        if len(values) < self.prefix:
+            raise ValueError(f"{self.name} reads a_0..a_{self.prefix - 1}; the input stops at {len(values) - 1}")
+        start = perf_counter()
+        if tail is None:
+            tail = chain.from_iterable(part(values) for part in self.parts), 0.0
+        hits, seconds = tail
+        found = (found for _, _, _, found in self.steps)
+        cex = list(islice(chain(*found, hits), MAX_COUNTEREXAMPLES))
+        ms = int((self.seconds + seconds + perf_counter() - start) * 1000)
+        return CheckResult(self.name, self.lo, self.hi, FAIL if cex else PASS, cex, ms)
 
 
 def _walk(*streams: tuple[Iterable, list[_Sweep]]) -> None:
@@ -132,10 +198,7 @@ def _gap_side(n: int, p: int, q: int) -> int:
     return 1 if g >= n * qq else 0
 
 
-def _x_bounds(lo: int, hi: int) -> _Sweep:
-    if lo < 4:
-        raise ValueError("the strict bounds start at n = 4")
-
+def _x_bounds(hi: int) -> _Sweep:
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
         p, q = w[-1].x_num, w[-1].x_den
         side = -1 if 2 * p <= q else _gap_side(n, p, q)
@@ -144,31 +207,28 @@ def _x_bounds(lo: int, hi: int) -> _Sweep:
         if side > 0:
             return n, f"x({n}) = {decimal_text(w[-1].x)} is not below (1+sqrt({4*n+1}))/2"
 
-    return _Sweep("x_bounds", lo, hi, (lo, hi, step))
+    return _Sweep("x_bounds", 4, hi, (4, hi, step))
 
 
-def check_x_bounds(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
+def check_x_bounds(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
     """(1 + sqrt(4n-3))/2 < x_n < (1 + sqrt(4n+1))/2, strictly, for n >= 4.
 
     With x = p/q and t = 2p - q, x > (1 + sqrt(m))/2 means t > 0 and
     t^2 > m q^2 (the comparison cmp_shifted_sqrt makes). Given t > 0, both
     bounds are read off the quadratic gap's predicate (see _gap_side).
     """
-    return _run([_x_bounds(lo, hi)], rows=rows)[0]
+    return _run([_x_bounds(hi)], rows=rows)[0]
 
 
-def _mod4_exclusion(lo: int, hi: int) -> _Sweep:
-    if lo < 4:
-        raise ValueError("the exclusion argument starts at n = 4")
-
+def _mod4_exclusion(hi: int) -> _Sweep:
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
         if w[-1].x_den == 1:
             return n, f"x({n}) = {decimal_text(w[-1].x)} is an integer"
 
-    return _Sweep("mod4_exclusion", lo, hi, (lo, hi, step))
+    return _Sweep("mod4_exclusion", 4, hi, (4, hi, step))
 
 
-def check_mod4_exclusion(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
+def check_mod4_exclusion(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
     """No integer value of x_n is possible for n >= 4, and none occurs.
 
     If x_n were an integer, (2 x_n - 1)^2 would be an odd square strictly
@@ -177,25 +237,22 @@ def check_mod4_exclusion(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = No
     every n, so what the sweep checks is its consequence: every reduced
     denominator exceeds 1.
     """
-    return _run([_mod4_exclusion(lo, hi)], rows=rows)[0]
+    return _run([_mod4_exclusion(hi)], rows=rows)[0]
 
 
-def _quadratic_gap(lo: int, hi: int) -> _Sweep:
-    if lo < 4:
-        raise ValueError("the strict gap starts at n = 4")
-
+def _quadratic_gap(hi: int) -> _Sweep:
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
         p, q = w[-1].x_num, w[-1].x_den
         if _gap_side(n, p, q):
             gap = Fraction(p * (p - q), q * q)  # x^2 - x
             return n, f"x({n})^2 - x({n}) = {decimal_text(gap)} escapes ({n-1}, {n})"
 
-    return _Sweep("quadratic_gap", lo, hi, (lo, hi, step))
+    return _Sweep("quadratic_gap", 4, hi, (4, hi, step))
 
 
-def check_quadratic_gap(lo: int, hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
+def check_quadratic_gap(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
     """n - 1 < x_n^2 - x_n < n, strictly, for n >= 4."""
-    return _run([_quadratic_gap(lo, hi)], rows=rows)[0]
+    return _run([_quadratic_gap(hi)], rows=rows)[0]
 
 
 def _square_certainly_above(a: int, m: int) -> bool:
@@ -251,7 +308,7 @@ def _congruence(prime_limit: int, n_limit: int) -> _Sweep:
                 if a_values[n] % p != 1:
                     yield n, f"full-precision a({n}) is not 1 mod {p}"
 
-    return _Sweep("congruence", 3, n_limit, then=hits, prefix=cross + 1)
+    return _Sweep("congruence", 3, n_limit, parts=(hits,), prefix=cross + 1)
 
 
 def check_congruence(prime_limit: int, n_limit: int, a_values: Optional[Sequence[int]] = None) -> CheckResult:
@@ -309,7 +366,7 @@ def _d_upper(hi: int) -> _Sweep:
                     yield n, f"d({n+1}) does not divide the convolution value"
         return hits
 
-    return _Sweep("d_upper", 1, hi, (1, hi, step), then=(mechanism(1, half), mechanism(half + 1, mech)),
+    return _Sweep("d_upper", 1, hi, (1, hi, step), parts=(mechanism(1, half), mechanism(half + 1, mech)),
                   prefix=max(2 * mech + 1, mech + 2))
 
 
@@ -471,7 +528,7 @@ def _series(order: int) -> _Sweep:
             if idx is not None:
                 yield idx, f"{part}: first discrepancy at index {idx}"
 
-    return _Sweep("series", 0, order, then=hits, prefix=order + 1)
+    return _Sweep("series", 0, order, parts=(hits,), prefix=order + 1)
 
 
 def check_series_identities(order: int, a_values: Optional[Sequence[int]] = None) -> CheckResult:
@@ -491,7 +548,7 @@ def _sign_flip(seed: int) -> _Sweep:
             if lhs != rhs:
                 yield i, f"identity fails at sample {i}: x = {x}, n = {n}"
 
-    return _Sweep("sign_flip", 1, SIGN_FLIP_SAMPLES, then=hits)
+    return _Sweep("sign_flip", 1, SIGN_FLIP_SAMPLES, parts=(hits,))
 
 
 def check_sign_flip(seed: int = 0) -> CheckResult:
@@ -505,13 +562,26 @@ def check_sign_flip(seed: int = 0) -> CheckResult:
     return _run([_sign_flip(seed)])[0]
 
 
+def _involutions(max_n: int) -> _Sweep:
+    if max_n > ENUMERATION_MAX:
+        raise ValueError(f"enumeration capped at n = {ENUMERATION_MAX}")
+
+    def hits(a_values: Sequence[int]) -> Iterator[tuple[int, str]]:
+        for n in range(max_n + 1):
+            got = count_involutions_enum(n)
+            if got != a_values[n]:
+                yield n, f"enumerated {got} involutions but a({n}) = {decimal_text(a_values[n])}"
+
+    return _Sweep("involutions", 0, max_n, parts=(hits,), prefix=max_n + 1)
+
+
 # Keyed by each sweep's own name, read off the sweep the default config builds.
 _REGISTRY: dict[str, Callable[[VerifyConfig], _Sweep]] = {
     make(VerifyConfig()).name: make
     for make in (
-        lambda c: _x_bounds(4, c.max_n),
-        lambda c: _mod4_exclusion(4, c.max_n),
-        lambda c: _quadratic_gap(4, c.max_n),
+        lambda c: _x_bounds(c.max_n),
+        lambda c: _mod4_exclusion(c.max_n),
+        lambda c: _quadratic_gap(c.max_n),
         lambda c: _sqrt_factorial(c.max_n),
         lambda c: _congruence(c.prime_limit, c.max_n),
         lambda c: _d_power_of_two(c.max_n),

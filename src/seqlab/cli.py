@@ -4,17 +4,18 @@ Four subcommands: table emits the derived table as CSV or JSON, verify runs
 the check suite and renders a report, series prints generating-function
 coefficients plus identity outcomes, and oracle compares brute-force
 involution counts against the companion sequence. Exit status is 0 on
-success, 1 when a verification fails, 2 on usage errors.
+success, 1 when a verification fails, 2 on usage errors and on output that
+cannot be opened or written.
 """
 
 import argparse
 import decimal
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import fields
 from decimal import Decimal
 from operator import attrgetter
-from typing import IO, ContextManager, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from . import __version__
 from .checks import required_length, run_all
@@ -27,6 +28,8 @@ from .series import egf_F, series_identity_parts
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+_T = TypeVar("_T")
 
 # Everything stays exact at any size, but an unbounded --max is a footgun.
 MAX_N_CEILING = 20000
@@ -80,33 +83,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage_error(message: str) -> int:
-    print(f"seqlab: {message}", file=sys.stderr)
-    return EXIT_USAGE
+class _UsageError(Exception):
+    """What main prints to stderr before it exits with EXIT_USAGE."""
 
 
-def _open_out(path: Optional[str]) -> Optional[ContextManager[IO[str]]]:
-    """stdout or the file at path, to use in a with block.
-
-    None, after printing the usage message, if path cannot be opened for
-    writing; callers open it before doing any work.
-    """
-    if path is None:
-        return nullcontext(sys.stdout)
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        _usage_error(f"cannot write {path}: {exc.strerror}")
-        return None
-
-
-def _check_range(flag: str, value: int, lo: int, hi: int) -> Optional[int]:
+def _check_range(flag: str, value: int, lo: int, hi: int) -> None:
     if value < lo:
         floor = "nonnegative" if lo == 0 else f"at least {lo}"
-        return _usage_error(f"{flag} must be {floor}")
+        raise _UsageError(f"{flag} must be {floor}")
     if value > hi:
-        return _usage_error(f"{flag} is capped at {hi}")
-    return None
+        raise _UsageError(f"{flag} is capped at {hi}")
+
+
+@contextmanager
+def _output(path: Optional[str]) -> Iterator[Callable[[str], None]]:
+    """A write function for stdout or the file at path.
+
+    The file is opened on entry, so a command enters after checking its flags
+    and before doing any work. An OSError from opening, writing, flushing or
+    closing the output raises _UsageError naming it; any other error in the
+    with block, a failed fork included, passes through unchanged.
+    """
+    name = "stdout" if path is None else path
+
+    def guarded(op: Callable[..., _T], *args: object) -> _T:
+        try:
+            return op(*args)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {name}: {exc.strerror}") from None
+
+    fh = sys.stdout if path is None else guarded(lambda: open(path, "w", encoding="utf-8"))
+    try:
+        yield lambda text: guarded(fh.write, text)
+        guarded(fh.flush)
+    finally:
+        if path is not None:
+            guarded(fh.close)
 
 
 def _row_strings(rows: Iterable[SeqRow]) -> Iterator[list[str]]:
@@ -179,39 +191,30 @@ def _row_strings(rows: Iterable[SeqRow]) -> Iterator[list[str]]:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    bad = _check_range("--max", args.max, 0, MAX_N_CEILING)
-    if bad is not None:
-        return bad
-    out = _open_out(args.out)
-    if out is None:
-        return EXIT_USAGE
-    with out as fh:
+    _check_range("--max", args.max, 0, MAX_N_CEILING)
+    with _output(args.out) as write:
         strings = _row_strings(iter_rows(args.max))
         if args.format == "csv":
-            fh.write(CSV_HEADER + "\n")
+            write(CSV_HEADER + "\n")
             for cols in strings:
-                fh.write(",".join(cols) + "\n")
+                write(",".join(cols) + "\n")
         else:
-            fh.write("[\n")
+            write("[\n")
             for i, cols in enumerate(strings):
-                fh.write(("  " if i == 0 else ",\n  ") + _JSON_ROW.format(*cols))
-            fh.write("\n]\n")
+                write(("  " if i == 0 else ",\n  ") + _JSON_ROW.format(*cols))
+            write("\n]\n")
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    bad = (
-        _check_range("--max", args.max, 0, MAX_N_CEILING)
-        or _check_range("--order", args.order, 2, MAX_ORDER)
-        or _check_range("--primes", args.primes, 0, SIEVE_LIMIT)
-    )
-    if bad is not None:
-        return bad
+    _check_range("--max", args.max, 0, MAX_N_CEILING)
+    _check_range("--order", args.order, 2, MAX_ORDER)
+    _check_range("--primes", args.primes, 0, SIEVE_LIMIT)
     checks = None
     if args.checks is not None:
         checks = [name.strip() for name in args.checks.split(",") if name.strip()]
         if not checks:
-            return _usage_error("--checks given but empty")
+            raise _UsageError("--checks given but empty")
     config = VerifyConfig(
         max_n=args.max,
         prime_limit=args.primes,
@@ -222,53 +225,40 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         required_length(config)  # rejects unknown check names
     except ValueError as exc:
-        return _usage_error(str(exc))
-    out = _open_out(args.out)
-    if out is None:
-        return EXIT_USAGE
-    with out as fh:
+        raise _UsageError(str(exc)) from None
+    with _output(args.out) as write:
         doc = ReportDocument(tool_version=__version__, config=config, results=run_all(config))
-        fh.write(doc.to_json() if args.format == "json" else doc.to_text())
+        write(doc.to_json() if args.format == "json" else doc.to_text())
     return EXIT_OK if doc.aggregate == PASS else EXIT_FAIL
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    bad = _check_range("--order", args.order, 2, MAX_ORDER)
-    if bad is not None:
-        return bad
-    out = _open_out(args.out)
-    if out is None:
-        return EXIT_USAGE
-    a_values = a_seq(args.order)
-    f = egf_F(args.order, a_values)
-    parts = series_identity_parts(args.order, a_values)
-    with out as fh:
+    _check_range("--order", args.order, 2, MAX_ORDER)
+    with _output(args.out) as write:
+        a_values = a_seq(args.order)
+        f = egf_F(args.order, a_values)
+        parts = series_identity_parts(args.order, a_values)
         for n in range(min(args.order, 10) + 1):
-            fh.write(f"c[{n}] = {f.coeffs[n]}\n")
+            write(f"c[{n}] = {f.coeffs[n]}\n")
         for part in sorted(parts):
             idx = parts[part]
             if idx is None:
-                fh.write(f"PASS {part}\n")
+                write(f"PASS {part}\n")
             else:
-                fh.write(f"FAIL {part} (first discrepancy at index {idx})\n")
+                write(f"FAIL {part} (first discrepancy at index {idx})\n")
     return EXIT_OK if all(v is None for v in parts.values()) else EXIT_FAIL
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    bad = _check_range("--max", args.max, 0, ENUMERATION_MAX)
-    if bad is not None:
-        return bad
-    out = _open_out(args.out)
-    if out is None:
-        return EXIT_USAGE
-    a_values = a_seq(args.max)
-    all_match = True
-    with out as fh:
+    _check_range("--max", args.max, 0, ENUMERATION_MAX)
+    with _output(args.out) as write:
+        a_values = a_seq(args.max)
+        all_match = True
         for n in range(args.max + 1):
             count = count_involutions_enum(n)
             match = count == a_values[n]
             all_match = all_match and match
-            fh.write(
+            write(
                 f"n={n} enumerated={count} companion={a_values[n]} "
                 f"{'ok' if match else 'MISMATCH'}\n"
             )
@@ -290,7 +280,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _UsageError as exc:
+        print(f"seqlab: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def run() -> None:

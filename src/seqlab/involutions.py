@@ -5,12 +5,15 @@ count of involutions obeys the same recurrence as the companion sequence
 a_n (choose whether element n is fixed or swapped with one of n-1 others),
 so exhaustive enumeration gives an oracle for a_n that shares no code with
 the recurrence, the closed form, or the generating function.
+
+The check built on it, check_involution_identity, runs through the one driver
+in checks, like every other check; its sweep, _involutions, lives there too.
 """
 
 from itertools import permutations
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from .report import CheckResult, _Sweep, decimal_text
+from .report import CheckResult
 
 # 10! = 3628800 permutations enumerate in well under a second; 11! does not
 # stay cheap, and nothing in the package needs it.
@@ -37,23 +40,10 @@ def count_involutions_enum(n: int) -> int:
     return count
 
 
-def _involutions(max_n: int) -> _Sweep:
-    if max_n > ENUMERATION_MAX:
-        raise ValueError(f"enumeration capped at n = {ENUMERATION_MAX}")
-
-    def hits(a_values: Sequence[int]) -> Iterator[tuple[int, str]]:
-        for n in range(max_n + 1):
-            got = count_involutions_enum(n)
-            if got != a_values[n]:
-                yield n, f"enumerated {got} involutions but a({n}) = {decimal_text(a_values[n])}"
-
-    return _Sweep("involutions", 0, max_n, then=hits, prefix=max_n + 1)
-
-
 def check_involution_identity(
     max_n: int, a_values: Optional[Sequence[int]] = None
 ) -> CheckResult:
     """Confirm a_n equals the enumerated involution count for 0 <= n <= max_n."""
-    from .sequences import a_seq
+    from .checks import _involutions, _run  # checks imports this module
 
-    return _involutions(max_n).result(a_seq(max_n) if a_values is None else a_values)
+    return _run([_involutions(max_n)], a_values)[0]

@@ -27,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CHECKS = "seqlab/checks.py"
 T = "tests/test_checks.py::"
+S = "tests/test_sequences.py::"
 
 MUTANTS = [
     # The fork path: a check's tail read in a forked child while the walk runs.
@@ -39,7 +40,7 @@ MUTANTS = [
     ),
     (
         "tail time dropped",
-        "seqlab/report.py",
+        CHECKS,
         "ms = int((self.seconds + seconds + perf_counter() - start) * 1000)",
         "ms = int((self.seconds + perf_counter() - start) * 1000)",
         [T + "test_a_tail_s_time_reaches_elapsed_ms"],
@@ -146,9 +147,75 @@ MUTANTS = [
     (
         "a sweep's name changed",
         CHECKS,
-        '_Sweep("x_bounds", lo, hi, (lo, hi, step))',
-        '_Sweep("x_bound", lo, hi, (lo, hi, step))',
+        '_Sweep("x_bounds", 4, hi, (4, hi, step))',
+        '_Sweep("x_bound", 4, hi, (4, hi, step))',
         [T + "test_check_names_are_stable"],
+    ),
+    # The leading-bit filters: each may only decide what the exact test would.
+    (
+        "gap filter's lower end without c",
+        CHECKS,
+        "(n - 1) * (qh + c) * (qh + c) < ph * (ph - qh - c)",
+        "(n - 1) * qh * qh < ph * (ph - qh)",
+        [T + "test_gap_filter_is_exact_at_the_ends_of_the_window"],
+    ),
+    (
+        "gap filter's upper end without c",
+        CHECKS,
+        "(ph + c) * (ph + c - qh) < n * qh * qh",
+        "ph * (ph - qh) < n * qh * qh",
+        [T + "test_gap_filter_is_exact_at_the_ends_of_the_window"],
+    ),
+    (
+        "gap filter's c always 0",
+        CHECKS,
+        "    c = 1 if s else 0\n",
+        "    c = 0\n",
+        [T + "test_gap_filter_is_exact_at_the_ends_of_the_window"],
+    ),
+    (
+        "gap filter's ph >= qh + 1 guard dropped",
+        CHECKS,
+        "        and ph >= qh + 1\n",
+        "",
+        [T + "test_gap_filter_is_exact_off_the_orbit"],
+    ),
+    (
+        "square filter's > as >=",
+        CHECKS,
+        "return 2 * a.bit_length() - 1 > m.bit_length()",
+        "return 2 * a.bit_length() - 1 >= m.bit_length()",
+        [T + "test_square_filter_is_exact_where_it_decides"],
+    ),
+    # Row derivation shifts only where d_n is a power of two.
+    (
+        "row derivation's shift guard skipped",
+        "seqlab/sequences.py",
+        "k = _log2_exact(dn)",
+        "k = dn.bit_length() - 1",
+        [S + "test_row_divisors_shift_where_a_power_of_two_and_divide_elsewhere"],
+    ),
+    # The walk: step order, the counterexample cap, a step's own range.
+    (
+        "e_q's two steps swapped",
+        CHECKS,
+        "(0, hi, per_row), (8, hi, recurrence)",
+        "(8, hi, recurrence), (0, hi, per_row)",
+        [T + "test_e_q_recurrence_finds_follow_the_per_row_finds"],
+    ),
+    (
+        "the walk's cap test >= as >",
+        CHECKS,
+        "if kept >= MAX_COUNTEREXAMPLES:",
+        "if kept > MAX_COUNTEREXAMPLES:",
+        [T + "test_a_capped_step_is_not_called_again"],
+    ),
+    (
+        "integrality's n <= 3 as n < 3",
+        CHECKS,
+        "!= (n <= 3):",
+        "!= (n < 3):",
+        [T + "test_integrality_catches_both_directions"],
     ),
 ]
 

@@ -82,7 +82,7 @@ def test_criterion_02_integrality_via_cli(capsys):
 def test_criterion_03_sqrt_window(rows5000):
     with criterion(3):
         start = time.monotonic()
-        result = check_x_bounds(4, 2000, rows5000)
+        result = check_x_bounds(2000, rows5000)
         assert result.passed, result.counterexamples
         # Base equalities: x_1 and x_3 sit exactly on the lower edge.
         assert cmp_shifted_sqrt(Fraction(1), 1) == EQUAL
@@ -95,7 +95,7 @@ def test_criterion_03_sqrt_window(rows5000):
 
 def test_criterion_04_quadratic_gap(rows5000):
     with criterion(4):
-        result = check_quadratic_gap(4, 2000, rows5000)
+        result = check_quadratic_gap(2000, rows5000)
         assert result.passed, result.counterexamples
         x4 = rows5000[4].x
         assert x4 * x4 - x4 == Fraction(15, 4)

@@ -9,7 +9,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqlab import checks
@@ -64,9 +64,9 @@ def corrupted_rows(a150, index, factor):
 
 
 def test_all_checks_pass_on_clean_data(a150, rows150):
-    assert check_x_bounds(4, HI, rows150).passed
-    assert check_mod4_exclusion(4, HI, rows150).passed
-    assert check_quadratic_gap(4, HI, rows150).passed
+    assert check_x_bounds(HI, rows150).passed
+    assert check_mod4_exclusion(HI, rows150).passed
+    assert check_quadratic_gap(HI, rows150).passed
     assert check_sqrt_factorial_lower(HI, a150).passed
     assert check_congruence(97, HI, a150).passed
     assert check_d_power_of_two(HI, rows150).passed
@@ -84,20 +84,15 @@ def test_all_checks_pass_on_clean_data(a150, rows150):
 
 def test_x_bounds_catches_shifted_values(a150):
     rows = corrupted_rows(a150, 20, 3)
-    result = check_x_bounds(4, HI, rows)
+    result = check_x_bounds(HI, rows)
     assert not result.passed
     assert {n for n, _ in result.counterexamples} & {20, 21}
-
-
-def test_x_bounds_requires_lo_at_least_4(rows150):
-    with pytest.raises(ValueError):
-        check_x_bounds(1, HI, rows150)
 
 
 def test_x_bounds_reports_x_below_one_half(rows150):
     rows = list(rows150)
     rows[10] = replace(rows[10], x_num=1, x_den=3)
-    result = check_x_bounds(4, HI, rows)
+    result = check_x_bounds(HI, rows)
     assert result.counterexamples == [(10, "x(10) = 1/3 is not above (1+sqrt(37))/2")]
 
 
@@ -134,7 +129,7 @@ def rows_with_x_at_least_half(draw):
 @given(rows_with_x_at_least_half())
 def test_x_bounds_agrees_with_cmp_shifted_sqrt(rows):
     hi = len(rows) - 1
-    assert check_x_bounds(4, hi, rows).counterexamples == _x_bounds_reference(4, hi, rows)
+    assert check_x_bounds(hi, rows).counterexamples == _x_bounds_reference(4, hi, rows)
 
 
 def _gap_side_reference(n, p, q):
@@ -178,6 +173,10 @@ def _assert_gap_filter_and_fallback_exact(n, p, q):
 
 @settings(max_examples=500)
 @given(gap_cases_at_the_ends())
+# Past the 96-bit cut, where each end of the filter's interval needs its c:
+# x just above the top end at n = 1, and just below the bottom end at n = 2.
+@example((1, (2**96 + math.isqrt(5 * 2**192)) // 2 + 1, 2**96))
+@example((2, (2**96 + 3 + math.isqrt(5 * (2**96 + 3) ** 2)) // 2 - 1, 2**96 + 3))
 def test_gap_filter_is_exact_at_the_ends_of_the_window(case):
     _assert_gap_filter_and_fallback_exact(*case)
 
@@ -187,6 +186,9 @@ def test_gap_filter_is_exact_at_the_ends_of_the_window(case):
     st.tuples(gap_indices, st.integers(2**200, 2**400), st.integers(1, 9)),  # huge p, tiny q
     st.tuples(st.integers(-5, 10), st.integers(-2**100, 2**100), st.integers(-2**100, 2**100)),
 ))
+# x = 0 at n = 0 puts x^2 - x on the window's top end; only the ph >= qh + 1
+# guard keeps the filter from calling it inside.
+@example((0, 0, 2**96 + 1))
 def test_gap_filter_is_exact_off_the_orbit(case):
     _assert_gap_filter_and_fallback_exact(*case)
 
@@ -214,6 +216,7 @@ def square_cases(draw):
 
 
 @given(square_cases())
+@example((4, 16))  # 2 bitlen(a) - 1 = bitlen(m) with a^2 = m: undecided, not above
 def test_square_filter_is_exact_where_it_decides(case):
     a, m = case
     if _square_certainly_above(a, m):
@@ -251,9 +254,9 @@ def test_sqrt_factorial_matches_squaring_next_to_isqrt(steps):
 # Each check that reads rows or companion values, on inputs that cover its
 # range exactly (k = 0) or stop one item short (k = 1).
 COVERAGE_CASES = {
-    "x_bounds": lambda r, a, k: check_x_bounds(4, HI, r[: HI + 1 - k]),
-    "mod4_exclusion": lambda r, a, k: check_mod4_exclusion(4, HI, r[: HI + 1 - k]),
-    "quadratic_gap": lambda r, a, k: check_quadratic_gap(4, HI, r[: HI + 1 - k]),
+    "x_bounds": lambda r, a, k: check_x_bounds(HI, r[: HI + 1 - k]),
+    "mod4_exclusion": lambda r, a, k: check_mod4_exclusion(HI, r[: HI + 1 - k]),
+    "quadratic_gap": lambda r, a, k: check_quadratic_gap(HI, r[: HI + 1 - k]),
     "sqrt_factorial": lambda r, a, k: check_sqrt_factorial_lower(HI, a[: HI + 1 - k]),
     "congruence": lambda r, a, k: check_congruence(97, HI, a[: HI + 1 - k]),
     "d_power_of_two": lambda r, a, k: check_d_power_of_two(HI, r[: HI + 1 - k]),
@@ -280,7 +283,7 @@ def test_rows_must_cover_range(name, a150, rows150):
 def test_mod4_exclusion_catches_forced_integer(rows150):
     rows = list(rows150)
     rows[9] = replace(rows[9], x_den=1)
-    result = check_mod4_exclusion(4, HI, rows)
+    result = check_mod4_exclusion(HI, rows)
     assert not result.passed
     assert result.counterexamples[0][0] == 9
 
@@ -288,7 +291,7 @@ def test_mod4_exclusion_catches_forced_integer(rows150):
 def test_quadratic_gap_catches_planted_value(rows150):
     rows = list(rows150)
     rows[8] = replace(rows[8], x_num=3, x_den=1)
-    result = check_quadratic_gap(4, HI, rows)
+    result = check_quadratic_gap(HI, rows)
     assert not result.passed
     assert result.counterexamples[0][0] == 8
 
@@ -604,7 +607,7 @@ def test_series_check_names_the_index(a150):
 
 def _counting_sweep(calls, a_fails, b_range):
     """Step a fails where a_fails(n), step b at every index of b_range, and
-    `then` yields without end; calls counts what each was asked for."""
+    the tail yields without end; calls counts what each was asked for."""
 
     def step(name, fails):
         def run(n, window):
@@ -612,31 +615,31 @@ def _counting_sweep(calls, a_fails, b_range):
             return (n, name) if fails(n) else None
         return run
 
-    def then(values):
+    def tail(values):
         while True:
-            calls["then"] += 1
-            yield 0, "then"
+            calls["tail"] += 1
+            yield 0, "tail"
 
     return checks._Sweep("s", 0, 99, (0, 99, step("a", a_fails)),
-                         (*b_range, step("b", lambda n: True)), then=then)
+                         (*b_range, step("b", lambda n: True)), parts=(tail,))
 
 
 def test_a_capped_step_is_not_called_again():
     # a finds 10 in all; b stops once a and b together hold the cap, at n = 21,
-    # and `then` is never read.
-    calls = {"a": 0, "b": 0, "then": 0}
+    # and the tail is never read.
+    calls = {"a": 0, "b": 0, "tail": 0}
     sweep = _counting_sweep(calls, lambda n: n % 10 == 0, (0, 99))
     checks._walk((range(100), [sweep]))
     texts = [text for _, text in sweep.result().counterexamples]
-    assert (calls["a"], calls["b"], calls["then"]) == (100, 22, 0)
+    assert (calls["a"], calls["b"], calls["tail"]) == (100, 22, 0)
     assert texts == ["a"] * 10 + ["b"] * 15
-    # With 15 found on the walk, `then` is read for the 10 that fit.
-    calls = {"a": 0, "b": 0, "then": 0}
+    # With 15 found on the walk, the tail is read for the 10 that fit.
+    calls = {"a": 0, "b": 0, "tail": 0}
     sweep = _counting_sweep(calls, lambda n: n >= 90, (95, 99))
     checks._walk((range(100), [sweep]))
     texts = [text for _, text in sweep.result().counterexamples]
-    assert (calls["a"], calls["b"], calls["then"]) == (100, 5, 10)
-    assert texts == ["a"] * 10 + ["b"] * 5 + ["then"] * 10
+    assert (calls["a"], calls["b"], calls["tail"]) == (100, 5, 10)
+    assert texts == ["a"] * 10 + ["b"] * 5 + ["tail"] * 10
 
 
 def test_run_all_holds_no_table():
@@ -708,9 +711,9 @@ def test_counterexample_texts_print_values_past_the_str_digit_limit(a150, rows15
     a_oracle[3] = big
     with _int_str_digits(4300):  # CPython's default limit
         got = {
-            "x_bounds": check_x_bounds(4, HI, rows),
-            "quadratic_gap": check_quadratic_gap(4, HI, rows),
-            "mod4_exclusion": check_mod4_exclusion(4, HI, rows),
+            "x_bounds": check_x_bounds(HI, rows),
+            "quadratic_gap": check_quadratic_gap(HI, rows),
+            "mod4_exclusion": check_mod4_exclusion(HI, rows),
             "integrality": check_integrality(HI, rows),
             "parity": check_parity(HI, rows),
             "d_power_of_two": check_d_power_of_two(HI, rows),
@@ -795,6 +798,44 @@ def test_run_all_builds_each_sweep_once(monkeypatch):
     assert built == CHECK_NAMES
 
 
+# Each public check, keyed by the name of its sweep, with small arguments.
+PUBLIC_CHECKS = {
+    "x_bounds": (check_x_bounds, 20),
+    "mod4_exclusion": (check_mod4_exclusion, 20),
+    "quadratic_gap": (check_quadratic_gap, 20),
+    "sqrt_factorial": (check_sqrt_factorial_lower, 20),
+    "congruence": (check_congruence, 13, 20),
+    "d_power_of_two": (check_d_power_of_two, 20),
+    "d_upper": (check_d_upper, 20),
+    "e_q": (check_e_q, 20),
+    "d_formula": (check_d_formula, 20),
+    "quarter_bound": (check_quarter_bound_and_D, 20),
+    "parity": (check_parity, 20),
+    "integrality": (check_integrality, 20),
+    "a6_relation": (check_a6_relation, 20),
+    "series": (check_series_identities, 20),
+    "involutions": (check_involution_identity, 5),
+    "sign_flip": (check_sign_flip,),
+}
+
+
+def test_every_public_check_runs_through_the_driver(monkeypatch):
+    reached, real_run = [], checks._run
+
+    def spy(sweeps, *args, **kwargs):
+        reached.append([s.name for s in sweeps])
+        return real_run(sweeps, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "_run", spy)
+    for name, (check, *args) in PUBLIC_CHECKS.items():
+        reached.clear()
+        assert check(*args).passed, name
+        assert reached == [[name]], name
+    assert sorted(PUBLIC_CHECKS) == CHECK_NAMES
+    public = {f for f in dir(checks) if f.startswith("check_")} | {"check_involution_identity"}
+    assert {check.__name__ for check, *_ in PUBLIC_CHECKS.values()} == public
+
+
 def test_run_all_rejects_short_input():
     config = VerifyConfig(max_n=40, series_order=20, oracle_max=5)
     with pytest.raises(ValueError, match="too short"):
@@ -848,15 +889,15 @@ def forks(monkeypatch):
     return calls
 
 
-def _tail_sweep(name, then, walk_fails=0, fail=lambda n: None):
+def _tail_sweep(name, parts, walk_fails=0, fail=lambda n: None):
     """A sweep over the values 0..99 whose step finds a counterexample at each
-    index below walk_fails, calling fail(n) first, and whose tail is `then`."""
+    index below walk_fails, calling fail(n) first, and whose tail is `parts`."""
 
     def step(n, window):
         fail(n)
         return (n, "walk") if n < walk_fails else None
 
-    return checks._Sweep(name, 0, 99, (0, 99, step), rows=False, then=then, prefix=10)
+    return checks._Sweep(name, 0, 99, (0, 99, step), rows=False, parts=parts, prefix=10)
 
 
 def _three_then_boom(values):
@@ -866,10 +907,10 @@ def _three_then_boom(values):
 
 
 def _sleeps(seconds):
-    def then(values):
+    def part(values):
         time.sleep(seconds)
         return ()
-    return then
+    return part
 
 
 def _outcome(sweeps):
@@ -894,9 +935,9 @@ def _assert_no_child_left():
 def test_a_forked_tail_raises_where_the_tail_read_in_process_raises(forks, walk_fails):
     # The tail yields 3 and then raises; read in process, the raise is reached
     # unless the walk's finds and those 3 already fill MAX_COUNTEREXAMPLES.
-    in_process = _outcome([_tail_sweep("boom", _three_then_boom, walk_fails)])
+    in_process = _outcome([_tail_sweep("boom", (_three_then_boom,), walk_fails)])
     assert not forks
-    forked = _outcome([_tail_sweep("boom", _three_then_boom, walk_fails), _tail_sweep("quiet", lambda v: ())])
+    forked = _outcome([_tail_sweep("boom", (_three_then_boom,), walk_fails), _tail_sweep("quiet", (lambda v: (),))])
     assert len(forks) == 2
     if walk_fails < 22:
         assert forked == in_process == (ValueError, "boom")
@@ -915,7 +956,7 @@ def test_no_child_outlives_a_walk_that_raises(forks, error):
 
     # The short input makes the walk raise ValueError once it ends at index 49.
     values = list(range(50 if error is ValueError else 100))
-    sweeps = [_tail_sweep("walk", lambda v: (), fail=interrupt), _tail_sweep("slow", _sleeps(30))]
+    sweeps = [_tail_sweep("walk", (lambda v: (),), fail=interrupt), _tail_sweep("slow", (_sleeps(30),))]
     start = time.perf_counter()
     with pytest.raises(error):
         checks._run(sweeps, values)
@@ -938,7 +979,7 @@ def test_a_child_without_a_result_raises_naming_its_check(forks):
         yield 0, lambda: None
 
     with pytest.raises(RuntimeError, match="^odd: "):
-        checks._run([_tail_sweep("odd", unpicklable), _tail_sweep("quiet", lambda v: ())], list(range(100)))
+        checks._run([_tail_sweep("odd", (unpicklable,)), _tail_sweep("quiet", (lambda v: (),))], list(range(100)))
     assert len(forks) == 2
     _assert_no_child_left()
 
@@ -971,7 +1012,7 @@ def test_a_tail_s_time_reaches_elapsed_ms(others):
     # Beside another sweep, each part is read in a child of its own, and the
     # two children's seconds add up.
     sleepy = _tail_sweep("sleepy", (_sleeps(0.05), _sleeps(0.05)))
-    sweeps = [sleepy] + [_tail_sweep("quiet", lambda v: ())] * others
+    sweeps = [sleepy] + [_tail_sweep("quiet", (lambda v: (),))] * others
     assert checks._run(sweeps, list(range(100)))[0].elapsed_ms >= 100
 
 
@@ -979,14 +1020,14 @@ def test_a_tail_s_time_reaches_elapsed_ms(others):
 def test_a_tail_short_of_its_prefix_raises_as_in_process(forks):
     # The tail is not started; result() rejects the short prefix in its place.
     def wide():
-        return checks._Sweep("wide", 0, 5, then=lambda values: [(0, str(values[19]))], prefix=20)
+        return checks._Sweep("wide", 0, 5, parts=(lambda values: [(0, str(values[19]))],), prefix=20)
 
     values = list(range(10))
     message = "wide reads a_0..a_19; the input stops at 9"
     with pytest.raises(ValueError, match=message):
         checks._run([wide()], values)
     with pytest.raises(ValueError, match=message):
-        checks._run([wide(), checks._Sweep("quiet", 0, 5, then=lambda v: ())], values)
+        checks._run([wide(), checks._Sweep("quiet", 0, 5, parts=(lambda v: (),))], values)
     assert len(forks) == 1
     _assert_no_child_left()
 
@@ -998,7 +1039,7 @@ def test_a_part_s_error_raises_before_the_later_parts_hits(forks, walk_fails):
     # is reached unless the walk's finds and part 1's 3 fill the report first.
     def sweeps():
         return [_tail_sweep("parts", (_three_then_boom, _late_hits), walk_fails),
-                _tail_sweep("quiet", lambda v: ())]
+                _tail_sweep("quiet", (lambda v: (),))]
 
     in_process = _outcome(sweeps()[:1])
     assert not forks
@@ -1025,7 +1066,7 @@ def test_no_child_outlives_a_fork_that_fails(monkeypatch):
         return real_fork()
 
     monkeypatch.setattr(os, "fork", fork)
-    sweeps = [_tail_sweep("parts", (_sleeps(30), lambda v: ())), _tail_sweep("quiet", lambda v: ())]
+    sweeps = [_tail_sweep("parts", (_sleeps(30), lambda v: ())), _tail_sweep("quiet", (lambda v: (),))]
     start = time.perf_counter()
     with pytest.raises(OSError, match="no process left"):
         checks._run(sweeps, list(range(100)))

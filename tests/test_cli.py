@@ -1,7 +1,9 @@
 import decimal
+import errno
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -200,6 +202,46 @@ def test_unwritable_out_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
     assert main([*argv, "--out", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"seqlab: cannot write {path}: ")
     assert ran == []  # verify fails before any check runs
+
+
+def _seqlab(*argv):
+    return [sys.executable, "-m", "seqlab", *argv]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["table", "--max", "5"],
+    ["verify", "--max", "10", "--checks", "parity"],
+    ["series", "--order", "10"],
+    ["oracle", "--max", "3"],
+])
+def test_a_full_device_is_a_write_error(argv):
+    full = os.strerror(errno.ENOSPC)
+    proc = subprocess.run(_seqlab(*argv, "--out", "/dev/full"), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (2, f"seqlab: cannot write /dev/full: {full}\n")
+    with open("/dev/full", "w") as stdout:
+        proc = subprocess.run(_seqlab(*argv), stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (2, f"seqlab: cannot write stdout: {full}\n")
+
+
+def test_a_pipe_closed_after_one_line_is_a_write_error():
+    # The table runs to tens of MB, far past what the pipe buffers.
+    proc = subprocess.Popen(_seqlab("table", "--max", "3000"), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "n,a,x_num,x_den,d,e,q\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (2, f"seqlab: cannot write stdout: {os.strerror(errno.EPIPE)}\n")
+
+
+def test_an_os_error_in_the_work_is_not_a_write_error(monkeypatch, tmp_path):
+    # A fork that fails inside run_all raises OSError too; it is no output error.
+    def no_fork(config):
+        raise OSError(errno.EAGAIN, "fork failed")
+
+    monkeypatch.setattr(cli, "run_all", no_fork)
+    with pytest.raises(OSError, match="fork failed"):
+        main(["verify", "--max", "10", "--out", str(tmp_path / "report.txt")])
 
 
 def test_verify_text_output(capsys):
