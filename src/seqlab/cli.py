@@ -10,8 +10,9 @@ cannot be opened or written.
 
 import argparse
 import decimal
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import fields
 from decimal import Decimal
 from operator import attrgetter
@@ -110,15 +111,26 @@ def _output(path: Optional[str]) -> Iterator[Callable[[str], None]]:
         try:
             return op(*args)
         except OSError as exc:
+            if path is None:
+                # stdout keeps the text it could not write, and the flush at
+                # exit would fail again and turn exit status 2 into 120. Point
+                # stdout at the null device, as the Python docs advise.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
             raise _UsageError(f"cannot write {name}: {exc.strerror}") from None
 
     fh = sys.stdout if path is None else guarded(lambda: open(path, "w", encoding="utf-8"))
     try:
         yield lambda text: guarded(fh.write, text)
         guarded(fh.flush)
-    finally:
+    except BaseException:
         if path is not None:
-            guarded(fh.close)
+            with suppress(OSError):
+                fh.close()
+        raise
+    if path is not None:
+        guarded(fh.close)
 
 
 def _row_strings(rows: Iterable[SeqRow]) -> Iterator[list[str]]:

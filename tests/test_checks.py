@@ -273,9 +273,24 @@ COVERAGE_CASES = {
 }
 
 
+def _spy_on_run(monkeypatch):
+    """The names of the sweeps each call of checks._run is given."""
+    reached, real_run = [], checks._run
+
+    def spy(sweeps, *args, **kwargs):
+        reached.append([s.name for s in sweeps])
+        return real_run(sweeps, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "_run", spy)
+    return reached
+
+
 @pytest.mark.parametrize("name", sorted(COVERAGE_CASES))
-def test_rows_must_cover_range(name, a150, rows150):
+def test_rows_must_cover_range(name, a150, rows150, monkeypatch):
+    reached = _spy_on_run(monkeypatch)
     assert COVERAGE_CASES[name](rows150, a150, 0).passed
+    sweep = "d_upper" if name == "d_upper_mechanism" else name
+    assert reached == [[sweep]]  # each public check runs through the driver
     with pytest.raises(ValueError):
         COVERAGE_CASES[name](rows150, a150, 1)
 
@@ -798,42 +813,14 @@ def test_run_all_builds_each_sweep_once(monkeypatch):
     assert built == CHECK_NAMES
 
 
-# Each public check, keyed by the name of its sweep, with small arguments.
-PUBLIC_CHECKS = {
-    "x_bounds": (check_x_bounds, 20),
-    "mod4_exclusion": (check_mod4_exclusion, 20),
-    "quadratic_gap": (check_quadratic_gap, 20),
-    "sqrt_factorial": (check_sqrt_factorial_lower, 20),
-    "congruence": (check_congruence, 13, 20),
-    "d_power_of_two": (check_d_power_of_two, 20),
-    "d_upper": (check_d_upper, 20),
-    "e_q": (check_e_q, 20),
-    "d_formula": (check_d_formula, 20),
-    "quarter_bound": (check_quarter_bound_and_D, 20),
-    "parity": (check_parity, 20),
-    "integrality": (check_integrality, 20),
-    "a6_relation": (check_a6_relation, 20),
-    "series": (check_series_identities, 20),
-    "involutions": (check_involution_identity, 5),
-    "sign_flip": (check_sign_flip,),
-}
-
-
 def test_every_public_check_runs_through_the_driver(monkeypatch):
-    reached, real_run = [], checks._run
-
-    def spy(sweeps, *args, **kwargs):
-        reached.append([s.name for s in sweeps])
-        return real_run(sweeps, *args, **kwargs)
-
-    monkeypatch.setattr(checks, "_run", spy)
-    for name, (check, *args) in PUBLIC_CHECKS.items():
-        reached.clear()
-        assert check(*args).passed, name
-        assert reached == [[name]], name
-    assert sorted(PUBLIC_CHECKS) == CHECK_NAMES
+    reached = _spy_on_run(monkeypatch)
+    assert check_sign_flip().passed
+    assert reached == [["sign_flip"]]
+    # With sign_flip, the coverage cases call every public check.
+    assert sorted({*COVERAGE_CASES} - {"d_upper_mechanism"} | {"sign_flip"}) == CHECK_NAMES
     public = {f for f in dir(checks) if f.startswith("check_")} | {"check_involution_identity"}
-    assert {check.__name__ for check, *_ in PUBLIC_CHECKS.values()} == public
+    assert len(public) == len(CHECK_NAMES)
 
 
 def test_run_all_rejects_short_input():

@@ -20,7 +20,7 @@ from seqlab import __version__
 from seqlab.checks import CHECK_NAMES
 from seqlab.cli import _row_strings, main
 from seqlab.report import FAIL, CheckResult
-from seqlab.sequences import a_seq, rows_from_a
+from seqlab.sequences import a_seq, iter_rows, rows_from_a
 
 GOLDEN_TABLE = """n,a,x_num,x_den,d,e,q
 0,1,1,1,1,0,1
@@ -208,6 +208,11 @@ def _seqlab(*argv):
     return [sys.executable, "-m", "seqlab", *argv]
 
 
+# The output errors below are pinned with stdout buffered, as it is by
+# default, so the text a failed write leaves behind is flushed again at exit.
+_BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("argv", [
     ["table", "--max", "5"],
@@ -217,17 +222,19 @@ def _seqlab(*argv):
 ])
 def test_a_full_device_is_a_write_error(argv):
     full = os.strerror(errno.ENOSPC)
-    proc = subprocess.run(_seqlab(*argv, "--out", "/dev/full"), capture_output=True, text=True, timeout=120)
+    proc = subprocess.run(_seqlab(*argv, "--out", "/dev/full"), capture_output=True, text=True,
+                          env=_BUFFERED, timeout=120)
     assert (proc.returncode, proc.stderr) == (2, f"seqlab: cannot write /dev/full: {full}\n")
     with open("/dev/full", "w") as stdout:
-        proc = subprocess.run(_seqlab(*argv), stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+        proc = subprocess.run(_seqlab(*argv), stdout=stdout, stderr=subprocess.PIPE, text=True,
+                              env=_BUFFERED, timeout=120)
     assert (proc.returncode, proc.stderr) == (2, f"seqlab: cannot write stdout: {full}\n")
 
 
 def test_a_pipe_closed_after_one_line_is_a_write_error():
     # The table runs to tens of MB, far past what the pipe buffers.
     proc = subprocess.Popen(_seqlab("table", "--max", "3000"), stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True)
+                            stderr=subprocess.PIPE, text=True, env=_BUFFERED)
     assert proc.stdout.readline() == "n,a,x_num,x_den,d,e,q\n"
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
@@ -242,6 +249,18 @@ def test_an_os_error_in_the_work_is_not_a_write_error(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "run_all", no_fork)
     with pytest.raises(OSError, match="fork failed"):
         main(["verify", "--max", "10", "--out", str(tmp_path / "report.txt")])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_an_error_in_the_work_outlives_a_failing_close(monkeypatch):
+    # The header and two rows sit in the file's buffer, which close cannot flush.
+    def rows(max_n):
+        yield from iter_rows(1)
+        raise RuntimeError("work failed")
+
+    monkeypatch.setattr(cli, "iter_rows", rows)
+    with pytest.raises(RuntimeError, match="work failed"):
+        main(["table", "--max", "5", "--out", "/dev/full"])
 
 
 def test_verify_text_output(capsys):
