@@ -11,10 +11,10 @@ prefixes need. A check's tail reads only those leading values, so in a run of
 two or more checks, where os.fork exists, each tail is read in forked children
 while the walk goes on, one child for each of its parts (d_upper's mechanism
 has two, split where its cost halves); a run of one check reads its tail in
-process. Either way the results are the same. Checks accept precomputed
-a_values/rows so callers can feed deliberately corrupted data and confirm the
-sweeps catch it; a check given values and no rows reads the rows derived from
-those values.
+process, and so does a run whose fork fails. Either way the results are the
+same. Checks accept precomputed a_values/rows so callers can feed
+deliberately corrupted data and confirm the sweeps catch it; a check given
+values and no rows reads the rows derived from those values.
 
 This module owns that protocol: the sweep (_Sweep, with Hit, Step, Tail and
 MAX_COUNTEREXAMPLES), the walk, the forked tails and the driver. Every check's
@@ -341,7 +341,7 @@ def _cost_half(m: int) -> int:
 
     The mechanism's cost at n grows about as n^3, so it costs about as much
     on 1..h as on h+1..m: for m = 600, h = 505, and timed in process on a
-    2-vCPU host its cost halves between n = 477 and 506. Since
+    2-vCPU host its cost halves between n = 479 and 506. Since
     1^3 + ... + h^3 = (h(h+1)/2)^2, the test stays in ints.
     """
     whole = (m * (m + 1)) ** 2
@@ -701,6 +701,12 @@ def _read(tails: list[_ForkedTail]) -> tuple[Iterator[tuple[int, str]], float]:
     return chain.from_iterable(hits for hits, _ in reads), sum(seconds for _, seconds in reads)
 
 
+def _close(forked: dict[int, list[_ForkedTail]]) -> None:
+    for tails in forked.values():
+        for tail in tails:
+            tail.close()
+
+
 def _run(sweeps: list[_Sweep], a_values: Optional[Sequence[int]] = None,
          rows: Optional[Sequence[SeqRow]] = None) -> list[CheckResult]:
     """The sweeps' results: one walk over the rows and the values, and each
@@ -717,8 +723,10 @@ def _run(sweeps: list[_Sweep], a_values: Optional[Sequence[int]] = None,
     of the parts and under the one MAX_COUNTEREXAMPLES cap, and the sweep's
     seconds the sum of its parts' seconds. So the results, and the errors
     raised, are those of reading every tail in process, as a run of one sweep
-    does. Every child is reaped before _run returns or raises; an error, an
-    interrupt or a fork that fails kills the children not yet read.
+    does. A fork (or pipe) that fails with OSError kills and reaps the
+    children already started, and then every tail is read in process. Every
+    child is reaped before _run returns or raises; an error or an interrupt
+    kills the children not yet read.
     """
     source = iter(a_values) if a_values is not None else a_iter()
     prefix = list(islice(source, max([0] + [s.prefix for s in sweeps])))
@@ -731,20 +739,22 @@ def _run(sweeps: list[_Sweep], a_values: Optional[Sequence[int]] = None,
     forked: dict[int, list[_ForkedTail]] = {}
     try:
         if len(sweeps) > 1 and hasattr(os, "fork"):
-            for i, s in enumerate(sweeps):
-                if s.parts and len(prefix) >= s.prefix:
-                    forked[i] = []
-                    for part in s.parts:  # each child is in `forked` before the next fork
-                        forked[i].append(_ForkedTail(s.name, part, prefix))
+            try:
+                for i, s in enumerate(sweeps):
+                    if s.parts and len(prefix) >= s.prefix:
+                        forked[i] = []
+                        for part in s.parts:  # each child is in `forked` before the next fork
+                            forked[i].append(_ForkedTail(s.name, part, prefix))
+            except OSError:  # no pipe or no process to be had: read every tail in process
+                _close(forked)
+                forked.clear()
         if derive:
             values, for_rows = tee(values)
             rows = _derive_rows(islice(for_rows, walked))
         _walk((islice(rows or (), walked), on_rows), (values, on_values))
         return [s.result(prefix, _read(forked[i]) if i in forked else None) for i, s in enumerate(sweeps)]
     finally:
-        for tails in forked.values():
-            for tail in tails:
-                tail.close()
+        _close(forked)
 
 
 def required_length(config: VerifyConfig) -> int:

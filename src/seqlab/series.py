@@ -15,7 +15,10 @@ and the even-index convolution they imply,
 
 The last two are one identity: the coefficient of x^k in F(x) F(-x) is c_k / k!
 where c_k is that alternating convolution at k, and c_k vanishes for odd k
-whatever the a_m are. convolution_lhs is the single kernel for both.
+whatever the a_m are. convolution_lhs is the single kernel for both. It sums
+the terms in blocks of consecutive m, Horner's rule running on the small
+ratios C(2n, m+1) / C(2n, m) inside a block, so the big binomial C(2n, m)
+multiplies once per block instead of once per term.
 """
 
 from dataclasses import dataclass
@@ -24,6 +27,11 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .exact import odd_semifactorial
+
+# convolution_lhs grows a block of terms while its denominator (m+1)...(h-1)
+# stays below this, so inside a block big ints are multiplied only by ints of
+# a machine word or two.
+_BLOCK_BOUND = 1 << 60
 
 
 @dataclass(frozen=True)
@@ -119,19 +127,38 @@ def convolution_lhs(n: int, a_values: Sequence[int]) -> int:
     The terms at m and 2n - m carry the same binomial and, 2n being even, the
     same sign, for any input; so the sum over m < n is doubled and the middle
     term C(2n, n) a_n^2 added once.
+
+    The terms m < n are summed in blocks m..h-1, so that the big binomial
+    multiplies once per block, not once per term. Consecutive signed
+    binomials differ by the small ratio -(2n-i)/(i+1), so Horner's rule from
+    the block's top gives the block's sum as (-1)^m C(2n, m) acc / d, with acc
+    an int and d = (m+1)...(h-1); on the way down acc is carried over the
+    denominator so far, e = (i+1)...(h-1). The division is exact for any int
+    input, since its quotient is the block's sum. A block grows while d stays
+    below _BLOCK_BOUND, a bound on the indices alone.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if len(a_values) < 2 * n + 1:
         raise ValueError("need a_0..a_{2n}")
+    k = 2 * n
     half = 0
-    c = 1  # running C(2n, m)
-    for m in range(n):
-        term = c * a_values[m] * a_values[2 * n - m]
-        half += -term if m & 1 else term
-        c = c * (2 * n - m) // (m + 1)
-    middle = c * a_values[n] * a_values[n]
-    return 2 * half + (-middle if n & 1 else middle)
+    c = 1  # running (-1)^m C(2n, m)
+    m = 0
+    while m < n:
+        h, d = m + 1, 1
+        while h < n and d * h < _BLOCK_BOUND:
+            d *= h
+            h += 1
+        acc, e = a_values[h - 1] * a_values[k - h + 1], 1
+        for i in range(h - 2, m - 1, -1):
+            e *= i + 1
+            acc = a_values[i] * a_values[k - i] * e - (k - i) * acc
+        half += c * acc // d
+        for i in range(m, h):
+            c = -c * (k - i) // (i + 1)
+        m = h
+    return 2 * half + c * a_values[n] * a_values[n]
 
 
 def expected_convolution(n: int) -> int:

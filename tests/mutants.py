@@ -26,8 +26,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKS = "seqlab/checks.py"
+SERIES = "seqlab/series.py"
+INVOLUTIONS = "seqlab/involutions.py"
 T = "tests/test_checks.py::"
 S = "tests/test_sequences.py::"
+TS = "tests/test_series.py::"
+TI = "tests/test_involutions.py::"
 
 MUTANTS = [
     # The fork path: a check's tail read in a forked child while the walk runs.
@@ -121,10 +125,17 @@ MUTANTS = [
     (
         "children listed only after every fork",
         CHECKS,
-        "                    forked[i] = []\n"
-        "                    for part in s.parts:  # each child is in `forked` before the next fork\n"
-        "                        forked[i].append(_ForkedTail(s.name, part, prefix))\n",
-        "                    forked[i] = [_ForkedTail(s.name, part, prefix) for part in s.parts]\n",
+        "                        forked[i] = []\n"
+        "                        for part in s.parts:  # each child is in `forked` before the next fork\n"
+        "                            forked[i].append(_ForkedTail(s.name, part, prefix))\n",
+        "                        forked[i] = [_ForkedTail(s.name, part, prefix) for part in s.parts]\n",
+        [T + "test_no_child_outlives_a_fork_that_fails"],
+    ),
+    (
+        "a failed fork re-raised",
+        CHECKS,
+        "                forked.clear()\n",
+        "                raise\n",
         [T + "test_no_child_outlives_a_fork_that_fails"],
     ),
     # quarter_bound decides d^4 > 2^(n+1) from the exponent where d = 2^k.
@@ -216,6 +227,59 @@ MUTANTS = [
         "!= (n <= 3):",
         "!= (n < 3):",
         [T + "test_integrality_catches_both_directions"],
+    ),
+    (
+        "result() keeping 50",
+        CHECKS,
+        "cex = list(islice(chain(*found, hits), MAX_COUNTEREXAMPLES))",
+        "cex = list(islice(chain(*found, hits), 50))",
+        [T + "test_counterexamples_are_capped"],
+    ),
+    (
+        "the prefix one value short",
+        CHECKS,
+        "prefix = list(islice(source, max([0] + [s.prefix for s in sweeps])))",
+        "prefix = list(islice(source, max([0] + [s.prefix - 1 for s in sweeps])))",
+        [T + "test_no_child_outlives_run_all"],
+    ),
+    # The convolution in blocks: one big multiply per block, exact on any input.
+    (
+        "C(2n, m) advanced one index short at a block end",
+        SERIES,
+        "        for i in range(m, h):\n",
+        "        for i in range(m, h - 1):\n",
+        [TS + "test_convolution_equals_the_direct_sum_across_blocks"],
+    ),
+    (
+        "Horner's factor 2n - i as 2n - i - 1",
+        SERIES,
+        "- (k - i) * acc",
+        "- (k - i - 1) * acc",
+        [TS + "test_convolution_equals_the_direct_sum_across_blocks"],
+    ),
+    (
+        "the denominator updated after acc",
+        SERIES,
+        "            e *= i + 1\n"
+        "            acc = a_values[i] * a_values[k - i] * e - (k - i) * acc\n",
+        "            acc = a_values[i] * a_values[k - i] * e - (k - i) * acc\n"
+        "            e *= i + 1\n",
+        [TS + "test_convolution_equals_the_direct_sum_across_blocks"],
+    ),
+    # The enumeration's prefilter in C: run j of (n-1)! permutations has p[0] = j.
+    (
+        "itemgetter(0) in every run",
+        INVOLUTIONS,
+        "for p in filterfalse(itemgetter(j),",
+        "for p in filterfalse(itemgetter(0),",
+        [TI + "test_counts_small"],
+    ),
+    (
+        "runs of (n-1)! + 1",
+        INVOLUTIONS,
+        "islice(perms, run)",
+        "islice(perms, run + 1)",
+        [TI + "test_counts_small"],
     ),
 ]
 

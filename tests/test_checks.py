@@ -475,6 +475,7 @@ def test_quarter_bound_matches_multiplying_by_d(values, data):
 
 
 @given(st.integers(1, 37), st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1]))
+@example(k=5, offset=0, nudge=0)  # d = 2^5 at n = 19: d^4 = 2^(n+1), not above it
 def test_quarter_bound_decides_d4_at_the_boundary(rows150, k, offset, nudge):
     # d = 2^k at n with 4k = n + 1 + offset decides by 4k > n + 1; d = 2^k +- 1
     # is no power of two (for k > 1) and decides by d^4 > 2^(n+1).
@@ -677,12 +678,17 @@ def test_run_all_holds_no_table():
     assert peak < held / 4
 
 
-def test_counterexamples_are_capped():
+def test_counterexamples_are_capped(a150, rows150):
     # Garbage everywhere: every index fails, but the report stays bounded.
     garbage = [1, 1] + [3] * (HI - 1)
     result = check_sqrt_factorial_lower(HI, garbage)
     assert not result.passed
     assert len(result.counterexamples) == MAX_COUNTEREXAMPLES
+    # A tail's finds too: with a_1 off, d_upper's mechanism fails at every n.
+    bad = list(a150)
+    bad[1] += 1
+    result = check_d_upper(HI, rows150, bad)
+    assert [n for n, _ in result.counterexamples] == list(range(1, MAX_COUNTEREXAMPLES + 1))
 
 
 @contextmanager
@@ -1043,7 +1049,23 @@ def test_a_part_s_error_raises_before_the_later_parts_hits(forks, walk_fails):
 @fork_only
 def test_no_child_outlives_a_fork_that_fails(monkeypatch):
     # The second fork fails: the child already reading part 1 is killed and
-    # reaped, not left asleep.
+    # reaped, not left asleep, and every tail is then read in process, with
+    # the results of a run that never forked.
+    parent = os.getpid()
+
+    def sleeps_in_a_child(values):
+        if os.getpid() != parent:
+            time.sleep(30)
+        yield 60, "part 1"
+
+    def sweeps():
+        return [_tail_sweep("parts", (sleeps_in_a_child, _late_hits), walk_fails=3),
+                _tail_sweep("quiet", (lambda v: (),))]
+
+    def outcome(results):
+        return [(r.name, r.status, r.counterexamples) for r in results]
+
+    in_process = [outcome(checks._run([s], list(range(100)))) for s in sweeps()]
     real_fork, calls = os.fork, []
 
     def fork():
@@ -1053,12 +1075,12 @@ def test_no_child_outlives_a_fork_that_fails(monkeypatch):
         return real_fork()
 
     monkeypatch.setattr(os, "fork", fork)
-    sweeps = [_tail_sweep("parts", (_sleeps(30), lambda v: ())), _tail_sweep("quiet", (lambda v: (),))]
     start = time.perf_counter()
-    with pytest.raises(OSError, match="no process left"):
-        checks._run(sweeps, list(range(100)))
+    results = checks._run(sweeps(), list(range(100)))
     assert time.perf_counter() - start < 15  # the sleeping child is killed, not waited for
     assert len(calls) == 2
+    assert outcome(results) == [r for rs in in_process for r in rs]
+    assert results[0].counterexamples[:4] == [(0, "walk"), (1, "walk"), (2, "walk"), (60, "part 1")]
     _assert_no_child_left()
 
 
@@ -1094,6 +1116,7 @@ def _cube_sum(m):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, checks.DEFAULT_MECHANISM_HI + 100))
+@example(100)
 def test_the_mechanism_s_parts_cover_its_range_once_in_order(hi):
     # Zeros break the convolution at every n, so each part yields each n it reads.
     mech = min(hi, checks.DEFAULT_MECHANISM_HI)

@@ -242,13 +242,34 @@ def test_a_pipe_closed_after_one_line_is_a_write_error():
 
 
 def test_an_os_error_in_the_work_is_not_a_write_error(monkeypatch, tmp_path):
-    # A fork that fails inside run_all raises OSError too; it is no output error.
+    # An OSError raised inside run_all is no output error.
     def no_fork(config):
         raise OSError(errno.EAGAIN, "fork failed")
 
     monkeypatch.setattr(cli, "run_all", no_fork)
     with pytest.raises(OSError, match="fork failed"):
         main(["verify", "--max", "10", "--out", str(tmp_path / "report.txt")])
+
+
+def test_verify_reports_as_usual_when_no_fork_succeeds(monkeypatch, capsys):
+    args = ["verify", "--max", "40", "--order", "20", "--format", "json"]
+    assert main(args) == 0
+    forked = json.loads(capsys.readouterr().out)
+
+    calls = []
+
+    def fork():
+        calls.append(1)
+        raise OSError(errno.EAGAIN, "no process left")
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    assert main(args) == 0
+    in_process = json.loads(capsys.readouterr().out)
+    assert calls  # a fork was tried, and failed
+    for report in (forked, in_process):
+        for check in report["results"]:
+            check.pop("elapsed_ms")
+    assert in_process == forked
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

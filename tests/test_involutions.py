@@ -1,5 +1,9 @@
+from itertools import permutations
+from math import factorial
+
 import pytest
 
+from seqlab import involutions
 from seqlab.involutions import (
     ENUMERATION_MAX,
     check_involution_identity,
@@ -8,8 +12,42 @@ from seqlab.involutions import (
 from seqlab.sequences import a_seq
 
 
+def plain_scan(n):
+    """The enumeration with its prefilter in Python: every permutation is
+    visited in Python and tested on p[p[0]] == 0, then on every other i."""
+    count = 0
+    for p in permutations(range(n)):
+        if n and p[p[0]] != 0:
+            continue
+        for i in range(1, n):
+            if p[p[i]] != i:
+                break
+        else:
+            count += 1
+    return count
+
+
 def test_counts_small():
-    assert [count_involutions_enum(n) for n in range(8)] == [1, 1, 2, 4, 10, 26, 76, 232]
+    assert [count_involutions_enum(n) for n in range(11)] == [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496]
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_enumeration_matches_the_plain_scan(n):
+    assert count_involutions_enum(n) == plain_scan(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumeration_draws_every_permutation(monkeypatch, n):
+    drawn = []
+
+    def counted(items):
+        for p in permutations(items):
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(involutions, "permutations", counted)
+    count_involutions_enum(n)
+    assert len(drawn) == len(set(drawn)) == factorial(n)
 
 
 def test_count_domain():

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqlab.sequences import a_seq
@@ -124,8 +124,8 @@ def direct_convolution(n, a):
 
 
 def test_convolution_against_direct_sum():
-    a = a_seq(40)
-    for n in range(1, 21):
+    a = a_seq(160)
+    for n in range(1, 81):
         direct = direct_convolution(n, a)
         assert convolution_lhs(n, a) == direct
         assert direct == expected_convolution(n)
@@ -136,6 +136,29 @@ def test_convolution_against_direct_sum():
 def test_convolution_symmetric_sum_on_any_input(a):
     for n in range((len(a) - 1) // 2 + 1):
         assert convolution_lhs(n, a) == direct_convolution(n, a)
+
+
+# convolution_lhs sums the terms m < n in blocks that start at m = 0, 20, 33,
+# 45, 56, 67, 77, ..., the last one cut short at n: n = 20 is one whole block,
+# n = 21 adds a block of one term, n = 80 takes seven blocks.
+def _mixed(length):
+    """0, small ints of either sign and ints of up to 3000 bits, in turn."""
+    return [0 if i % 5 == 0 else (-1) ** i * (i + 1) << 1000 * (i % 4) for i in range(length)]
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=0, max_value=80).flatmap(lambda n: st.lists(
+    st.one_of(st.just(0), st.integers(min_value=-10**6, max_value=10**6),
+              st.integers(min_value=-(1 << 4000), max_value=1 << 4000)),
+    min_size=2 * n + 1, max_size=2 * n + 1)))
+@example(_mixed(41))
+@example(_mixed(43))
+@example(_mixed(67))
+@example(_mixed(69))
+@example(_mixed(161))
+def test_convolution_equals_the_direct_sum_across_blocks(a):
+    n = (len(a) - 1) // 2
+    assert convolution_lhs(n, a) == direct_convolution(n, a)
 
 
 def test_convolution_needs_enough_values():
