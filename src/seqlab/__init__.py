@@ -35,7 +35,6 @@ from .sequences import (
     table,
 )
 from .series import (
-    TruncatedSeries,
     convolution_lhs,
     egf_F,
     ps_derivative,
@@ -56,7 +55,7 @@ __all__ = [
     "a_seq", "a_mod", "e_closed", "d_closed",
     "moebius", "moebius_apply", "a6_step", "q_step",
     "table", "rows_from_a",
-    "TruncatedSeries", "series", "ps_mul", "ps_derivative",
+    "series", "ps_mul", "ps_derivative",
     "ps_exp", "egf_F", "convolution_lhs",
     "count_involutions_enum", "check_involution_identity",
     "CheckResult", "VerifyConfig", "ReportDocument",

@@ -35,8 +35,8 @@ _T = TypeVar("_T")
 # Everything stays exact at any size, but an unbounded --max is a footgun.
 MAX_N_CEILING = 20000
 
-# The series check grows about 8x per doubling of the order: 0.18 s at 600,
-# 1.39 s at 1200 and 21.7 s at 2400 (2-vCPU host). Beyond this it runs for
+# The series check grows about 10x per doubling of the order: 0.14 s at 600,
+# 1.3 s at 1200 and 11-17 s at 2400 (2-vCPU host). Beyond this it runs for
 # many minutes, so --order stops here for both verify and series.
 MAX_ORDER = 2400
 
@@ -157,11 +157,6 @@ def _row_strings(rows: Iterable[SeqRow]) -> Iterator[list[str]]:
     an operation that would round raises instead of printing a wrong digit,
     and a division by 2^j multiplies by 5^j and drops j digits that must be
     0. No step uses the thread's decimal context, which is left as it was.
-
-    Equal ints have equal strings, and neighbouring columns often hold the
-    same int: x_den_n equals x_num_{n-1} wherever d_n = d_{n-1}, and q_n
-    equals x_num_n wherever d_n = 2^{e_n}. So a value equal to one already
-    converted in this row or the previous one reuses that string.
     """
     ctx = decimal.Context(
         prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
@@ -186,18 +181,13 @@ def _row_strings(rows: Iterable[SeqRow]) -> Iterator[list[str]]:
     # x_num, x_den and d are Decimal(v).
     a1 = a2 = num1 = den1 = d1 = 0
     a1_s = a2_s = num1_s = den1_s = d1_s = Decimal(0)
-    prev: dict[int, str] = {}
     for row in rows:
-        values = n, a, num, den, d, e, q = columns(row)
+        n, a, num, den, d, e, q = columns(row)
         a_s = shadow(a, a1 + (n - 1) * a2, ctx.fma(a2_s, n - 1, a1_s))
         num_s = shadow(num, num1 + (n - 1) * den1, ctx.fma(den1_s, n - 1, num1_s))
         den_s = shadow(den, num1, num1_s)
         d_s = shadow(d, d1, d1_s)
-        cur: dict[int, str] = {}
-        for v, s in zip(values, (n, a_s, num_s, den_s, d_s, e, shadow(q, num, num_s))):
-            cur[v] = cur.get(v) or prev.get(v) or str(s)
-        prev = cur
-        yield [cur[v] for v in values]
+        yield [str(s) for s in (n, a_s, num_s, den_s, d_s, e, shadow(q, num, num_s))]
         a1, a2, num1, den1, d1 = a, a1, num, den, d
         a1_s, a2_s, num1_s, den1_s, d1_s = a_s, a1_s, num_s, den_s, d_s
 
@@ -248,10 +238,9 @@ def cmd_series(args: argparse.Namespace) -> int:
     _check_range("--order", args.order, 2, MAX_ORDER)
     with _output(args.out) as write:
         a_values = a_seq(args.order)
-        f = egf_F(args.order, a_values)
         parts = series_identity_parts(args.order, a_values)
-        for n in range(min(args.order, 10) + 1):
-            write(f"c[{n}] = {f.coeffs[n]}\n")
+        for n, c in enumerate(egf_F(min(args.order, 10), a_values)):
+            write(f"c[{n}] = {c}\n")
         for part in sorted(parts):
             idx = parts[part]
             if idx is None:

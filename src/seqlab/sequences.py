@@ -71,15 +71,10 @@ def a_mod(max_n: int, m: int) -> list[int]:
         raise ValueError("modulus must be at least 2")
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    out = [1 % m]
-    if max_n == 0:
-        return out
-    prev, cur = 1 % m, 1 % m
-    out.append(cur)
-    for n in range(max_n - 1):
-        prev, cur = cur, (cur + (n + 1) * prev) % m
-        out.append(cur)
-    return out
+    out = [1 % m, 1 % m]
+    for n in range(2, max_n + 1):
+        out.append((out[-1] + (n - 1) * out[-2]) % m)
+    return out[: max_n + 1]
 
 
 def e_closed(n: int) -> int:

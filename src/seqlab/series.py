@@ -1,9 +1,11 @@
 """Truncated formal power series over exact rationals.
 
-A series of order K stores coefficients c_0..c_K of x^0..x^K; every operation
-is exact and truncates at the smaller operand order where relevant. This is
-enough to state and verify identities about the exponential generating
-function F(x) = sum a_n x^n / n! = exp(x + x^2/2):
+A series of order K is a plain tuple of its K + 1 Fraction coefficients
+c_0..c_K of x^0..x^K, c_0 first; series() builds one from any ints or
+Fractions and rejects an empty one. Every operation is exact, and a product
+takes two series of one order and truncates at it. This is enough to state
+and verify identities about the exponential generating function
+F(x) = sum a_n x^n / n! = exp(x + x^2/2):
 
     F'(x) = (1 + x) F(x)
     F''(x) = (x + 1) F'(x) + F(x)
@@ -21,7 +23,6 @@ ratios C(2n, m+1) / C(2n, m) inside a block, so the big binomial C(2n, m)
 multiplies once per block instead of once per term.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
@@ -34,79 +35,62 @@ from .exact import odd_semifactorial
 _BLOCK_BOUND = 1 << 60
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    coeffs: tuple[Fraction, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i]
-
-
-def series(values: Sequence) -> TruncatedSeries:
+def series(values: Sequence) -> tuple[Fraction, ...]:
     """Build a series from any sequence of ints/Fractions, c_0 first."""
     if len(values) == 0:
         raise ValueError("a series needs at least the constant coefficient")
-    return TruncatedSeries(tuple(Fraction(v) for v in values))
+    return tuple(Fraction(v) for v in values)
 
 
-def _require_same_order(f: TruncatedSeries, g: TruncatedSeries) -> None:
-    if f.order != g.order:
-        raise ValueError(f"order mismatch: {f.order} != {g.order}")
-
-
-def ps_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+def ps_mul(f: Sequence[Fraction], g: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Cauchy product truncated at the common order.
 
     Scaling both factors to integers by their coefficient lcm keeps the inner
     convolution in int arithmetic; each output coefficient reduces once. This
     is dramatically faster than summing Fractions at order ~600.
     """
-    _require_same_order(f, g)
-    k = f.order
-    lf = lcm(*(c.denominator for c in f.coeffs))
-    lg = lcm(*(c.denominator for c in g.coeffs))
-    fi = [c.numerator * (lf // c.denominator) for c in f.coeffs]
-    gi = [c.numerator * (lg // c.denominator) for c in g.coeffs]
+    if len(f) != len(g):
+        raise ValueError(f"order mismatch: {len(f) - 1} != {len(g) - 1}")
+    lf = lcm(*(c.denominator for c in f))
+    lg = lcm(*(c.denominator for c in g))
+    fi = [c.numerator * (lf // c.denominator) for c in f]
+    gi = [c.numerator * (lg // c.denominator) for c in g]
     scale = lf * lg
     out = []
-    for n in range(k + 1):
+    for n in range(len(f)):
         s = sum(fi[j] * gi[n - j] for j in range(n + 1))
         out.append(Fraction(s, scale))
-    return TruncatedSeries(tuple(out))
+    return tuple(out)
 
 
-def ps_derivative(f: TruncatedSeries) -> TruncatedSeries:
+def ps_derivative(f: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Formal derivative; the order drops by one."""
-    if f.order < 1:
+    if len(f) < 2:
         raise ValueError("cannot differentiate an order-0 series")
-    return TruncatedSeries(tuple(j * f.coeffs[j] for j in range(1, f.order + 1)))
+    return tuple(j * f[j] for j in range(1, len(f)))
 
 
-def ps_exp(g: TruncatedSeries) -> TruncatedSeries:
+def ps_exp(g: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """exp of a series with zero constant term, to the same order.
 
     From E' = g' E: (n+1) E_{n+1} = sum_j j g_j E_{n+1-j}. Iterating only the
     nonzero terms of g matters when g is sparse (here g = x + x^2/2).
     """
-    if g.coeffs[0] != 0:
+    if g[0] != 0:
         raise ValueError("ps_exp requires zero constant term")
-    weighted = [(j, j * gj) for j, gj in enumerate(g.coeffs) if j > 0 and gj != 0]
+    weighted = [(j, j * gj) for j, gj in enumerate(g) if j > 0 and gj != 0]
     out = [Fraction(1)]
-    for n in range(g.order):
+    for n in range(len(g) - 1):
         s = Fraction(0)
         for j, wj in weighted:
             if j > n + 1:
                 break
             s += wj * out[n + 1 - j]
         out.append(s / (n + 1))
-    return TruncatedSeries(tuple(out))
+    return tuple(out)
 
 
-def egf_F(order: int, a_values: Sequence[int]) -> TruncatedSeries:
+def egf_F(order: int, a_values: Sequence[int]) -> tuple[Fraction, ...]:
     """The generating function sum a_n x^n / n!, truncated at the given order."""
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -118,7 +102,7 @@ def egf_F(order: int, a_values: Sequence[int]) -> TruncatedSeries:
         if n:
             fact *= n
         out.append(Fraction(a_values[n], fact))
-    return TruncatedSeries(tuple(out))
+    return tuple(out)
 
 
 def convolution_lhs(n: int, a_values: Sequence[int]) -> int:
@@ -191,20 +175,13 @@ def series_identity_parts(order: int, a_values: Sequence[int]) -> dict[str, Opti
 
     g = series([0, 1, Fraction(1, 2)] + [0] * (order - 2))
     closed = ps_exp(g)
-    parts["exp_closed_form"] = next(
-        (j for j in range(order + 1) if f.coeffs[j] != closed.coeffs[j]), None
-    )
+    parts["exp_closed_form"] = next((j for j in range(order + 1) if f[j] != closed[j]), None)
 
     f1 = ps_derivative(f)
     f2 = ps_derivative(f1)
     # (x + 1) F' + F, truncated to order - 2 where F'' lives.
-    rhs = [
-        f1.coeffs[j] + (f1.coeffs[j - 1] if j else 0) + f.coeffs[j]
-        for j in range(order - 1)
-    ]
-    parts["second_order_ode"] = next(
-        (j for j in range(order - 1) if f2.coeffs[j] != rhs[j]), None
-    )
+    rhs = [f1[j] + (f1[j - 1] if j else 0) + f[j] for j in range(order - 1)]
+    parts["second_order_ode"] = next((j for j in range(order - 1) if f2[j] != rhs[j]), None)
 
     # F(x) F(-x) has c_k / k! at x^k and exp(x^2) has 1/n! at x^{2n}; odd k
     # vanish on both sides, so the product fails first at twice the first

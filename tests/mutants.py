@@ -28,10 +28,13 @@ ROOT = Path(__file__).resolve().parent.parent
 CHECKS = "seqlab/checks.py"
 SERIES = "seqlab/series.py"
 INVOLUTIONS = "seqlab/involutions.py"
+CLI = "seqlab/cli.py"
+REPORT = "seqlab/report.py"
 T = "tests/test_checks.py::"
 S = "tests/test_sequences.py::"
 TS = "tests/test_series.py::"
 TI = "tests/test_involutions.py::"
+TC = "tests/test_cli.py::"
 
 MUTANTS = [
     # The fork path: a check's tail read in a forked child while the walk runs.
@@ -146,6 +149,13 @@ MUTANTS = [
         "else 4 * k >= n + 1:",
         [T + "test_quarter_bound_decides_d4_at_the_boundary"],
     ),
+    (
+        "quarter_bound's shift without its k is None guard",
+        CHECKS,
+        "(row.x_den * row.d if k is None else row.x_den << k)",
+        "(row.x_den << row.d.bit_length() - 1)",
+        [T + "test_quarter_bound_decides_d4_at_the_boundary"],
+    ),
     # The power-of-two kernel without its guard lets d = 0 through.
     (
         "d & (d - 1) as the power-of-two test",
@@ -222,6 +232,22 @@ MUTANTS = [
         [T + "test_a_capped_step_is_not_called_again"],
     ),
     (
+        "the walk's cap counted per step",
+        CHECKS,
+        "                kept = 0\n"
+        "                for first, last, step, found in sweep.steps:\n",
+        "                for first, last, step, found in sweep.steps:\n"
+        "                    kept = 0\n",
+        [T + "test_a_capped_step_is_not_called_again"],
+    ),
+    (
+        "the coverage check off by one",
+        CHECKS,
+        "if end < sweep.need:",
+        "if end < sweep.need - 1:",
+        [T + "test_rows_must_cover_range"],
+    ),
+    (
         "integrality's n <= 3 as n < 3",
         CHECKS,
         "!= (n <= 3):",
@@ -265,6 +291,37 @@ MUTANTS = [
         "            acc = a_values[i] * a_values[k - i] * e - (k - i) * acc\n"
         "            e *= i + 1\n",
         [TS + "test_convolution_equals_the_direct_sum_across_blocks"],
+    ),
+    # The series are plain tuples; ps_mul and ps_derivative guard their lengths.
+    (
+        "ps_mul's length check dropped",
+        SERIES,
+        "    if len(f) != len(g):\n",
+        "    if False:\n",
+        [TS + "test_ps_mul_rejects_series_of_two_orders"],
+    ),
+    (
+        "ps_derivative's range off by one",
+        SERIES,
+        "for j in range(1, len(f)))",
+        "for j in range(1, len(f) - 1))",
+        [TS + "test_ps_derivative"],
+    ),
+    # The table's decimal strings: a halving by 2^j drops exactly j digits.
+    (
+        "a halving drops one digit too few",
+        CLI,
+        "10 ** -j)",
+        "10 ** (1 - j))",
+        [TC + "test_row_strings_on_the_orbit_build_no_decimal_from_a_big_int"],
+    ),
+    # A counterexample's value may have more digits than str() of an int allows.
+    (
+        "decimal_text as plain str",
+        REPORT,
+        "    return str(Decimal(v))\n",
+        "    return str(v)\n",
+        [T + "test_counterexample_texts_print_values_past_the_str_digit_limit"],
     ),
     # The enumeration's prefilter in C: run j of (n-1)! permutations has p[0] = j.
     (

@@ -476,6 +476,7 @@ def test_quarter_bound_matches_multiplying_by_d(values, data):
 
 @given(st.integers(1, 37), st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1]))
 @example(k=5, offset=0, nudge=0)  # d = 2^5 at n = 19: d^4 = 2^(n+1), not above it
+@example(k=5, offset=-1, nudge=1)  # d = 33 at n = 20: x_den * d, not x_den << 5
 def test_quarter_bound_decides_d4_at_the_boundary(rows150, k, offset, nudge):
     # d = 2^k at n with 4k = n + 1 + offset decides by 4k > n + 1; d = 2^k +- 1
     # is no power of two (for k > 1) and decides by d^4 > 2^(n+1).

@@ -98,6 +98,12 @@ def test_a_mod_matches_full_precision():
         assert a_mod(80, m) == [v % m for v in a]
 
 
+def test_a_mod_short_prefixes():
+    assert a_mod(0, 2) == [1]
+    assert a_mod(1, 3) == [1, 1]
+    assert a_mod(2, 3) == [1, 1, 2]
+
+
 def test_a_mod_rejects_bad_modulus():
     with pytest.raises(ValueError):
         a_mod(5, 1)
