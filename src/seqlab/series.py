@@ -35,10 +35,14 @@ from .exact import odd_semifactorial
 _BLOCK_BOUND = 1 << 60
 
 
+def _require_terms(f: Sequence) -> None:
+    if len(f) == 0:
+        raise ValueError("a series needs at least the constant coefficient")
+
+
 def series(values: Sequence) -> tuple[Fraction, ...]:
     """Build a series from any sequence of ints/Fractions, c_0 first."""
-    if len(values) == 0:
-        raise ValueError("a series needs at least the constant coefficient")
+    _require_terms(values)
     return tuple(Fraction(v) for v in values)
 
 
@@ -49,6 +53,8 @@ def ps_mul(f: Sequence[Fraction], g: Sequence[Fraction]) -> tuple[Fraction, ...]
     convolution in int arithmetic; each output coefficient reduces once. This
     is dramatically faster than summing Fractions at order ~600.
     """
+    _require_terms(f)
+    _require_terms(g)
     if len(f) != len(g):
         raise ValueError(f"order mismatch: {len(f) - 1} != {len(g) - 1}")
     lf = lcm(*(c.denominator for c in f))
@@ -65,6 +71,7 @@ def ps_mul(f: Sequence[Fraction], g: Sequence[Fraction]) -> tuple[Fraction, ...]
 
 def ps_derivative(f: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Formal derivative; the order drops by one."""
+    _require_terms(f)
     if len(f) < 2:
         raise ValueError("cannot differentiate an order-0 series")
     return tuple(j * f[j] for j in range(1, len(f)))
@@ -76,6 +83,7 @@ def ps_exp(g: Sequence[Fraction]) -> tuple[Fraction, ...]:
     From E' = g' E: (n+1) E_{n+1} = sum_j j g_j E_{n+1-j}. Iterating only the
     nonzero terms of g matters when g is sparse (here g = x + x^2/2).
     """
+    _require_terms(g)
     if g[0] != 0:
         raise ValueError("ps_exp requires zero constant term")
     weighted = [(j, j * gj) for j, gj in enumerate(g) if j > 0 and gj != 0]

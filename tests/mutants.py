@@ -300,6 +300,28 @@ MUTANTS = [
         "    if False:\n",
         [TS + "test_ps_mul_rejects_series_of_two_orders"],
     ),
+    # An empty tuple is no series: each operation rejects it as series() does.
+    (
+        "ps_mul takes an empty series",
+        SERIES,
+        "    _require_terms(f)\n    _require_terms(g)\n",
+        "",
+        [TS + "test_every_series_operation_rejects_an_empty_series"],
+    ),
+    (
+        "ps_derivative takes an empty series",
+        SERIES,
+        "    _require_terms(f)\n    if len(f) < 2:",
+        "    if len(f) < 2:",
+        [TS + "test_every_series_operation_rejects_an_empty_series"],
+    ),
+    (
+        "ps_exp takes an empty series",
+        SERIES,
+        "    _require_terms(g)\n    if g[0] != 0:",
+        "    if g[0] != 0:",
+        [TS + "test_every_series_operation_rejects_an_empty_series"],
+    ),
     (
         "ps_derivative's range off by one",
         SERIES,
@@ -323,20 +345,35 @@ MUTANTS = [
         "    return str(v)\n",
         [T + "test_counterexample_texts_print_values_past_the_str_digit_limit"],
     ),
-    # The enumeration's prefilter in C: run j of (n-1)! permutations has p[0] = j.
+    # The enumeration's block walk: a block that fails is drained in C, and the
+    # stream must hold exactly n! tuples.
     (
-        "itemgetter(0) in every run",
+        "a drained block one tuple too long",
         INVOLUTIONS,
-        "for p in filterfalse(itemgetter(j),",
-        "for p in filterfalse(itemgetter(0),",
+        "rest = [factorial(n - k - 1) - 1 for k in range(n)]",
+        "rest = [factorial(n - k - 1) for k in range(n)]",
         [TI + "test_counts_small"],
     ),
     (
-        "runs of (n-1)! + 1",
+        "the prefix test without its p[v] == k branch",
         INVOLUTIONS,
-        "islice(perms, run)",
-        "islice(perms, run + 1)",
+        "if p[v] == k if v < k else k not in p[:k]:",
+        "if k not in p[:k]:",
         [TI + "test_counts_small"],
+    ),
+    (
+        "the drained-stream guard removed",
+        INVOLUTIONS,
+        "    if next(perms, None) is not None:\n",
+        "    if False:\n",
+        [TI + "test_a_stream_running_past_n_factorial_raises"],
+    ),
+    (
+        "a short stream lets StopIteration out",
+        INVOLUTIONS,
+        "    except StopIteration:\n",
+        "    except RuntimeError:\n",
+        [TI + "test_a_stream_ending_before_n_factorial_raises[31]"],
     ),
 ]
 

@@ -384,6 +384,23 @@ def test_oracle_output(capsys):
     assert all(line.endswith(" ok") for line in lines)
 
 
+def test_oracle_at_its_cap(capsys):
+    assert main(["oracle", "--max", "10"]) == 0
+    assert capsys.readouterr().out == (
+        "n=0 enumerated=1 companion=1 ok\n"
+        "n=1 enumerated=1 companion=1 ok\n"
+        "n=2 enumerated=2 companion=2 ok\n"
+        "n=3 enumerated=4 companion=4 ok\n"
+        "n=4 enumerated=10 companion=10 ok\n"
+        "n=5 enumerated=26 companion=26 ok\n"
+        "n=6 enumerated=76 companion=76 ok\n"
+        "n=7 enumerated=232 companion=232 ok\n"
+        "n=8 enumerated=764 companion=764 ok\n"
+        "n=9 enumerated=2620 companion=2620 ok\n"
+        "n=10 enumerated=9496 companion=9496 ok\n"
+    )
+
+
 @pytest.mark.parametrize("value, message", [("-1", "must be nonnegative"), ("11", "capped at 10")])
 def test_oracle_cap(capsys, value, message):
     assert main(["oracle", "--max", value]) == 2

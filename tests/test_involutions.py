@@ -13,8 +13,8 @@ from seqlab.sequences import a_seq
 
 
 def plain_scan(n):
-    """The enumeration with its prefilter in Python: every permutation is
-    visited in Python and tested on p[p[0]] == 0, then on every other i."""
+    """The per-tuple reference: every permutation is visited in Python and
+    tested on p[p[i]] == i for i = 0, 1, ... until one fails."""
     count = 0
     for p in permutations(range(n)):
         if n and p[p[0]] != 0:
@@ -36,7 +36,7 @@ def test_enumeration_matches_the_plain_scan(n):
     assert count_involutions_enum(n) == plain_scan(n)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_enumeration_draws_every_permutation(monkeypatch, n):
     drawn = []
 
@@ -48,6 +48,27 @@ def test_enumeration_draws_every_permutation(monkeypatch, n):
     monkeypatch.setattr(involutions, "permutations", counted)
     count_involutions_enum(n)
     assert len(drawn) == len(set(drawn)) == factorial(n)
+
+
+def test_a_stream_running_past_n_factorial_raises(monkeypatch):
+    def one_too_many(items):
+        yield from permutations(items)
+        yield tuple(items)
+
+    monkeypatch.setattr(involutions, "permutations", one_too_many)
+    with pytest.raises(RuntimeError, match=r"ran on past 5! tuples"):
+        count_involutions_enum(5)
+
+
+# The first tuple, one in a block the walk drains and the last, which it reads.
+@pytest.mark.parametrize("dropped", [0, 31, 119])
+def test_a_stream_ending_before_n_factorial_raises(monkeypatch, dropped):
+    def one_too_few(items):
+        return (p for i, p in enumerate(permutations(items)) if i != dropped)
+
+    monkeypatch.setattr(involutions, "permutations", one_too_few)
+    with pytest.raises(RuntimeError, match=r"ended before 5! tuples"):
+        count_involutions_enum(5)
 
 
 def test_count_domain():

@@ -59,6 +59,20 @@ def test_ps_mul_rejects_series_of_two_orders():
         ps_mul(series([1, 2, 3]), series([1, 2]))
 
 
+def test_every_series_operation_rejects_an_empty_series():
+    calls = [
+        lambda: series(()),
+        lambda: ps_mul((), ()),
+        lambda: ps_mul((), series([1])),
+        lambda: ps_mul(series([1]), ()),
+        lambda: ps_derivative(()),
+        lambda: ps_exp(()),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^a series needs at least the constant coefficient$"):
+            call()
+
+
 @given(coeff_lists, coeff_lists)
 def test_ps_mul_commutes(fc, gc):
     f, g = series(fc), series(gc)
