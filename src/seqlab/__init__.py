@@ -16,7 +16,6 @@ from .exact import (
     LESS,
     cmp_shifted_sqrt,
     gcd,
-    odd_semifactorial,
     primes_upto,
     v2,
 )
@@ -42,14 +41,14 @@ from .series import (
     ps_mul,
     series,
 )
-from .involutions import check_involution_identity, count_involutions_enum
+from .involutions import count_involutions_enum
 from .report import CheckResult, ReportDocument, VerifyConfig
 from .checks import required_length, run_all
 
 __all__ = [
     "__version__",
     "LESS", "EQUAL", "GREATER",
-    "gcd", "v2", "odd_semifactorial",
+    "gcd", "v2",
     "cmp_shifted_sqrt", "primes_upto",
     "SeqRow", "MoebiusMatrix",
     "a_seq", "a_mod", "e_closed", "d_closed",
@@ -57,7 +56,7 @@ __all__ = [
     "table", "rows_from_a",
     "series", "ps_mul", "ps_derivative",
     "ps_exp", "egf_F", "convolution_lhs",
-    "count_involutions_enum", "check_involution_identity",
+    "count_involutions_enum",
     "CheckResult", "VerifyConfig", "ReportDocument",
     "run_all", "required_length",
 ]

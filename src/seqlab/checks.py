@@ -25,6 +25,7 @@ stays in involutions and runs through _run like the rest.
 import os
 import random
 from collections import deque
+from contextlib import suppress
 from fractions import Fraction
 from itertools import chain, islice, tee, zip_longest
 from time import perf_counter
@@ -435,13 +436,12 @@ def check_d_formula(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckRe
 
 
 def _quarter_bound(hi: int) -> _Sweep:
-    fact, power = 1, 1  # (n-1)! and 4^{n-1}
+    fact = 1  # (n-1)!
 
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
-        nonlocal fact, power
+        nonlocal fact
         if n > 1:
             fact *= n - 1
-            power *= 4
         row = w[-1]
         k = _log2_exact(row.d)  # on the orbit d = 2^k: d^4 > 2^(n+1) is 4k > n+1, x_den * d a shift
         if (row.d ** 4 > 1 << (n + 1)) if k is None else 4 * k > n + 1:
@@ -450,9 +450,9 @@ def _quarter_bound(hi: int) -> _Sweep:
             return n, f"D({n}) * d({n}) != a({n-1})"
         if n >= 4 and row.x_den <= 1:
             return n, f"x({n}) reduced denominator is {row.x_den}"
-        if n >= 10 and fact <= power:
+        if n >= 10 and fact <= 1 << 2 * (n - 1):
             return n, f"({n-1})! does not exceed 4^{n-1}"
-        if n == 9 and fact >= power:
+        if n == 9 and fact >= 1 << 2 * (n - 1):
             return n, "the factorial bound should still fail at n = 9"
 
     return _Sweep("quarter_bound", 1, hi, (1, hi, step))
@@ -624,9 +624,12 @@ class _ForkedTail:
     """One part of the named sweep's tail, read in a forked child from the
     given leading values.
 
-    The child reads at most MAX_COUNTEREXAMPLES counterexamples, stopping at
-    the exception the part raises if it does, and sends them, that exception
-    and the seconds the reading took through a pipe. Its whole body ends in
+    The child lowers its own priority (os.nice(10)) so that the parent, whose
+    walk is the critical path, is not kept waiting for a CPU by the children
+    it started. It reads at most MAX_COUNTEREXAMPLES counterexamples, stopping
+    at the exception the part raises if it does, and sends them, that
+    exception and the seconds the reading took through a pipe; a child that
+    waits for a CPU counts that wait in its seconds. Its whole body ends in
     os._exit, so it never returns into the caller's frames, runs no atexit
     handler and flushes no inherited buffer; it collects no garbage, so no
     inherited finalizer runs in it either.
@@ -649,6 +652,8 @@ class _ForkedTail:
             try:
                 os.close(read_end)
                 gc.disable()
+                with suppress(OSError):
+                    os.nice(10)  # the parent's walk is the critical path: leave it the CPU
                 start = perf_counter()
                 hits, error = [], None
                 try:

@@ -32,13 +32,6 @@ def v2(a: int) -> int:
     return (a & -a).bit_length() - 1
 
 
-def odd_semifactorial(s: int) -> int:
-    """(2s-1)!! = 1 * 3 * ... * (2s-1), with the empty product 1 at s=0."""
-    if s < 0:
-        raise ValueError("odd_semifactorial requires a nonnegative integer")
-    return math.prod(range(1, 2 * s, 2))
-
-
 def cmp_shifted_sqrt(x: Fraction, m: int) -> int:
     """Compare x against (1 + sqrt(m)) / 2 exactly, for x >= 1/2 and m >= 0.
 

@@ -73,9 +73,6 @@ class VerifyConfig:
     checks: Optional[list[str]] = None
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ReportDocument:
@@ -90,7 +87,7 @@ class ReportDocument:
     def to_json(self) -> str:
         doc = {
             "tool_version": self.tool_version,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "results": [r.to_dict() for r in self.results],
             "aggregate": self.aggregate,
         }

@@ -23,7 +23,7 @@ for any values at which that step of the recurrence holds.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from typing import Iterable, Iterator, Optional
 
 from .exact import gcd, v2
@@ -48,14 +48,10 @@ class SeqRow:
 
 def a_iter() -> Iterator[int]:
     """Infinite stream a_0, a_1, a_2, ..."""
-    prev, cur = 1, 1
-    yield prev
-    yield cur
-    n = 0
-    while True:
-        prev, cur = cur, cur + (n + 1) * prev
-        n += 1
+    prev, cur = 0, 1  # a_{-1} = 0, so a_{n+1} = a_n + n a_{n-1} holds from n = 0
+    for n in count():
         yield cur
+        prev, cur = cur, cur + n * prev
 
 
 def a_seq(max_n: int) -> list[int]:

@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import Phase, settings
 
 import _criteria
 from seqlab import a_seq, rows_from_a
+
+# Only the @example cases, never a random draw: `pytest --hypothesis-profile=explicit`.
+# The mutation gate (tests/mutants.py) runs under it, so that no kill rests on luck.
+settings.register_profile("explicit", phases=[Phase.explicit], database=None)
 
 
 @pytest.fixture(scope="session")

@@ -7,11 +7,14 @@ Run from anywhere, with pytest and hypothesis installed:
 Each entry is (name, file under src/, exact old text, new text, test
 selection). For each one the script copies src/ to a temporary directory,
 checks that the old text occurs in the file exactly once, applies the edit,
-and runs the selection with -x against the copy. A mutant is killed when its
-selection fails (pytest exit status 1). Every selection first runs once
-against an unedited copy and must pass there. The script exits 1 and names
-every mutant that survives, no longer applies or whose selection no longer
-runs; a refactor that moves the mutated code carries its entry along.
+and runs the selection with -x against the copy, under the Hypothesis
+profile `explicit` (tests/conftest.py): only @example cases run, so no kill
+rests on a random draw, and a @given test kills a mutant only through one of
+its @examples. A mutant is killed when its selection fails (pytest exit
+status 1). Every selection first runs once against an unedited copy and must
+pass there. The script exits 1 and names every mutant that survives, no
+longer applies or whose selection no longer runs; a refactor that moves the
+mutated code carries its entry along.
 
 Standard library only. pytest does not collect this file: its name does not
 start with test_.
@@ -79,6 +82,14 @@ MUTANTS = [
         "        if status:\n",
         "        if False:\n",
         [T + "test_a_child_without_a_result_raises_naming_its_check"],
+    ),
+    (
+        "a child at the parent's priority",
+        CHECKS,
+        "                with suppress(OSError):\n"
+        "                    os.nice(10)  # the parent's walk is the critical path: leave it the CPU\n",
+        "",
+        [T + "test_a_forked_part_runs_below_the_parent_s_priority"],
     ),
     (
         "prefix guard dropped",
@@ -156,6 +167,13 @@ MUTANTS = [
         "(row.x_den << row.d.bit_length() - 1)",
         [T + "test_quarter_bound_decides_d4_at_the_boundary"],
     ),
+    (
+        "quarter_bound's 4^(n-1) as 2^(2n-1)",
+        CHECKS,
+        "if n >= 10 and fact <= 1 << 2 * (n - 1):",
+        "if n >= 10 and fact <= 1 << 2 * n - 1:",
+        [T + "test_all_checks_pass_on_clean_data"],
+    ),
     # The power-of-two kernel without its guard lets d = 0 through.
     (
         "d & (d - 1) as the power-of-two test",
@@ -207,6 +225,14 @@ MUTANTS = [
         "return 2 * a.bit_length() - 1 > m.bit_length()",
         "return 2 * a.bit_length() - 1 >= m.bit_length()",
         [T + "test_square_filter_is_exact_where_it_decides"],
+    ),
+    # a_{n+1} = a_n + n a_{n-1}, streamed from a_{-1} = 0.
+    (
+        "a_iter's step n + 1 for n",
+        "seqlab/sequences.py",
+        "cur + n * prev",
+        "cur + (n + 1) * prev",
+        [S + "test_a_seq_first_values"],
     ),
     # Row derivation shifts only where d_n is a power of two.
     (
@@ -292,7 +318,22 @@ MUTANTS = [
         "            e *= i + 1\n",
         [TS + "test_convolution_equals_the_direct_sum_across_blocks"],
     ),
+    # The convolution's closed form, (2n)!/n! from math.perm.
+    (
+        "(2n)!/n! as (2n)!/(n-1)!",
+        SERIES,
+        "perm(2 * n, n)",
+        "perm(2 * n, n + 1)",
+        [TS + "test_expected_convolution_is_a_power_of_two_times_an_odd_product"],
+    ),
     # The series are plain tuples; ps_mul and ps_derivative guard their lengths.
+    (
+        "ps_mul's sum one term short",
+        SERIES,
+        "for j in range(n + 1))",
+        "for j in range(n))",
+        [TS + "test_ps_mul_known_square"],
+    ),
     (
         "ps_mul's length check dropped",
         SERIES,
@@ -386,7 +427,8 @@ def pytest(src: Path, selection: list[str], log: Path) -> int:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     with open(log, "w") as out:
         return subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--hypothesis-profile=explicit", *selection],
             cwd=ROOT, env=env, stdout=out, stderr=subprocess.STDOUT,
         ).returncode
 

@@ -1011,6 +1011,24 @@ def test_a_tail_s_time_reaches_elapsed_ms(others):
 
 
 @fork_only
+def test_a_forked_part_runs_below_the_parent_s_priority(forks):
+    # The parent's walk is the critical path: each child lowers its own
+    # priority, so that the children it started do not keep it off a CPU.
+    parent = os.nice(0)
+    if parent >= 19:
+        pytest.skip("the parent already runs at the lowest priority")
+
+    def niceness(values):
+        yield 0, str(os.nice(0))
+
+    sweeps = [_tail_sweep("nice", (niceness,)), _tail_sweep("quiet", (lambda v: (),))]
+    [(_, child)] = checks._run(sweeps, list(range(100)))[0].counterexamples
+    assert len(forks) == 2
+    assert int(child) > parent
+    _assert_no_child_left()
+
+
+@fork_only
 def test_a_tail_short_of_its_prefix_raises_as_in_process(forks):
     # The tail is not started; result() rejects the short prefix in its place.
     def wide():

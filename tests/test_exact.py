@@ -12,7 +12,6 @@ from seqlab.exact import (
     SIEVE_LIMIT,
     cmp_shifted_sqrt,
     gcd,
-    odd_semifactorial,
     primes_upto,
     v2,
 )
@@ -57,18 +56,6 @@ def test_v2_rejects_nonpositive(bad):
 @given(st.integers(0, 200), st.integers(0, 10**6).map(lambda k: 2 * k + 1))
 def test_v2_reads_off_the_power(k, odd):
     assert v2(odd << k) == k
-
-
-def test_odd_semifactorial():
-    assert [odd_semifactorial(s) for s in range(6)] == [1, 1, 3, 15, 105, 945]
-    with pytest.raises(ValueError):
-        odd_semifactorial(-1)
-
-
-@given(st.integers(0, 60))
-def test_odd_semifactorial_vs_factorials(s):
-    # (2s)! = 2^s * s! * (2s-1)!!
-    assert math.factorial(2 * s) == 2**s * math.factorial(s) * odd_semifactorial(s)
 
 
 def test_cmp_shifted_sqrt_strict_sides():

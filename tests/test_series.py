@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -151,6 +151,14 @@ def test_convolution_against_direct_sum():
         assert convolution_lhs(n, a) == direct
         assert direct == expected_convolution(n)
         assert expected_convolution(n) == factorial(2 * n) // factorial(n)
+
+
+def test_expected_convolution_is_a_power_of_two_times_an_odd_product():
+    # (2n)! / n! = 2^n (2n-1)!!, the form the bound d_{n+1} <= 2^n is read from.
+    for n in range(601):
+        assert expected_convolution(n) == 2**n * prod(range(1, 2 * n, 2))
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        expected_convolution(-1)
 
 
 @given(st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=41))
