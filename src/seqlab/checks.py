@@ -45,7 +45,7 @@ from .sequences import (
     e_closed,
     q_step,
 )
-from .series import convolution_lhs, expected_convolution, series_identity_parts
+from .series import convolutions, expected_convolution, series_identity_parts
 
 # The divisibility mechanism behind the gcd upper bound needs a_0..a_{2n},
 # so it is capped independently of the main range.
@@ -338,15 +338,17 @@ def check_d_power_of_two(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> Ch
 
 
 def _cost_half(m: int) -> int:
-    """The first h with 1^3 + ... + h^3 at least half of 1^3 + ... + m^3.
+    """The first h with 1^2 + ... + h^2 at least half of 1^2 + ... + m^2.
 
-    The mechanism's cost at n grows about as n^3, so it costs about as much
-    on 1..h as on h+1..m: for m = 600, h = 505, and timed in process on a
-    2-vCPU host its cost halves between n = 479 and 506. Since
-    1^3 + ... + h^3 = (h(h+1)/2)^2, the test stays in ints.
+    The mechanism's cost at n grows about as n^2 (convolutions carries its
+    products from one n to the next, so each n costs about n small
+    multiplies and the blocked sum), so it costs about as much on 1..h as on
+    h+1..m: for m = 600, h = 477, and timed in process on a 2-vCPU host the
+    two parts took 0.28-0.34 s and 0.28-0.32 s there. Since
+    1^2 + ... + h^2 = h(h+1)(2h+1)/6, the test stays in ints.
     """
-    whole = (m * (m + 1)) ** 2
-    return next(h for h in range(m + 1) if 2 * (h * (h + 1)) ** 2 >= whole)
+    whole = m * (m + 1) * (2 * m + 1)
+    return next(h for h in range(m + 1) if 2 * h * (h + 1) * (2 * h + 1) >= whole)
 
 
 def _d_upper(hi: int) -> _Sweep:
@@ -359,9 +361,9 @@ def _d_upper(hi: int) -> _Sweep:
 
     def mechanism(first: int, last: int) -> Tail:
         def hits(a_values: Sequence[int]) -> Iterator[tuple[int, str]]:
-            for n in range(first, last + 1):
+            for n, lhs in enumerate(convolutions(first, last, a_values), first):
                 want = expected_convolution(n)
-                if convolution_lhs(n, a_values) != want:
+                if lhs != want:
                     yield n, f"alternating convolution at 2n = {2*n} is not (2n)!/n!"
                 elif want % gcd(a_values[n + 1], a_values[n]):
                     yield n, f"d({n+1}) does not divide the convolution value"
@@ -381,7 +383,8 @@ def check_d_upper(
     (2n-1)!! is odd, d_{n+1} <= 2^n follows. The mechanism needs a_0..a_{2n},
     so it runs to n = min(hi, DEFAULT_MECHANISM_HI), 600 at most, while the
     plain bound runs over the full range. The mechanism is a tail of two
-    parts, n = 1..h and h+1..600, split where its cost halves (see
+    parts, n = 1..h and h+1..600, each one range of series.convolutions,
+    split where its cost, which grows about as n^2, halves (h = 477, see
     _cost_half), so a run of several checks reads the two in two children.
     Given a_values and no rows, the plain bound reads the rows derived from
     a_values.

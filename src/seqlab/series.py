@@ -17,17 +17,22 @@ and the even-index convolution they imply,
 
 The last two are one identity: the coefficient of x^k in F(x) F(-x) is c_k / k!
 where c_k is that alternating convolution at k, and c_k vanishes for odd k
-whatever the a_m are. convolution_lhs is the single kernel for both. It sums
-the terms in blocks of consecutive m, Horner's rule running on the small
+whatever the a_m are. convolutions is the single kernel for both: it yields
+the convolution for a range of n, and convolution_lhs is its one-n case. It
+sums the terms in blocks of consecutive m, Horner's rule running on the small
 ratios C(2n, m+1) / C(2n, m) inside a block, so the big binomial C(2n, m)
-multiplies once per block instead of once per term.
+multiplies once per block instead of once per term. Nor is a product a_m a_r
+multiplied afresh for each n: from n to n + 1 it is carried through
+a_r = a_{r-1} + (r-1) a_{r-2}, a small multiply and an add, but only at the
+indices r where that recurrence holds on the given values; elsewhere the
+product is multiplied directly, so the kernel is exact on any input.
 """
 
 from fractions import Fraction
 from math import perm
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-# convolution_lhs grows a block of terms while its denominator (m+1)...(h-1)
+# convolutions grows a block of terms while its denominator (m+1)...(h-1)
 # stays below this, so inside a block big ints are multiplied only by ints of
 # a machine word or two.
 _BLOCK_BOUND = 1 << 60
@@ -97,6 +102,57 @@ def egf_F(order: int, a_values: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def convolutions(lo: int, hi: int, a_values: Sequence[int]) -> Iterator[int]:
+    """convolution_lhs(n, a_values) for n = lo, lo + 1, ..., hi, in turn.
+
+    The terms are summed as convolution_lhs describes, but the products
+    a_m a_r, r = 2n - m, are carried from n to n + 1 instead of multiplied
+    afresh. For each m < n the kernel keeps a_m a_{r-1} and a_m a_r; where
+    a_j = a_{j-1} + (j-1) a_{j-2} holds in ints on the given values (ok[j]),
+    distributivity gives a_m a_j = a_m a_{j-1} + (j-1) a_m a_{j-2} exactly, so
+    moving r two steps up costs two small multiplies and two adds. Where the
+    recurrence fails the product is multiplied directly, so the result is
+    exact on any input. The first n of a range multiplies its products
+    directly, and each step adds the new product m = n - 1 the same way.
+    """
+    if lo < 0:
+        raise ValueError("n must be nonnegative")
+    if len(a_values) < 2 * hi + 1:
+        raise ValueError("need a_0..a_{2n}")
+    a = a_values
+    ok = [j >= 2 and a[j] == a[j - 1] + (j - 1) * a[j - 2] for j in range(2 * hi + 1)]
+    for n in range(lo, hi + 1):
+        k = 2 * n
+        if n == lo:
+            low = [a[m] * a[k - m - 1] for m in range(n)]  # a_m a_{r-1}
+            top = [a[m] * a[k - m] for m in range(n)]  # a_m a_r
+        else:
+            for m in range(n - 1):
+                r = k - m
+                p = top[m] + (r - 2) * low[m] if ok[r - 1] else a[m] * a[r - 1]
+                top[m] = p + (r - 1) * top[m] if ok[r] else a[m] * a[r]
+                low[m] = p
+            low.append(a[n - 1] * a[n])
+            top.append(a[n - 1] * a[n + 1])
+        half = 0
+        c = 1  # running (-1)^m C(2n, m)
+        m = 0
+        while m < n:
+            h, d = m + 1, 1
+            while h < n and d * h < _BLOCK_BOUND:
+                d *= h
+                h += 1
+            acc, e = top[h - 1], 1
+            for i in range(h - 2, m - 1, -1):
+                e *= i + 1
+                acc = top[i] * e - (k - i) * acc
+            half += c * acc // d
+            for i in range(m, h):
+                c = -c * (k - i) // (i + 1)
+            m = h
+        yield 2 * half + c * a[n] * a[n]
+
+
 def convolution_lhs(n: int, a_values: Sequence[int]) -> int:
     """sum_{m+r=2n} (-1)^r C(2n, m) a_m a_r, which should equal 2^n (2n-1)!!.
 
@@ -112,29 +168,13 @@ def convolution_lhs(n: int, a_values: Sequence[int]) -> int:
     denominator so far, e = (i+1)...(h-1). The division is exact for any int
     input, since its quotient is the block's sum. A block grows while d stays
     below _BLOCK_BOUND, a bound on the indices alone.
+
+    This is the one-n case of convolutions, so it multiplies each product
+    a_m a_r directly; over a range of n, convolutions carries the products
+    from one n to the next through the recurrence, wherever it holds on the
+    given values.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if len(a_values) < 2 * n + 1:
-        raise ValueError("need a_0..a_{2n}")
-    k = 2 * n
-    half = 0
-    c = 1  # running (-1)^m C(2n, m)
-    m = 0
-    while m < n:
-        h, d = m + 1, 1
-        while h < n and d * h < _BLOCK_BOUND:
-            d *= h
-            h += 1
-        acc, e = a_values[h - 1] * a_values[k - h + 1], 1
-        for i in range(h - 2, m - 1, -1):
-            e *= i + 1
-            acc = a_values[i] * a_values[k - i] * e - (k - i) * acc
-        half += c * acc // d
-        for i in range(m, h):
-            c = -c * (k - i) // (i + 1)
-        m = h
-    return 2 * half + c * a_values[n] * a_values[n]
+    return next(convolutions(n, n, a_values))
 
 
 def expected_convolution(n: int) -> int:
@@ -156,7 +196,7 @@ def series_identity_parts(order: int, a_values: Sequence[int]) -> dict[str, Opti
                         at 0 <= n <= order//2 (reported as coefficient 2n)
       convolution       the alternating even-index convolution, 1 <= n <= order//2
 
-    Both convolution parts come from one pass of convolution_lhs; the
+    Both convolution parts come from one pass of convolutions; the
     exp_closed_form and ODE parts go through ps_exp and ps_derivative instead,
     so they stay an independent cross-check on the same coefficients.
     """
@@ -180,8 +220,8 @@ def series_identity_parts(order: int, a_values: Sequence[int]) -> dict[str, Opti
     # failing convolution index, counting n = 0 (the constant a_0^2 = 1).
     bad = (
         n
-        for n in range(order // 2 + 1)
-        if convolution_lhs(n, a_values) != expected_convolution(n)
+        for n, lhs in enumerate(convolutions(0, order // 2, a_values))
+        if lhs != expected_convolution(n)
     )
     first = next(bad, None)
     parts["product_exp_x2"] = None if first is None else 2 * first

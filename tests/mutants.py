@@ -298,8 +298,8 @@ MUTANTS = [
     (
         "C(2n, m) advanced one index short at a block end",
         SERIES,
-        "        for i in range(m, h):\n",
-        "        for i in range(m, h - 1):\n",
+        "            for i in range(m, h):\n",
+        "            for i in range(m, h - 1):\n",
         [TS + "test_convolution_equals_the_direct_sum_across_blocks"],
     ),
     (
@@ -312,11 +312,40 @@ MUTANTS = [
     (
         "the denominator updated after acc",
         SERIES,
-        "            e *= i + 1\n"
-        "            acc = a_values[i] * a_values[k - i] * e - (k - i) * acc\n",
-        "            acc = a_values[i] * a_values[k - i] * e - (k - i) * acc\n"
-        "            e *= i + 1\n",
+        "                e *= i + 1\n"
+        "                acc = top[i] * e - (k - i) * acc\n",
+        "                acc = top[i] * e - (k - i) * acc\n"
+        "                e *= i + 1\n",
         [TS + "test_convolution_equals_the_direct_sum_across_blocks"],
+    ),
+    # The products carried from n to n + 1, only where the recurrence holds.
+    (
+        "a_m a_{r-1} carried where the recurrence fails",
+        SERIES,
+        "p = top[m] + (r - 2) * low[m] if ok[r - 1] else a[m] * a[r - 1]",
+        "p = top[m] + (r - 2) * low[m]",
+        [TS + "test_ranged_convolutions_equal_the_direct_sum"],
+    ),
+    (
+        "a_m a_r carried where the recurrence fails",
+        SERIES,
+        "top[m] = p + (r - 1) * top[m] if ok[r] else a[m] * a[r]",
+        "top[m] = p + (r - 1) * top[m]",
+        [TS + "test_ranged_convolutions_equal_the_direct_sum"],
+    ),
+    (
+        "the carry's coefficient r - 2 as r - 1",
+        SERIES,
+        "p = top[m] + (r - 2) * low[m]",
+        "p = top[m] + (r - 1) * low[m]",
+        [TS + "test_ranged_convolutions_equal_the_direct_sum"],
+    ),
+    (
+        "a range seeded with a_m a_{r-2} for a_m a_{r-1}",
+        SERIES,
+        "low = [a[m] * a[k - m - 1] for m in range(n)]",
+        "low = [a[m] * a[k - m - 2] for m in range(n)]",
+        [TS + "test_ranged_convolutions_equal_the_direct_sum"],
     ),
     # The convolution's closed form, (2n)!/n! from math.perm.
     (

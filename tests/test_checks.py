@@ -1103,12 +1103,12 @@ def test_no_child_outlives_a_fork_that_fails(monkeypatch):
     _assert_no_child_left()
 
 
-# With hi = 100 the mechanism's parts are n = 1..85 and 86..100. A changed a_k
+# With hi = 100 the mechanism's parts are n = 1..80 and 81..100. A changed a_k
 # breaks the convolution at every n >= k/2, and nowhere else.
 MECH_SPLIT_CASES = {
     "first failing n in part 1, report full there": (100, range(50, 75)),
     "all in part 2": (180, range(90, 101)),
-    "in each part": (166, range(83, 101)),
+    "in each part": (156, range(78, 101)),
     "full report across the split": (150, range(75, 100)),
 }
 
@@ -1116,7 +1116,7 @@ MECH_SPLIT_CASES = {
 @fork_only
 @pytest.mark.parametrize("k, failing", list(MECH_SPLIT_CASES.values()), ids=list(MECH_SPLIT_CASES))
 def test_the_mechanism_s_parts_report_as_in_process(forks, a150, k, failing):
-    assert checks._cost_half(100) == 85
+    assert checks._cost_half(100) == 80
     bad = list(a150[:201])
     bad[k] += 2
     in_process = check_d_upper(100, a_values=bad)
@@ -1129,8 +1129,8 @@ def test_the_mechanism_s_parts_report_as_in_process(forks, a150, k, failing):
     _assert_no_child_left()
 
 
-def _cube_sum(m):
-    return sum(k ** 3 for k in range(m + 1))
+def _square_sum(m):
+    return sum(k ** 2 for k in range(m + 1))
 
 
 @settings(max_examples=25, deadline=None)
@@ -1140,7 +1140,7 @@ def test_the_mechanism_s_parts_cover_its_range_once_in_order(hi):
     # Zeros break the convolution at every n, so each part yields each n it reads.
     mech = min(hi, checks.DEFAULT_MECHANISM_HI)
     half = checks._cost_half(mech)
-    assert 2 * _cube_sum(half) >= _cube_sum(mech) > 2 * _cube_sum(half - 1)
+    assert 2 * _square_sum(half) >= _square_sum(mech) > 2 * _square_sum(half - 1)
     zeros = [0] * (2 * mech + 2)
     first, second = checks._d_upper(hi).parts
     assert [n for n, _ in first(zeros)] == list(range(1, half + 1))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from seqlab.sequences import a_seq
 from seqlab.series import (
     convolution_lhs,
+    convolutions,
     egf_F,
     expected_convolution,
     ps_derivative,
@@ -193,6 +194,69 @@ def test_convolution_equals_the_direct_sum_across_blocks(a):
 def test_convolution_needs_enough_values():
     with pytest.raises(ValueError):
         convolution_lhs(5, a_seq(9))
+
+
+# convolutions carries a_m a_{r-1} and a_m a_r from n to n + 1 through
+# a_j = a_{j-1} + (j-1) a_{j-2}, wherever that holds on the given values.
+BREAKS = {"+2": lambda v: v + 2, "shift": lambda v: v << 400, "zero": lambda v: 0}
+
+
+def recurrent(length, breaks):
+    """a_j = a_{j-1} + (j-1) a_{j-2} from a_0 = a_1 = 1, with each break
+    (index -> kind) applied as its index is reached; the values after a break
+    follow the recurrence from the broken one."""
+    a = []
+    for j in range(length):
+        v = a[-1] + (j - 1) * a[-2] if j >= 2 else 1
+        a.append(BREAKS[breaks[j]](v) if j in breaks else v)
+    return a
+
+
+@st.composite
+def ranged_cases(draw):
+    """(lo, hi, breaks) with 0 <= lo <= hi <= 45 and breaks at indices <= 2 hi."""
+    lo = draw(st.integers(min_value=0, max_value=30), label="lo")
+    hi = draw(st.integers(min_value=lo, max_value=lo + 15), label="hi")
+    breaks = draw(st.dictionaries(st.integers(min_value=0, max_value=2 * hi),
+                                  st.sampled_from(sorted(BREAKS)), max_size=4), label="breaks")
+    return lo, hi, breaks
+
+
+@settings(deadline=None)
+@given(ranged_cases())
+@example((5, 12, {9: "+2"}))  # a break at r = 2 lo - 1, behind the seeded a_m a_{r-1}
+@example((5, 12, {10: "shift"}))  # at r = 2 lo, the seeded a_m a_r
+@example((5, 12, {24: "zero"}))  # at r = 2 hi, the last product carried
+@example((7, 15, {}))  # a range that starts past 0 on the orbit, as the mechanism's part 2 does
+def test_ranged_convolutions_equal_the_direct_sum(case):
+    lo, hi, breaks = case
+    a = recurrent(2 * hi + 1, breaks)
+    assert list(convolutions(lo, hi, a)) == [direct_convolution(n, a) for n in range(lo, hi + 1)]
+
+
+@st.composite
+def split_cases(draw):
+    """(lo, h, hi, breaks): a ranged case and a cut lo - 1 <= h <= hi in it."""
+    lo, hi, breaks = draw(ranged_cases())
+    return lo, draw(st.integers(min_value=lo - 1, max_value=hi), label="h"), hi, breaks
+
+
+@settings(deadline=None)
+@given(split_cases())
+@example((3, 9, 20, {20: "+2", 31: "zero"}))
+def test_ranged_convolutions_split_anywhere(case):
+    lo, h, hi, breaks = case
+    a = recurrent(2 * hi + 1, breaks)
+    assert list(convolutions(lo, h, a)) + list(convolutions(h + 1, hi, a)) == list(convolutions(lo, hi, a))
+
+
+def test_ranged_convolutions_domain():
+    a = a_seq(9)
+    assert list(convolutions(3, 2, a)) == []
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        next(convolutions(-1, 2, a))
+    with pytest.raises(ValueError, match="need a_0"):
+        next(convolutions(2, 5, a))
 
 
 def test_identity_parts_all_hold():
