@@ -28,10 +28,11 @@ from collections import deque
 from contextlib import suppress
 from fractions import Fraction
 from itertools import chain, islice, tee, zip_longest
+from math import gcd
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .exact import gcd, primes_upto
+from .exact import primes_upto
 from .involutions import ENUMERATION_MAX, count_involutions_enum
 from .report import FAIL, PASS, CheckResult, VerifyConfig, decimal_text
 from .sequences import (
@@ -341,11 +342,12 @@ def _cost_half(m: int) -> int:
     """The first h with 1^2 + ... + h^2 at least half of 1^2 + ... + m^2.
 
     The mechanism's cost at n grows about as n^2 (convolutions carries its
-    products from one n to the next, so each n costs about n small
-    multiplies and the blocked sum), so it costs about as much on 1..h as on
-    h+1..m: for m = 600, h = 477, and timed in process on a 2-vCPU host the
-    two parts took 0.28-0.34 s and 0.28-0.32 s there. Since
-    1^2 + ... + h^2 = h(h+1)(2h+1)/6, the test stays in ints.
+    products from one n to the next, so each n costs about n carries and
+    Horner steps, each a few small multiplies of a product of about n log n
+    bits), so it costs about as much on 1..h as on h+1..m: for m = 600,
+    h = 477, and timed in process on a 2-vCPU host the two parts took
+    0.14-0.21 s and 0.13-0.20 s there (quartiles of 15 runs; medians 0.19 s
+    each). Since 1^2 + ... + h^2 = h(h+1)(2h+1)/6, the test stays in ints.
     """
     whole = m * (m + 1) * (2 * m + 1)
     return next(h for h in range(m + 1) if 2 * h * (h + 1) * (2 * h + 1) >= whole)
@@ -363,9 +365,10 @@ def _d_upper(hi: int) -> _Sweep:
         def hits(a_values: Sequence[int]) -> Iterator[tuple[int, str]]:
             for n, lhs in enumerate(convolutions(first, last, a_values), first):
                 want = expected_convolution(n)
+                d = gcd(a_values[n + 1], a_values[n])  # of any signs; two zeros give 0, a non-divisor
                 if lhs != want:
                     yield n, f"alternating convolution at 2n = {2*n} is not (2n)!/n!"
-                elif want % gcd(a_values[n + 1], a_values[n]):
+                elif d == 0 or want % d:
                     yield n, f"d({n+1}) does not divide the convolution value"
         return hits
 

@@ -35,10 +35,10 @@ _T = TypeVar("_T")
 # Everything stays exact at any size, but an unbounded --max is a footgun.
 MAX_N_CEILING = 20000
 
-# The series check grows about 7x per doubling of the order: 0.14 s at 600,
-# 0.8 s at 1200 and 5.7-7.7 s at 2400 (in process, 2-vCPU host; 4.6-5.4 s of
-# that is the convolution). Beyond this it soon runs for minutes, so --order
-# stops here for both verify and series.
+# The series check grows about 7x per doubling of the order: 0.12-0.14 s at
+# 600, 0.7-0.8 s at 1200 and 5.5-5.8 s at 2400 (in process, 2-vCPU host;
+# 3.2-3.4 s of that is the convolution). Beyond this it soon runs for minutes,
+# so --order stops here for both verify and series.
 MAX_ORDER = 2400
 
 _COLUMNS = [f.name for f in fields(SeqRow)]

@@ -19,23 +19,28 @@ The last two are one identity: the coefficient of x^k in F(x) F(-x) is c_k / k!
 where c_k is that alternating convolution at k, and c_k vanishes for odd k
 whatever the a_m are. convolutions is the single kernel for both: it yields
 the convolution for a range of n, and convolution_lhs is its one-n case. It
-sums the terms in blocks of consecutive m, Horner's rule running on the small
-ratios C(2n, m+1) / C(2n, m) inside a block, so the big binomial C(2n, m)
-multiplies once per block instead of once per term. Nor is a product a_m a_r
-multiplied afresh for each n: from n to n + 1 it is carried through
-a_r = a_{r-1} + (r-1) a_{r-2}, a small multiply and an add, but only at the
-indices r where that recurrence holds on the given values; elsewhere the
-product is multiplied directly, so the kernel is exact on any input.
+sums the terms in blocks of consecutive m, fixed by m alone, Horner's rule
+running on the small ratios C(2n, m+1) / C(2n, m) inside a block, so the big
+binomial C(2n, m) multiplies once per block instead of once per term. Nor is
+a product a_m a_r multiplied afresh for each n: it is kept already multiplied
+by its block weight, and from n to n + 1 it is carried through the even-step
+relation a_r = 2 (r-1) a_{r-2} - (r-2)(r-3) a_{r-4}, which follows from the
+recurrence, but only at the indices r where that relation holds on the given
+values; elsewhere the product is multiplied directly, so the kernel is exact
+on any input. A term then costs two small multiplies and a subtract to carry,
+and one small multiply and a subtract in the Horner sum.
 """
 
 from fractions import Fraction
-from math import perm
+from math import comb, perm, prod
 from typing import Iterator, Optional, Sequence
 
-# convolutions grows a block of terms while its denominator (m+1)...(h-1)
-# stays below this, so inside a block big ints are multiplied only by ints of
-# a machine word or two.
-_BLOCK_BOUND = 1 << 60
+# convolutions cuts the indices m into blocks m..h-1 whose denominator
+# (m+1)...(h-1) stays below this, so inside a block big ints are multiplied
+# only by small ints and each carried product grows by at most 240 bits. A
+# larger bound means fewer multiplies by the big binomial and longer products;
+# from 2^180 to 2^480 the kernel's time stayed within a 2-vCPU host's noise.
+_BLOCK_BOUND = 1 << 240
 
 
 def _require_terms(f: Sequence) -> None:
@@ -107,50 +112,63 @@ def convolutions(lo: int, hi: int, a_values: Sequence[int]) -> Iterator[int]:
 
     The terms are summed as convolution_lhs describes, but the products
     a_m a_r, r = 2n - m, are carried from n to n + 1 instead of multiplied
-    afresh. For each m < n the kernel keeps a_m a_{r-1} and a_m a_r; where
-    a_j = a_{j-1} + (j-1) a_{j-2} holds in ints on the given values (ok[j]),
-    distributivity gives a_m a_j = a_m a_{j-1} + (j-1) a_m a_{j-2} exactly, so
-    moving r two steps up costs two small multiplies and two adds. Where the
-    recurrence fails the product is multiplied directly, so the result is
-    exact on any input. The first n of a range multiplies its products
-    directly, and each step adds the new product m = n - 1 the same way.
+    afresh, each already multiplied by its block weight w_m. For each m < n
+    the kernel keeps w_m a_m a_r for this n and for n - 1; where the even-step
+    relation a_j = 2 (j-1) a_{j-2} - (j-2)(j-3) a_{j-4}, which follows from
+    the recurrence, holds in ints on the given values (ok[j]), distributivity
+    gives w_m a_m a_j from w_m a_m a_{j-2} and w_m a_m a_{j-4} exactly, in two
+    small multiplies and a subtract. Where the relation fails the product is
+    multiplied directly, so the result is exact on any input. The first n of
+    a range multiplies its products, and those of n - 1, directly, and each
+    step adds the new product m = n - 1 the same way.
     """
     if lo < 0:
         raise ValueError("n must be nonnegative")
     if len(a_values) < 2 * hi + 1:
         raise ValueError("need a_0..a_{2n}")
     a = a_values
-    ok = [j >= 2 and a[j] == a[j - 1] + (j - 1) * a[j - 2] for j in range(2 * hi + 1)]
+    blocks = []  # (m, h, d): the block m..h-1 and d = (m+1)...(h-1)
+    w = []  # w[i] = (i+1)...(h-1), the weight of i in its block m..h-1
+    m = 0
+    while m < hi:
+        h, d = m + 1, 1
+        while d * h < _BLOCK_BOUND:
+            d *= h
+            h += 1
+        blocks.append((m, h, d))
+        w += [prod(range(i + 1, h)) for i in range(m, h)]
+        m = h
+    ok = [
+        j >= 4 and a[j] == 2 * (j - 1) * a[j - 2] - (j - 2) * (j - 3) * a[j - 4]
+        for j in range(2 * hi + 1)
+    ]
     for n in range(lo, hi + 1):
         k = 2 * n
         if n == lo:
-            low = [a[m] * a[k - m - 1] for m in range(n)]  # a_m a_{r-1}
-            top = [a[m] * a[k - m] for m in range(n)]  # a_m a_r
+            top = [w[m] * a[m] * a[k - m] for m in range(n)]  # w_m a_m a_r
+            prev = [w[m] * a[m] * a[k - 2 - m] for m in range(n)]  # w_m a_m a_{r-2}
         else:
-            for m in range(n - 1):
+            for m in range(n - 1):  # in place, so that no third list of products is alive
                 r = k - m
-                p = top[m] + (r - 2) * low[m] if ok[r - 1] else a[m] * a[r - 1]
-                top[m] = p + (r - 1) * top[m] if ok[r] else a[m] * a[r]
-                low[m] = p
-            low.append(a[n - 1] * a[n])
-            top.append(a[n - 1] * a[n + 1])
+                t = top[m]
+                top[m] = 2 * (r - 1) * t - (r - 2) * (r - 3) * prev[m] if ok[r] else w[m] * a[m] * a[r]
+                prev[m] = t
+            prev.append(w[n - 1] * a[n - 1] * a[n - 1])
+            top.append(w[n - 1] * a[n - 1] * a[n + 1])
         half = 0
-        c = 1  # running (-1)^m C(2n, m)
-        m = 0
-        while m < n:
-            h, d = m + 1, 1
-            while h < n and d * h < _BLOCK_BOUND:
-                d *= h
-                h += 1
-            acc, e = top[h - 1], 1
-            for i in range(h - 2, m - 1, -1):
-                e *= i + 1
-                acc = top[i] * e - (k - i) * acc
+        c = 1  # (-1)^m C(2n, m) at the block's start m
+        for m, h, d in blocks:
+            if m >= n:
+                break
+            cut = min(h, n)
+            acc = top[cut - 1]
+            for i in range(cut - 2, m - 1, -1):
+                acc = top[i] - (k - i) * acc
             half += c * acc // d
-            for i in range(m, h):
-                c = -c * (k - i) // (i + 1)
-            m = h
-        yield 2 * half + c * a[n] * a[n]
+            if h < n:
+                c = c * prod(range(m - k, h - k)) // (d * h)
+        middle = comb(k, n) * a[n] * a[n]
+        yield 2 * half + (-middle if n & 1 else middle)
 
 
 def convolution_lhs(n: int, a_values: Sequence[int]) -> int:
@@ -161,18 +179,24 @@ def convolution_lhs(n: int, a_values: Sequence[int]) -> int:
     term C(2n, n) a_n^2 added once.
 
     The terms m < n are summed in blocks m..h-1, so that the big binomial
-    multiplies once per block, not once per term. Consecutive signed
+    multiplies once per block, not once per term. A block grows while
+    d = (m+1)...(h-1) stays below _BLOCK_BOUND, so the blocks depend on the
+    indices alone, and the last one is cut short at n. Consecutive signed
     binomials differ by the small ratio -(2n-i)/(i+1), so Horner's rule from
     the block's top gives the block's sum as (-1)^m C(2n, m) acc / d, with acc
-    an int and d = (m+1)...(h-1); on the way down acc is carried over the
-    denominator so far, e = (i+1)...(h-1). The division is exact for any int
-    input, since its quotient is the block's sum. A block grows while d stays
-    below _BLOCK_BOUND, a bound on the indices alone.
+    an int: each term enters acc already multiplied by its weight
+    w_i = (i+1)...(h-1), so a Horner step is one small multiply and a
+    subtract. A block cut at n still divides by its full d, the terms it is
+    missing counting as zero. The division is exact for any int input, since
+    its quotient is the block's sum. From one block to the next the signed
+    binomial advances as c (m-2n)(m+1-2n)...(h-1-2n) / (d h), exact too,
+    since its quotient is (-1)^h C(2n, h) and reads no values; the middle
+    term's C(2n, n) is math.comb's.
 
     This is the one-n case of convolutions, so it multiplies each product
     a_m a_r directly; over a range of n, convolutions carries the products
-    from one n to the next through the recurrence, wherever it holds on the
-    given values.
+    from one n to the next through the even-step relation, wherever it holds
+    on the given values.
     """
     return next(convolutions(n, n, a_values))
 

@@ -152,6 +152,16 @@ MUTANTS = [
         "                raise\n",
         [T + "test_no_child_outlives_a_fork_that_fails"],
     ),
+    # The mechanism's divisibility clause takes a gcd of any signs, and reports
+    # two zeros, whose gcd 0 divides nothing.
+    (
+        "the mechanism's gcd from exact, which raises on signs and two zeros",
+        CHECKS,
+        "from math import gcd\n",
+        "from .exact import gcd\n",
+        [T + "test_d_upper_reports_a_negative_value_instead_of_raising",
+         T + "test_d_upper_reports_two_zero_values_as_no_divisor"],
+    ),
     # quarter_bound decides d^4 > 2^(n+1) from the exponent where d = 2^k.
     (
         "d^4 exponent test weakened to >=",
@@ -298,8 +308,15 @@ MUTANTS = [
     (
         "C(2n, m) advanced one index short at a block end",
         SERIES,
-        "            for i in range(m, h):\n",
-        "            for i in range(m, h - 1):\n",
+        "prod(range(m - k, h - k)) // (d * h)",
+        "prod(range(m - k, h - k - 1)) // d",
+        [TS + "test_convolution_equals_the_direct_sum_across_blocks"],
+    ),
+    (
+        "the binomial advanced by d instead of d h",
+        SERIES,
+        " // (d * h)",
+        " // d",
         [TS + "test_convolution_equals_the_direct_sum_across_blocks"],
     ),
     (
@@ -310,41 +327,68 @@ MUTANTS = [
         [TS + "test_convolution_equals_the_direct_sum_across_blocks"],
     ),
     (
-        "the denominator updated after acc",
+        "the block weights lag one index",
         SERIES,
-        "                e *= i + 1\n"
-        "                acc = top[i] * e - (k - i) * acc\n",
-        "                acc = top[i] * e - (k - i) * acc\n"
-        "                e *= i + 1\n",
+        "prod(range(i + 1, h))",
+        "prod(range(i + 2, h))",
         [TS + "test_convolution_equals_the_direct_sum_across_blocks"],
     ),
-    # The products carried from n to n + 1, only where the recurrence holds.
     (
-        "a_m a_{r-1} carried where the recurrence fails",
+        "a block weight one factor short",
         SERIES,
-        "p = top[m] + (r - 2) * low[m] if ok[r - 1] else a[m] * a[r - 1]",
-        "p = top[m] + (r - 2) * low[m]",
+        "prod(range(i + 1, h))",
+        "prod(range(i + 1, h - 1))",
+        [TS + "test_convolution_equals_the_direct_sum_across_blocks"],
+    ),
+    (
+        "the middle term's sign flipped",
+        SERIES,
+        "(-middle if n & 1 else middle)",
+        "(middle if n & 1 else -middle)",
+        [TS + "test_convolution_equals_the_direct_sum_across_blocks"],
+    ),
+    # The products carried from n to n + 1, only where the even-step relation holds.
+    (
+        "the even-step guard dropped",
+        SERIES,
+        "2 * (r - 1) * t - (r - 2) * (r - 3) * prev[m] if ok[r] else w[m] * a[m] * a[r]",
+        "2 * (r - 1) * t - (r - 2) * (r - 3) * prev[m]",
         [TS + "test_ranged_convolutions_equal_the_direct_sum"],
     ),
     (
-        "a_m a_r carried where the recurrence fails",
+        "the guard read at r - 2",
         SERIES,
-        "top[m] = p + (r - 1) * top[m] if ok[r] else a[m] * a[r]",
-        "top[m] = p + (r - 1) * top[m]",
+        "* prev[m] if ok[r] else",
+        "* prev[m] if ok[r - 2] else",
         [TS + "test_ranged_convolutions_equal_the_direct_sum"],
     ),
     (
-        "the carry's coefficient r - 2 as r - 1",
+        "the guard on the recurrence, not the even-step relation",
         SERIES,
-        "p = top[m] + (r - 2) * low[m]",
-        "p = top[m] + (r - 1) * low[m]",
+        "a[j] == 2 * (j - 1) * a[j - 2] - (j - 2) * (j - 3) * a[j - 4]",
+        "a[j] == a[j - 1] + (j - 1) * a[j - 2]",
+        [TS + "test_ranged_convolutions_equal_the_direct_sum",
+         TS + "test_convolutions_carry_by_the_even_step_relation_alone"],
+    ),
+    (
+        "the carry's coefficient 2(r - 1) as 2(r - 2)",
+        SERIES,
+        "2 * (r - 1) * t",
+        "2 * (r - 2) * t",
         [TS + "test_ranged_convolutions_equal_the_direct_sum"],
     ),
     (
-        "a range seeded with a_m a_{r-2} for a_m a_{r-1}",
+        "the carry's (r - 2)(r - 3) as (r - 1)(r - 2)",
         SERIES,
-        "low = [a[m] * a[k - m - 1] for m in range(n)]",
-        "low = [a[m] * a[k - m - 2] for m in range(n)]",
+        "(r - 2) * (r - 3) * prev[m]",
+        "(r - 1) * (r - 2) * prev[m]",
+        [TS + "test_ranged_convolutions_equal_the_direct_sum"],
+    ),
+    (
+        "a range seeded with a_m a_{r-4} for a_m a_{r-2}",
+        SERIES,
+        "a[k - 2 - m] for m in range(n)]",
+        "a[k - 4 - m] for m in range(n)]",
         [TS + "test_ranged_convolutions_equal_the_direct_sum"],
     ),
     # The convolution's closed form, (2n)!/n! from math.perm.

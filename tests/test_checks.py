@@ -400,6 +400,27 @@ def test_d_upper_catches_convolution_drift(a150):
     assert any("convolution" in detail for _, detail in result.counterexamples)
 
 
+def test_d_upper_reports_a_negative_value_instead_of_raising(a150):
+    # A negated a_10 breaks the convolution at n = 5..9 and from 11 on; at
+    # n = 10 the sign hides in the middle term a_10^2, so the divisibility
+    # clause reads gcd(a_11, -a_10) = d(11), which divides (20)!/10!.
+    bad = list(a150)
+    bad[10] = -bad[10]
+    result = check_d_upper(40, rows_from_a(a150[:41]), bad)
+    assert not result.passed
+    assert [n for n, _ in result.counterexamples] == [5, 6, 7, 8, 9, *range(11, 31)]
+
+
+def test_d_upper_reports_two_zero_values_as_no_divisor(a150):
+    # With a_2 = a_3 = 0 and a_0 a_4 = 6 the convolution holds at n = 2, and
+    # gcd(a_3, a_2) = 0 divides no (2n)!/n!.
+    result = check_d_upper(2, rows_from_a(a150[:3]), [1, 1, 0, 0, 6])
+    assert result.counterexamples == [
+        (1, "alternating convolution at 2n = 2 is not (2n)!/n!"),
+        (2, "d(3) does not divide the convolution value"),
+    ]
+
+
 def test_d_upper_checks_its_values_reach_past_a_capped_walk(a150):
     # Every row from n = 1 on breaks the plain bound, so the walk holds 25
     # counterexamples and the mechanism is never read; three values still

@@ -168,9 +168,10 @@ def test_convolution_symmetric_sum_on_any_input(a):
         assert convolution_lhs(n, a) == direct_convolution(n, a)
 
 
-# convolution_lhs sums the terms m < n in blocks that start at m = 0, 20, 33,
-# 45, 56, 67, 77, ..., the last one cut short at n: n = 20 is one whole block,
-# n = 21 adds a block of one term, n = 80 takes seven blocks.
+# convolution_lhs sums the terms m < n in blocks that start at m = 0, 55, 94,
+# 130, 164, ..., whatever n is, the last one cut short at n: n = 20 cuts the
+# first block, n = 55 is one whole block, n = 56 adds a block of one term,
+# n = 94 is two whole blocks, n = 95 starts a third, and n = 130 is three.
 def _mixed(length):
     """0, small ints of either sign and ints of up to 3000 bits, in turn."""
     return [0 if i % 5 == 0 else (-1) ** i * (i + 1) << 1000 * (i % 4) for i in range(length)]
@@ -186,6 +187,11 @@ def _mixed(length):
 @example(_mixed(67))
 @example(_mixed(69))
 @example(_mixed(161))
+@example(_mixed(111))
+@example(_mixed(113))
+@example(_mixed(189))
+@example(_mixed(191))
+@example(_mixed(261))
 def test_convolution_equals_the_direct_sum_across_blocks(a):
     n = (len(a) - 1) // 2
     assert convolution_lhs(n, a) == direct_convolution(n, a)
@@ -196,8 +202,10 @@ def test_convolution_needs_enough_values():
         convolution_lhs(5, a_seq(9))
 
 
-# convolutions carries a_m a_{r-1} and a_m a_r from n to n + 1 through
-# a_j = a_{j-1} + (j-1) a_{j-2}, wherever that holds on the given values.
+# convolutions carries w_m a_m a_r from n to n + 1 through the even-step
+# relation a_j = 2 (j-1) a_{j-2} - (j-2)(j-3) a_{j-4}, wherever that holds on
+# the given values; on the values below it fails at a break j and at j + 1 and
+# j + 2, the recurrence a_j = a_{j-1} + (j-1) a_{j-2} only at j.
 BREAKS = {"+2": lambda v: v + 2, "shift": lambda v: v << 400, "zero": lambda v: 0}
 
 
@@ -228,10 +236,22 @@ def ranged_cases(draw):
 @example((5, 12, {10: "shift"}))  # at r = 2 lo, the seeded a_m a_r
 @example((5, 12, {24: "zero"}))  # at r = 2 hi, the last product carried
 @example((7, 15, {}))  # a range that starts past 0 on the orbit, as the mechanism's part 2 does
+@example((5, 12, {13: "+2"}))  # carried at r = 14 and 15, where only the even-step relation fails
+@example((60, 135, {}))  # a range that starts inside a block and crosses the starts at 94 and 130
 def test_ranged_convolutions_equal_the_direct_sum(case):
     lo, hi, breaks = case
     a = recurrent(2 * hi + 1, breaks)
     assert list(convolutions(lo, hi, a)) == [direct_convolution(n, a) for n in range(lo, hi + 1)]
+
+
+def test_convolutions_carry_by_the_even_step_relation_alone():
+    # Doubling every odd-indexed value keeps the even-step relation, which
+    # links indices of one parity, at every j >= 4, and breaks the recurrence
+    # at every j >= 2.
+    a = [v << (j & 1) for j, v in enumerate(a_seq(120))]
+    assert all(a[j] != a[j - 1] + (j - 1) * a[j - 2] for j in range(2, 121))
+    assert list(convolutions(0, 60, a)) == [direct_convolution(n, a) for n in range(61)]
+    assert list(convolutions(25, 60, a)) == [direct_convolution(n, a) for n in range(25, 61)]
 
 
 @st.composite
