@@ -15,9 +15,7 @@ from .exact import (
     GREATER,
     LESS,
     cmp_shifted_sqrt,
-    gcd,
     primes_upto,
-    v2,
 )
 from .sequences import (
     MoebiusMatrix,
@@ -48,7 +46,6 @@ from .checks import required_length, run_all
 __all__ = [
     "__version__",
     "LESS", "EQUAL", "GREATER",
-    "gcd", "v2",
     "cmp_shifted_sqrt", "primes_upto",
     "SeqRow", "MoebiusMatrix",
     "a_seq", "a_mod", "e_closed", "d_closed",

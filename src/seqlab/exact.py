@@ -16,22 +16,6 @@ GREATER = 1
 SIEVE_LIMIT = 10**7
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative integers, not both zero."""
-    if a < 0 or b < 0:
-        raise ValueError("gcd arguments must be nonnegative")
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
-
-
-def v2(a: int) -> int:
-    """2-adic valuation of a positive integer."""
-    if a <= 0:
-        raise ValueError("v2 requires a positive integer")
-    return (a & -a).bit_length() - 1
-
-
 def cmp_shifted_sqrt(x: Fraction, m: int) -> int:
     """Compare x against (1 + sqrt(m)) / 2 exactly, for x >= 1/2 and m >= 0.
 

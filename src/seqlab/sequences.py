@@ -5,7 +5,7 @@ interest satisfies x_{n+1} = 1 + n / x_n with x_0 = 1, and x_n = a_n / a_{n-1}
 for n >= 1. Per index we carry:
 
     d_n = gcd(a_n, a_{n-1})        (n >= 1)
-    e_n = v2(a_n)
+    e_n = the 2-adic valuation of a_n
     q_n = a_n / 2^{e_n}            (the odd part)
     x_n = x_num / x_den in lowest terms, so x_den * d_n = a_{n-1}.
 
@@ -24,9 +24,8 @@ for any values at which that step of the recurrence holds.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
+from math import gcd
 from typing import Iterable, Iterator, Optional
-
-from .exact import gcd, v2
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,7 @@ def a_mod(max_n: int, m: int) -> list[int]:
 
 
 def e_closed(n: int) -> int:
-    """Closed form for v2(a_n)."""
+    """Closed form for the 2-adic valuation of a_n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     k, r = divmod(n, 4)
@@ -170,19 +169,25 @@ def _log2_exact(d: int) -> Optional[int]:
 def _derive_rows(a_values: Iterable[int]) -> Iterator[SeqRow]:
     """Rows for a_0, a_1, ... as the values arrive, holding only the last two.
 
-    Row n >= 1 reduces x_n = a_n / a_{n-1} by d_n = gcd(a_n, a_{n-1}). Row 0
-    reads as a_0 / 1 with the sentinel d_0 = 1, so the table is rectangular.
-    Where a_n = a_{n-1} + (n-1) a_{n-2} holds (n >= 2), d_n is taken from the
-    module docstring's identity d_{n-1} * gcd(x_num_{n-1}, n-1), a gcd with a
-    small argument; anywhere else, corrupted input included, it is
-    gcd(a_n, a_{n-1}) itself. Both give gcd(a_n, a_{n-1}) on any input.
+    The values may be any nonzero ints, of either sign; a zero raises
+    ValueError naming its index, since it has no 2-adic valuation and would
+    make the next row's x_den 0. Row n >= 1 reduces x_n = a_n / a_{n-1} by
+    d_n = gcd(a_n, a_{n-1}) > 0, so x_num and x_den carry the signs of a_n
+    and a_{n-1}. Row 0 reads as a_0 / 1 with the sentinel d_0 = 1, so the
+    table is rectangular. Where a_n = a_{n-1} + (n-1) a_{n-2} holds (n >= 2),
+    d_n is taken from the module docstring's identity
+    d_{n-1} * gcd(x_num_{n-1}, n-1), a gcd with a small argument; anywhere
+    else, corrupted input included, it is gcd(a_n, a_{n-1}) itself. Both give
+    gcd(a_n, a_{n-1}) on any input.
 
     On the orbit d_n is a power of two, so x_num and x_den are shifts of
     a_n and a_{n-1}; a divisor that is not a power of two is divided out.
     """
     pprev, prev, dn, num = 0, 1, 1, 1
     for n, a in enumerate(a_values):
-        e = v2(a)
+        if not a:
+            raise ValueError(f"a_{n} = 0: rows are derived only from nonzero values")
+        e = (a & -a).bit_length() - 1  # a & -a is the lowest set bit of a, of either sign
         if n >= 2 and a == prev + (n - 1) * pprev:
             dn *= gcd(num, n - 1)
         else:
@@ -197,7 +202,7 @@ def _derive_rows(a_values: Iterable[int]) -> Iterator[SeqRow]:
 
 
 def rows_from_a(a_values: Iterable[int]) -> list[SeqRow]:
-    """The table for [a_0, ..., a_N], or for any list of positive ints."""
+    """The table for [a_0, ..., a_N], or for any list of nonzero ints."""
     return list(_derive_rows(a_values))
 
 

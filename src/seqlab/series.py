@@ -119,8 +119,8 @@ def convolutions(lo: int, hi: int, a_values: Sequence[int]) -> Iterator[int]:
     gives w_m a_m a_j from w_m a_m a_{j-2} and w_m a_m a_{j-4} exactly, in two
     small multiplies and a subtract. Where the relation fails the product is
     multiplied directly, so the result is exact on any input. The first n of
-    a range multiplies its products, and those of n - 1, directly, and each
-    step adds the new product m = n - 1 the same way.
+    a range multiplies its products directly, and those of n - 1 too when the
+    range goes on; each step adds the new product m = n - 1 the same way.
     """
     if lo < 0:
         raise ValueError("n must be nonnegative")
@@ -146,7 +146,8 @@ def convolutions(lo: int, hi: int, a_values: Sequence[int]) -> Iterator[int]:
         k = 2 * n
         if n == lo:
             top = [w[m] * a[m] * a[k - m] for m in range(n)]  # w_m a_m a_r
-            prev = [w[m] * a[m] * a[k - 2 - m] for m in range(n)]  # w_m a_m a_{r-2}
+            if n < hi:  # only a next n reads w_m a_m a_{r-2}
+                prev = [w[m] * a[m] * a[k - 2 - m] for m in range(n)]
         else:
             for m in range(n - 1):  # in place, so that no third list of products is alive
                 r = k - m

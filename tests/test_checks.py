@@ -421,6 +421,34 @@ def test_d_upper_reports_two_zero_values_as_no_divisor(a150):
     ]
 
 
+def _negated_at_10():
+    """a_0..a_1200, enough for d_upper's mechanism at n = 600, with a_10 negated."""
+    values = a_seq(1200)
+    values[10] = -values[10]
+    return values
+
+
+def test_run_all_localizes_a_negated_value():
+    # Rows are derived from values of either sign, so the sign reaches the
+    # checks: each row check that sees it names n = 10.
+    found = {r.name: [n for n, _ in r.counterexamples]
+             for r in run_all(VerifyConfig(max_n=40, series_order=20), _negated_at_10())}
+    for name in ("x_bounds", "quadratic_gap", "e_q", "congruence", "involutions"):
+        assert 10 in found[name], name
+    assert found["x_bounds"] == [10, 11]
+
+
+def test_d_upper_fails_on_a_negated_value_given_without_rows():
+    assert not check_d_upper(600, a_values=_negated_at_10()).passed
+
+
+def test_run_all_names_a_zero_value():
+    values = a_seq(1200)
+    values[10] = 0
+    with pytest.raises(ValueError, match="a_10 = 0"):
+        run_all(VerifyConfig(max_n=40, series_order=20), values)
+
+
 def test_d_upper_checks_its_values_reach_past_a_capped_walk(a150):
     # Every row from n = 1 on breaks the plain bound, so the walk holds 25
     # counterexamples and the mechanism is never read; three values still

@@ -11,51 +11,12 @@ from seqlab.exact import (
     LESS,
     SIEVE_LIMIT,
     cmp_shifted_sqrt,
-    gcd,
     primes_upto,
-    v2,
 )
 
 
 def test_ordering_constants():
     assert (LESS, EQUAL, GREATER) == (-1, 0, 1)
-
-
-def test_gcd_basics():
-    assert gcd(12, 18) == 6
-    assert gcd(0, 5) == 5
-    assert gcd(7, 0) == 7
-    assert gcd(1, 1) == 1
-
-
-@pytest.mark.parametrize("a,b", [(-1, 2), (2, -1), (0, 0)])
-def test_gcd_rejects_bad_input(a, b):
-    with pytest.raises(ValueError):
-        gcd(a, b)
-
-
-@given(st.integers(0, 10**12), st.integers(1, 10**12))
-def test_gcd_divides_both(a, b):
-    g = gcd(a, b)
-    assert b % g == 0
-    assert a % g == 0
-    assert g == math.gcd(a, b)
-
-
-def test_v2_small():
-    assert [v2(k) for k in (1, 2, 3, 4, 12, 96)] == [0, 1, 0, 2, 2, 5]
-    assert v2(2**50) == 50
-
-
-@pytest.mark.parametrize("bad", [0, -4])
-def test_v2_rejects_nonpositive(bad):
-    with pytest.raises(ValueError):
-        v2(bad)
-
-
-@given(st.integers(0, 200), st.integers(0, 10**6).map(lambda k: 2 * k + 1))
-def test_v2_reads_off_the_power(k, odd):
-    assert v2(odd << k) == k
 
 
 def test_cmp_shifted_sqrt_strict_sides():

@@ -2,13 +2,13 @@ import math
 from dataclasses import fields
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from seqlab import sequences
-from seqlab.exact import gcd, v2
 from seqlab.sequences import (
     MoebiusMatrix,
     SeqRow,
@@ -49,6 +49,11 @@ def x_seq(max_n):
     for n in range(max_n):
         xs.append(1 + Fraction(n) / xs[-1])
     return xs
+
+
+def v2(a):
+    """The 2-adic valuation of a nonzero int: the index of its lowest set bit."""
+    return (a & -a).bit_length() - 1
 
 
 def a_closed(n):
@@ -294,6 +299,37 @@ def test_rows_from_a_d_is_the_gcd_of_neighbours(values):
         assert row.d == math.gcd(row.a, prev)
 
 
+nonzero_ints = st.one_of(positive_ints, positive_ints.map(lambda v: -v))
+
+
+@st.composite
+def values_with_a_sign_flipped(draw):
+    """A recurrence sequence from random a_0, a_1 with one value negated, or
+    every value from some index i on. In the second case the recurrence holds
+    again from i + 2, so the carried gcd reads a negative x_num there."""
+    values = draw(recurrence_values())
+    i = draw(st.integers(0, len(values) - 1))
+    if draw(st.booleans()):
+        values[i] = -values[i]
+    else:
+        values[i:] = [-v for v in values[i:]]
+    return values
+
+
+@given(st.one_of(values_with_a_sign_flipped(), st.lists(nonzero_ints, min_size=1, max_size=25)))
+@example(FIRST_A[:5] + [-FIRST_A[5]] + FIRST_A[6:])  # one value negated
+@example([-v for v in FIRST_A])  # a negated whole sequence: the gcd is carried throughout
+def test_rows_from_a_on_nonzero_ints_of_either_sign(values):
+    rows = rows_from_a(values)
+    assert [row.a for row in rows] == values
+    for row, prev in zip(rows, [1] + values):  # row 0 reads a_0 / 1, with d_0 = 1
+        assert row.d == math.gcd(row.a, prev)
+        assert row.x_num * row.d == row.a
+        assert row.x_den * row.d == prev
+        assert row.q % 2 == 1
+        assert row.q << row.e == row.a
+
+
 def test_row_gcds_on_the_orbit_take_a_small_argument(monkeypatch):
     calls = []
     real_gcd = sequences.gcd
@@ -314,7 +350,7 @@ def _plain_rows(values):
     rows, prev = [], 1
     for n, a in enumerate(values):
         d = math.gcd(a, prev)
-        e = (a & -a).bit_length() - 1
+        e = v2(a)
         rows.append(SeqRow(n, a, a // d, prev // d, d, e, a >> e))
         prev = a
     return rows

@@ -238,6 +238,8 @@ def ranged_cases(draw):
 @example((7, 15, {}))  # a range that starts past 0 on the orbit, as the mechanism's part 2 does
 @example((5, 12, {13: "+2"}))  # carried at r = 14 and 15, where only the even-step relation fails
 @example((60, 135, {}))  # a range that starts inside a block and crosses the starts at 94 and 130
+@example((9, 9, {}))  # one n, as convolution_lhs reads it: no n - 1 products are seeded
+@example((9, 10, {}))  # two n: the first seeds the n - 1 products that the second carries
 def test_ranged_convolutions_equal_the_direct_sum(case):
     lo, hi, breaks = case
     a = recurrent(2 * hi + 1, breaks)
