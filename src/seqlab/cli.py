@@ -35,10 +35,13 @@ _T = TypeVar("_T")
 # Everything stays exact at any size, but an unbounded --max is a footgun.
 MAX_N_CEILING = 20000
 
-# The series check grows about 7x per doubling of the order: 0.12-0.14 s at
-# 600, 0.7-0.8 s at 1200 and 5.5-5.8 s at 2400 (in process, 2-vCPU host;
-# 3.2-3.4 s of that is the convolution). Beyond this it soon runs for minutes,
-# so --order stops here for both verify and series.
+# The series check grows about 8x per doubling of the order, nearly all of it
+# the convolution: 0.04 s at 600, 0.26-0.28 s at 1200 and 2.1-2.2 s at 2400
+# (in process, 2-vCPU host, CPython 3.11). At 2400, `series` takes 2.0-3.0 s
+# and 24 MiB, and `verify --checks d_upper,series` 2.2-3.8 s and 20 MiB (wall
+# and peak RSS of a child started with posix_spawn and reaped with wait4).
+# Beyond this it soon runs for minutes, so --order stops here for both verify
+# and series.
 MAX_ORDER = 2400
 
 _COLUMNS = [f.name for f in fields(SeqRow)]

@@ -1,13 +1,11 @@
-"""Truncated formal power series over exact rationals.
+"""The generating-function identities, checked on normal coefficients.
 
-A series of order K is a plain tuple of its K + 1 Fraction coefficients
-c_0..c_K of x^0..x^K, c_0 first; series() builds one from any ints or
-Fractions and rejects an empty one. Every operation is exact, and a product
-takes two series of one order and truncates at it. This is enough to state
-and verify identities about the exponential generating function
-F(x) = sum a_n x^n / n! = exp(x + x^2/2):
+The exponential generating function of the involution numbers is
 
-    F'(x) = (1 + x) F(x)
+    F(x) = sum a_n x^n / n! = exp(x + x^2/2),
+
+and it satisfies
+
     F''(x) = (x + 1) F'(x) + F(x)
     F(x) F(-x) = exp(x^2)
 
@@ -15,24 +13,37 @@ and the even-index convolution they imply,
 
     sum_{m+r=2n} (-1)^r C(2n, m) a_m a_r = (2n)! / n! = 2^n (2n-1)!!.
 
-The last two are one identity: the coefficient of x^k in F(x) F(-x) is c_k / k!
-where c_k is that alternating convolution at k, and c_k vanishes for odd k
-whatever the a_m are. convolutions is the single kernel for both: it yields
-the convolution for a range of n, and convolution_lhs is its one-n case. It
-sums the terms in blocks of consecutive m, fixed by m alone, Horner's rule
-running on the small ratios C(2n, m+1) / C(2n, m) inside a block, so the big
-binomial C(2n, m) multiplies once per block instead of once per term. Nor is
-a product a_m a_r multiplied afresh for each n: it is kept already multiplied
-by its block weight, and from n to n + 1 it is carried through the even-step
-relation a_r = 2 (r-1) a_{r-2} - (r-2)(r-3) a_{r-4}, which follows from the
+A series sum c_k x^k is checked here through its normal coefficients
+N_k = k! c_k, which are ints for every series these identities compare. The
+normal coefficients of F are the values a_k themselves, and those of exp(g)
+follow from those of g (G_j = j! g_j, G_0 = 0) by the exponential formula
+N_{n+1} = sum_{j>=1} C(n, j-1) G_j N_{n+1-j}, one kernel for exp_closed_form
+and for ps_exp. Read in normal form, the ODE is the two-step recurrence
+a_{k+2} = a_{k+1} + (k+1) a_k itself.
+
+F(x) F(-x) = exp(x^2) and the convolution are one identity: the coefficient
+of x^k in F(x) F(-x) is c_k / k! where c_k is that alternating convolution at
+k, and c_k vanishes for odd k whatever the a_m are. convolutions is the single
+kernel for both: it yields the convolution for a range of n, and
+convolution_lhs is its one-n case. It sums the terms in blocks of consecutive
+m, fixed by m alone, Horner's rule running on the small ratios
+C(2n, m+1) / C(2n, m) inside a block, so the big binomial C(2n, m) multiplies
+once per block instead of once per term. Nor is a product a_m a_r multiplied
+afresh for each n: it is kept already multiplied by its block weight, and
+from n to n + 1 it is carried through the even-step relation
+a_r = 2 (r-1) a_{r-2} - (r-2)(r-3) a_{r-4}, which follows from the
 recurrence, but only at the indices r where that relation holds on the given
 values; elsewhere the product is multiplied directly, so the kernel is exact
 on any input. A term then costs two small multiplies and a subtract to carry,
 and one small multiply and a subtract in the Horner sum.
+
+A truncated series over exact rationals, for the Fraction API below (egf_F,
+ps_exp, ps_mul), is a plain tuple of its K + 1 coefficients c_0..c_K, c_0
+first.
 """
 
 from fractions import Fraction
-from math import comb, perm, prod
+from math import comb, factorial, perm, prod
 from typing import Iterator, Optional, Sequence
 
 # convolutions cuts the indices m into blocks m..h-1 whose denominator
@@ -48,12 +59,6 @@ def _require_terms(f: Sequence) -> None:
         raise ValueError("a series needs at least the constant coefficient")
 
 
-def series(values: Sequence) -> tuple[Fraction, ...]:
-    """Build a series from any sequence of ints/Fractions, c_0 first."""
-    _require_terms(values)
-    return tuple(Fraction(v) for v in values)
-
-
 def ps_mul(f: Sequence[Fraction], g: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Cauchy product truncated at the common order."""
     _require_terms(f)
@@ -63,33 +68,33 @@ def ps_mul(f: Sequence[Fraction], g: Sequence[Fraction]) -> tuple[Fraction, ...]
     return tuple(sum(f[j] * g[n - j] for j in range(n + 1)) for n in range(len(f)))
 
 
-def ps_derivative(f: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Formal derivative; the order drops by one."""
-    _require_terms(f)
-    if len(f) < 2:
-        raise ValueError("cannot differentiate an order-0 series")
-    return tuple(j * f[j] for j in range(1, len(f)))
+def _exp_normal(G: Sequence) -> list:
+    """The normal coefficients N_0..N_K of exp(g), K = len(G) - 1, from those
+    of g, G_j = j! g_j with G_0 = 0.
+
+    From E' = g' E, read in normal form: N_0 = 1 and
+    N_{n+1} = sum_{j>=1} C(n, j-1) G_j N_{n+1-j}. Only the nonzero G_j are
+    iterated, which matters when g is sparse (here g = x + x^2/2). On int G
+    every N_n is an int.
+    """
+    terms = [(j, Gj) for j, Gj in enumerate(G) if j and Gj]
+    out = [1]
+    for n in range(len(G) - 1):
+        out.append(sum(comb(n, j - 1) * Gj * out[n + 1 - j] for j, Gj in terms if j <= n + 1))
+    return out
 
 
 def ps_exp(g: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """exp of a series with zero constant term, to the same order.
 
-    From E' = g' E: (n+1) E_{n+1} = sum_j j g_j E_{n+1-j}. Iterating only the
-    nonzero terms of g matters when g is sparse (here g = x + x^2/2).
+    The normal coefficients G_j = j! g_j go through the exponential-formula
+    kernel that exp_closed_form reads, and come back as N_n / n!.
     """
     _require_terms(g)
     if g[0] != 0:
         raise ValueError("ps_exp requires zero constant term")
-    weighted = [(j, j * gj) for j, gj in enumerate(g) if j > 0 and gj != 0]
-    out = [Fraction(1)]
-    for n in range(len(g) - 1):
-        s = Fraction(0)
-        for j, wj in weighted:
-            if j > n + 1:
-                break
-            s += wj * out[n + 1 - j]
-        out.append(s / (n + 1))
-    return tuple(out)
+    normal = _exp_normal([factorial(j) * gj for j, gj in enumerate(g)])
+    return tuple(Fraction(N) / factorial(n) for n, N in enumerate(normal))
 
 
 def egf_F(order: int, a_values: Sequence[int]) -> tuple[Fraction, ...]:
@@ -221,24 +226,26 @@ def series_identity_parts(order: int, a_values: Sequence[int]) -> dict[str, Opti
                         at 0 <= n <= order//2 (reported as coefficient 2n)
       convolution       the alternating even-index convolution, 1 <= n <= order//2
 
-    Both convolution parts come from one pass of convolutions; the
-    exp_closed_form and ODE parts go through ps_exp and ps_derivative instead,
-    so they stay an independent cross-check on the same coefficients.
+    Every part is decided in ints, on normal coefficients N_k = k! c_k, which
+    for F are the values a_k. The closed form compares a_0..a_order with the
+    normal coefficients of exp(x + x^2/2), from the exponential-formula
+    kernel that ps_exp runs too; it shares no code with a_iter. At x^k the
+    ODE reads, times k!, a_{k+2} = a_{k+1} + (k+1) a_k: the two-step
+    recurrence, which no other check states (a6_relation checks the six-step
+    one). Both convolution parts come from one pass of convolutions.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
-    f = egf_F(order, a_values)
+    if len(a_values) < order + 1:
+        raise ValueError("not enough companion values for the requested order")
     parts: dict[str, Optional[int]] = {}
 
-    g = series([0, 1, Fraction(1, 2)] + [0] * (order - 2))
-    closed = ps_exp(g)
-    parts["exp_closed_form"] = next((j for j in range(order + 1) if f[j] != closed[j]), None)
-
-    f1 = ps_derivative(f)
-    f2 = ps_derivative(f1)
-    # (x + 1) F' + F, truncated to order - 2 where F'' lives.
-    rhs = [f1[j] + (f1[j - 1] if j else 0) + f[j] for j in range(order - 1)]
-    parts["second_order_ode"] = next((j for j in range(order - 1) if f2[j] != rhs[j]), None)
+    closed = _exp_normal([0, 1, 1] + [0] * (order - 2))
+    a = a_values
+    parts["exp_closed_form"] = next((k for k in range(order + 1) if a[k] != closed[k]), None)
+    parts["second_order_ode"] = next(
+        (k for k in range(order - 1) if a[k + 2] != a[k + 1] + (k + 1) * a[k]), None
+    )
 
     # F(x) F(-x) has c_k / k! at x^k and exp(x^2) has 1/n! at x^{2n}; odd k
     # vanish on both sides, so the product fails first at twice the first

@@ -423,7 +423,7 @@ MUTANTS = [
         "perm(2 * n, n + 1)",
         [TS + "test_expected_convolution_is_a_power_of_two_times_an_odd_product"],
     ),
-    # The series are plain tuples; ps_mul and ps_derivative guard their lengths.
+    # The series are plain tuples; ps_mul guards their lengths.
     (
         "ps_mul's sum one term short",
         SERIES,
@@ -438,19 +438,12 @@ MUTANTS = [
         "    if False:\n",
         [TS + "test_ps_mul_rejects_series_of_two_orders"],
     ),
-    # An empty tuple is no series: each operation rejects it as series() does.
+    # An empty tuple is no series: ps_mul and ps_exp reject it.
     (
         "ps_mul takes an empty series",
         SERIES,
         "    _require_terms(f)\n    _require_terms(g)\n",
         "",
-        [TS + "test_every_series_operation_rejects_an_empty_series"],
-    ),
-    (
-        "ps_derivative takes an empty series",
-        SERIES,
-        "    _require_terms(f)\n    if len(f) < 2:",
-        "    if len(f) < 2:",
         [TS + "test_every_series_operation_rejects_an_empty_series"],
     ),
     (
@@ -460,12 +453,35 @@ MUTANTS = [
         "    if g[0] != 0:",
         [TS + "test_every_series_operation_rejects_an_empty_series"],
     ),
+    # The identities in normal form: exp by the exponential formula, the ODE as
+    # the two-step recurrence.
     (
-        "ps_derivative's range off by one",
+        "the exponential formula's C(n, j - 1) as C(n, j)",
         SERIES,
-        "for j in range(1, len(f)))",
-        "for j in range(1, len(f) - 1))",
-        [TS + "test_ps_derivative"],
+        "comb(n, j - 1)",
+        "comb(n, j)",
+        [TS + "test_the_exp_kernel_on_normal_coefficients"],
+    ),
+    (
+        "the ODE's factor k + 1 as k",
+        SERIES,
+        "(k + 1) * a[k]",
+        "k * a[k]",
+        [TS + "test_identity_parts_match_the_fraction_reference_under_corruption"],
+    ),
+    (
+        "the closed form compared one index short",
+        SERIES,
+        "for k in range(order + 1) if a[k] != closed[k]",
+        "for k in range(order) if a[k] != closed[k]",
+        [TS + "test_identity_parts_match_the_fraction_reference_under_corruption"],
+    ),
+    (
+        "ps_exp dividing by (n - 1)!",
+        SERIES,
+        "Fraction(N) / factorial(n)",
+        "Fraction(N) / factorial(n - 1)",
+        [TS + "test_ps_exp_of_x_is_the_exponential"],
     ),
     # The table's decimal strings: a halving by 2^j drops exactly j digits.
     (

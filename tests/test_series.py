@@ -5,16 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import seqlab.series
 from seqlab.sequences import a_seq
 from seqlab.series import (
+    _exp_normal,
     convolution_lhs,
     convolutions,
     egf_F,
     expected_convolution,
-    ps_derivative,
     ps_exp,
     ps_mul,
-    series,
     series_identity_parts,
 )
 
@@ -24,7 +24,16 @@ fractions = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 coeff_lists = st.lists(fractions, min_size=ORDER + 1, max_size=ORDER + 1)
 
 
-# Sum and truncation, the algebra the ps_mul and ps_exp laws below are stated in.
+# A series from ints or Fractions, its derivative, sum and truncation: the
+# algebra the ps_mul and ps_exp laws below are stated in.
+def series(values):
+    return tuple(Fraction(v) for v in values)
+
+
+def derivative(f):
+    return tuple(j * f[j] for j in range(1, len(f)))
+
+
 def ps_add(f, g):
     assert len(f) == len(g)
     return tuple(a + b for a, b in zip(f, g))
@@ -37,15 +46,6 @@ def ps_truncate(f, order):
 # f(-x), for the Cauchy-product reference below.
 def ps_subst_neg(f):
     return tuple(-c if j & 1 else c for j, c in enumerate(f))
-
-
-def test_series_basics():
-    f = series([1, 2, Fraction(1, 3)])
-    assert len(f) - 1 == 2
-    assert f[2] == Fraction(1, 3)
-    assert type(f) is tuple and all(type(c) is Fraction for c in f)
-    with pytest.raises(ValueError):
-        series([])
 
 
 def test_ps_mul_known_square():
@@ -62,11 +62,9 @@ def test_ps_mul_rejects_series_of_two_orders():
 
 def test_every_series_operation_rejects_an_empty_series():
     calls = [
-        lambda: series(()),
         lambda: ps_mul((), ()),
         lambda: ps_mul((), series([1])),
         lambda: ps_mul(series([1]), ()),
-        lambda: ps_derivative(()),
         lambda: ps_exp(()),
     ]
     for call in calls:
@@ -89,19 +87,12 @@ def test_ps_mul_distributes(fc, gc, hc):
 @given(coeff_lists, coeff_lists)
 def test_product_rule(fc, gc):
     f, g = series(fc), series(gc)
-    lhs = ps_derivative(ps_mul(f, g))
+    lhs = derivative(ps_mul(f, g))
     rhs = ps_add(
-        ps_mul(ps_derivative(f), ps_truncate(g, ORDER - 1)),
-        ps_mul(ps_truncate(f, ORDER - 1), ps_derivative(g)),
+        ps_mul(derivative(f), ps_truncate(g, ORDER - 1)),
+        ps_mul(ps_truncate(f, ORDER - 1), derivative(g)),
     )
     assert lhs == rhs
-
-
-def test_ps_derivative():
-    f = series([5, 1, 3, 2])
-    assert ps_derivative(f) == (1, 6, 6)
-    with pytest.raises(ValueError):
-        ps_derivative(series([7]))
 
 
 def test_ps_exp_of_x_is_the_exponential():
@@ -113,6 +104,34 @@ def test_ps_exp_of_x_is_the_exponential():
 def test_ps_exp_requires_zero_constant():
     with pytest.raises(ValueError):
         ps_exp(series([1, 1]))
+
+
+# exp from E' = g' E on the coefficients themselves, in Fractions: the
+# reference the normal-form kernel is checked against.
+def fraction_exp(g):
+    weighted = [(j, j * gj) for j, gj in enumerate(g) if j > 0 and gj != 0]
+    out = [Fraction(1)]
+    for n in range(len(g) - 1):
+        s = Fraction(0)
+        for j, wj in weighted:
+            if j > n + 1:
+                break
+            s += wj * out[n + 1 - j]
+        out.append(s / (n + 1))
+    return tuple(out)
+
+
+@given(coeff_lists)
+def test_ps_exp_equals_the_fraction_reference(gc):
+    g = series([0] + gc[1:])
+    assert ps_exp(g) == fraction_exp(g)
+
+
+def test_the_exp_kernel_on_normal_coefficients():
+    # exp(x) = sum x^n / n!, and exp(x + x^2/2) is the involution numbers' EGF.
+    assert _exp_normal([0, 1] + [0] * 59) == [1] * 61
+    assert _exp_normal([0, 1, 1] + [0] * 58) == list(a_seq(60))
+    assert _exp_normal([0]) == [1]
 
 
 @given(coeff_lists, coeff_lists)
@@ -322,15 +341,65 @@ def reference_product_parts(order, a):
     return product, convolution
 
 
+def reference_parts(order, a):
+    """series_identity_parts as Fraction power series: F against exp of
+    x + x^2/2 coefficient by coefficient, F'' against (x + 1) F' + F to
+    order - 2, and the product parts off the full Cauchy product."""
+    f = egf_F(order, a)
+    closed = fraction_exp(series([0, 1, Fraction(1, 2)] + [0] * (order - 2)))
+    f1 = derivative(f)
+    f2 = derivative(f1)
+    rhs = [f1[j] + (f1[j - 1] if j else 0) + f[j] for j in range(order - 1)]
+    product, convolution = reference_product_parts(order, a)
+    return {
+        "exp_closed_form": next((j for j in range(order + 1) if f[j] != closed[j]), None),
+        "second_order_ode": next((j for j in range(order - 1) if f2[j] != rhs[j]), None),
+        "product_exp_x2": product,
+        "convolution": convolution,
+    }
+
+
+CORRUPTIONS = {
+    "+k": lambda v, k: v + k,
+    "-k": lambda v, k: v - k,
+    "negated": lambda v, k: -v,
+    "zero": lambda v, k: 0,
+}
+
+
+@st.composite
+def corruptions(draw):
+    """(order, index, kind, k): a_index of a_seq(order) corrupted by kind."""
+    order = draw(st.sampled_from([10, 31, 60]), label="order")
+    index = draw(st.integers(min_value=0, max_value=order), label="index")
+    kind = draw(st.sampled_from(sorted(CORRUPTIONS)), label="kind")
+    return order, index, kind, draw(st.integers(min_value=1, max_value=50), label="k")
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([10, 31, 60]), st.data())
-def test_identity_parts_match_cauchy_product_under_corruption(order, data):
+@given(corruptions())
+@example((60, 0, "negated", 1))  # a_0, the constant that every convolution reads
+@example((10, 0, "+k", 2))
+@example((31, 30, "-k", 3))  # order - 1, which the ODE's last two k read
+@example((10, 9, "zero", 1))
+@example((60, 60, "+k", 1))  # order: the closed form's last coefficient, the ODE's last a_{k+2}
+@example((31, 31, "negated", 1))
+def test_identity_parts_match_the_fraction_reference_under_corruption(case):
+    order, index, kind, k = case
     a = list(a_seq(order))
-    index = data.draw(st.integers(min_value=0, max_value=order), label="index")
-    delta = data.draw(st.integers(min_value=-50, max_value=50).filter(bool), label="delta")
-    a[index] += delta
-    parts = series_identity_parts(order, a)
-    assert (parts["product_exp_x2"], parts["convolution"]) == reference_product_parts(order, a)
+    a[index] = CORRUPTIONS[kind](a[index], k)
+    assert series_identity_parts(order, a) == reference_parts(order, a)
+
+
+def test_identity_parts_build_no_fraction(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(seqlab.series, "Fraction", no_fraction)
+    assert set(series_identity_parts(60, a_seq(60)).values()) == {None}
+    a = list(a_seq(60))
+    a[33] += 1
+    assert series_identity_parts(60, a)["exp_closed_form"] == 33
 
 
 def test_identity_parts_domain():
