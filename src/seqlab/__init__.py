@@ -6,51 +6,45 @@ denominators) with arbitrary precision, checks the identities of the
 associated exponential generating function in ints, on its normal
 coefficients k! c_k, and mechanically verifies the known structural facts
 about these sequences over user-chosen index ranges. No floating point enters any assertion.
+
+Importing the package loads none of its submodules. Each public name in
+__all__ is looked up in the submodule that defines it on first use, which
+loads that submodule (and what it imports); the submodules themselves
+(seqlab.checks, seqlab.cli, ...) are loaded on first use as well.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .exact import (
-    EQUAL,
-    GREATER,
-    LESS,
-    cmp_shifted_sqrt,
-    primes_upto,
-)
-from .sequences import (
-    MoebiusMatrix,
-    SeqRow,
-    a_mod,
-    a_seq,
-    a6_step,
-    d_closed,
-    e_closed,
-    moebius,
-    moebius_apply,
-    q_step,
-    rows_from_a,
-    table,
-)
-from .series import (
-    convolution_lhs,
-    egf_F,
-    ps_exp,
-    ps_mul,
-)
-from .involutions import count_involutions_enum
-from .report import CheckResult, ReportDocument, VerifyConfig
-from .checks import required_length, run_all
+# Each public name, mapped to the submodule that defines it.
+_HOMES = {
+    **dict.fromkeys(("LESS", "EQUAL", "GREATER", "cmp_shifted_sqrt", "primes_upto"), "exact"),
+    **dict.fromkeys((
+        "SeqRow", "MoebiusMatrix",
+        "a_seq", "a_mod", "e_closed", "d_closed",
+        "moebius", "moebius_apply", "a6_step", "q_step",
+        "table", "rows_from_a",
+    ), "sequences"),
+    **dict.fromkeys(("ps_mul", "ps_exp", "egf_F", "convolution_lhs"), "series"),
+    "count_involutions_enum": "involutions",
+    **dict.fromkeys(("CheckResult", "VerifyConfig", "ReportDocument"), "report"),
+    **dict.fromkeys(("run_all", "required_length"), "checks"),
+}
+_SUBMODULES = ("checks", "cli", "exact", "involutions", "report", "sequences", "series")
 
-__all__ = [
-    "__version__",
-    "LESS", "EQUAL", "GREATER",
-    "cmp_shifted_sqrt", "primes_upto",
-    "SeqRow", "MoebiusMatrix",
-    "a_seq", "a_mod", "e_closed", "d_closed",
-    "moebius", "moebius_apply", "a6_step", "q_step",
-    "table", "rows_from_a",
-    "ps_mul", "ps_exp", "egf_F", "convolution_lhs",
-    "count_involutions_enum",
-    "CheckResult", "VerifyConfig", "ReportDocument",
-    "run_all", "required_length",
-]
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name):
+    if name in _HOMES:
+        value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

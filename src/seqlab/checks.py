@@ -546,13 +546,11 @@ def _sign_flip(seed: int) -> _Sweep:
     def hits(_: Sequence[int]) -> Iterator[tuple[int, str]]:
         rng = random.Random(seed)
         for i in range(1, SIGN_FLIP_SAMPLES + 1):
-            x = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+            p, q = rng.randint(1, 10**6), rng.randint(1, 10**6)
             n = rng.randint(1, 10**6)
-            f = 1 + Fraction(n, 1) / x
-            lhs = (f * f - f - n) * x * x
-            rhs = -n * (x * x - x - n)
-            if lhs != rhs:
-                yield i, f"identity fails at sample {i}: x = {x}, n = {n}"
+            F = p + n * q  # f = F / p at x = p / q
+            if F * F - F * p - n * p * p != -n * (p * p - p * q - n * q * q):
+                yield i, f"identity fails at sample {i}: x = {Fraction(p, q)}, n = {n}"
 
     return _Sweep("sign_flip", 1, SIGN_FLIP_SAMPLES, parts=(hits,))
 
@@ -562,8 +560,10 @@ def check_sign_flip(seed: int = 0) -> CheckResult:
 
     The step map sends the sign of x^2 - x - n to its opposite, which is the
     algebra behind the quadratic gap; sampling SIGN_FLIP_SAMPLES random
-    rationals from the seed exercises it far outside the orbit of the actual
-    sequence.
+    rationals x = p/q from the seed exercises it far outside the orbit of the
+    actual sequence. Each sample is compared in ints, cleared of denominators:
+    with F = p + n q, so that f = F/p, both sides times q^2 give
+    F^2 - F p - n p^2 = -n (p^2 - p q - n q^2).
     """
     return _run([_sign_flip(seed)])[0]
 

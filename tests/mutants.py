@@ -37,11 +37,13 @@ SEQUENCES = "seqlab/sequences.py"
 INVOLUTIONS = "seqlab/involutions.py"
 CLI = "seqlab/cli.py"
 REPORT = "seqlab/report.py"
+INIT = "seqlab/__init__.py"
 T = "tests/test_checks.py::"
 S = "tests/test_sequences.py::"
 TS = "tests/test_series.py::"
 TI = "tests/test_involutions.py::"
 TC = "tests/test_cli.py::"
+TP = "tests/test_package.py::"
 
 MUTANTS = [
     # The fork path: a check's tail read in a forked child while the walk runs.
@@ -498,6 +500,37 @@ MUTANTS = [
         "    return str(Decimal(v))\n",
         "    return str(v)\n",
         [T + "test_counterexample_texts_print_values_past_the_str_digit_limit"],
+    ),
+    # sign_flip's identity, cleared of denominators.
+    (
+        "sign_flip's n p^2 with the wrong sign",
+        CHECKS,
+        "F * F - F * p - n * p * p",
+        "F * F - F * p + n * p * p",
+        [T + "test_all_checks_pass_on_clean_data"],
+    ),
+    # The lazy package: each public name from the submodule that defines it,
+    # and no submodule loaded by `import seqlab`.
+    (
+        "a table entry pointing at a submodule that only imports it",
+        INIT,
+        '"count_involutions_enum": "involutions",',
+        '"count_involutions_enum": "checks",',
+        [TP + "test_every_public_name_resolves_in_the_module_that_defines_it"],
+    ),
+    (
+        "an unknown name read as None",
+        INIT,
+        '    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")\n',
+        "    return None\n",
+        [TP + "test_star_import_dir_and_unknown_names"],
+    ),
+    (
+        "checks imported eagerly",
+        INIT,
+        'import importlib\n',
+        'import importlib\n\nfrom . import checks\n',
+        [TP + "test_import_loads_no_submodule"],
     ),
     # The enumeration's block walk: a block that fails is drained in C, and the
     # stream must hold exactly n! tuples.

@@ -76,7 +76,7 @@ def test_decimal_text_prints_as_str(v):
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit")
 def test_import_leaves_the_int_str_digit_limit_alone():
     src = os.path.dirname(os.path.dirname(seqlab.__file__))
-    code = ("import sys; before = sys.get_int_max_str_digits(); import seqlab; "
+    code = ("import sys; before = sys.get_int_max_str_digits(); import seqlab, seqlab.cli; "
             "print(before, sys.get_int_max_str_digits())")
     for limit in ("4300", "640"):
         env = dict(os.environ, PYTHONPATH=src, PYTHONINTMAXSTRDIGITS=limit)
