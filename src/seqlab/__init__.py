@@ -31,7 +31,7 @@ _HOMES = {
     **dict.fromkeys(("CheckResult", "VerifyConfig", "ReportDocument"), "report"),
     **dict.fromkeys(("run_all", "required_length"), "checks"),
 }
-_SUBMODULES = ("checks", "cli", "exact", "involutions", "report", "sequences", "series")
+_SUBMODULES = {*_HOMES.values(), "cli"}
 
 __all__ = ["__version__", *_HOMES]
 
