@@ -100,6 +100,12 @@ def _check_range(flag: str, value: int, lo: int, hi: int) -> None:
         raise _UsageError(f"{flag} is capped at {hi}")
 
 
+# An --out file is written in blocks of 256 KiB. With the default 8 KiB
+# buffer, each row of a large table (about 8 KB at --max 3000) is a write of
+# its own.
+_BLOCK = 1 << 18
+
+
 @contextmanager
 def _output(path: Optional[str]) -> Iterator[Callable[[str], None]]:
     """A write function for stdout or the file at path.
@@ -124,7 +130,8 @@ def _output(path: Optional[str]) -> Iterator[Callable[[str], None]]:
                 os.close(devnull)
             raise _UsageError(f"cannot write {name}: {exc.strerror}") from None
 
-    fh = sys.stdout if path is None else guarded(lambda: open(path, "w", encoding="utf-8"))
+    fh = sys.stdout if path is None else guarded(
+        lambda: open(path, "w", encoding="utf-8", buffering=_BLOCK))
     try:
         yield lambda text: guarded(fh.write, text)
         guarded(fh.flush)
@@ -161,6 +168,15 @@ def _row_strings(rows: Iterable[SeqRow]) -> Iterator[list[str]]:
     an operation that would round raises instead of printing a wrong digit,
     and a division by 2^j multiplies by 5^j and drops j digits that must be
     0. No step uses the thread's decimal context, which is left as it was.
+
+    The text follows the objects. Where the row layer hands on an int (see
+    sequences._derive_rows), the step is j = 0 and the shadow is the base's
+    own shadow, found by an equality test that is O(1) on the same object.
+    A column whose shadow is the very object rendered just before reuses
+    that text: x_den's shadow is the previous x_num's, q's is this row's
+    x_num's, and d's is the previous d's. Every other shadow goes through
+    str(). A shadow is another column's object only where shadow()'s int
+    test held, so each string still equals str() of its own column.
     """
     ctx = decimal.Context(
         prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
@@ -170,8 +186,10 @@ def _row_strings(rows: Iterable[SeqRow]) -> Iterator[list[str]]:
     def shadow(v: int, base: int, base_shadow: Decimal) -> Decimal:
         """v as a Decimal, from base_shadow (exactly base) where v = base * 2^j."""
         j = v.bit_length() - base.bit_length()
-        if j >= 0 and v == base << j:
-            return ctx.multiply(base_shadow, 1 << j) if j else base_shadow
+        if j == 0 and v == base:
+            return base_shadow
+        if j > 0 and v == base << j:
+            return ctx.multiply(base_shadow, 1 << j)
         if j < 0 and v << -j == base:
             quo, rem = ctx.divmod(ctx.multiply(base_shadow, 5 ** -j), 10 ** -j)
             if rem:
@@ -180,20 +198,26 @@ def _row_strings(rows: Iterable[SeqRow]) -> Iterator[list[str]]:
         return Decimal(v)
 
     columns = attrgetter(*_COLUMNS)
-    # The previous two rows' ints and their shadows. They start at 0: every
-    # step from 0 gives 0, which no positive value equals, so row 0's a,
-    # x_num, x_den and d are Decimal(v).
+    # The previous two rows' ints and their shadows, and the previous x_num's
+    # and d's text. They start at 0: every step from 0 gives 0, which no
+    # positive value equals, so row 0's a, x_num, x_den and d are Decimal(v).
     a1 = a2 = num1 = den1 = d1 = 0
     a1_s = a2_s = num1_s = den1_s = d1_s = Decimal(0)
+    num1_t = d1_t = "0"
     for row in rows:
         n, a, num, den, d, e, q = columns(row)
         a_s = shadow(a, a1 + (n - 1) * a2, ctx.fma(a2_s, n - 1, a1_s))
         num_s = shadow(num, num1 + (n - 1) * den1, ctx.fma(den1_s, n - 1, num1_s))
         den_s = shadow(den, num1, num1_s)
         d_s = shadow(d, d1, d1_s)
-        yield [str(s) for s in (n, a_s, num_s, den_s, d_s, e, shadow(q, num, num_s))]
+        q_s = shadow(q, num, num_s)
+        num_t = str(num_s)
+        den_t = num1_t if den_s is num1_s else str(den_s)
+        d_t = d1_t if d_s is d1_s else str(d_s)
+        yield [str(n), str(a_s), num_t, den_t, d_t, str(e), num_t if q_s is num_s else str(q_s)]
         a1, a2, num1, den1, d1 = a, a1, num, den, d
         a1_s, a2_s, num1_s, den1_s, d1_s = a_s, a1_s, num_s, den_s, d_s
+        num1_t, d1_t = num_t, d_t
 
 
 def cmd_table(args: argparse.Namespace) -> int:

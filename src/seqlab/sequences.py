@@ -182,22 +182,39 @@ def _derive_rows(a_values: Iterable[int]) -> Iterator[SeqRow]:
 
     On the orbit d_n is a power of two, so x_num and x_den are shifts of
     a_n and a_{n-1}; a divisor that is not a power of two is divided out.
+
+    Each row hands on what the row before built, and consecutive rows may
+    share int objects. Each reuse is exact on any nonzero input:
+
+    - x_den is the previous row's x_num object when d_n = d_{n-1} = 2^k and
+      the previous row shifted too, since both are then a_{n-1} >> k;
+    - q is the x_num object when e = k, since both are then a_n >> k;
+    - for a > 0, e is read off the low window of a's bits 0..e_{n-1} + 63
+      when that window is nonzero, since its lowest set bit is then a's. On
+      the orbit e moves by at most one per row, so the window holds it, and
+      & with a small mask reads only the mask's digits. A window of zeros,
+      and a negative a, whose & reads every digit, take the valuation of a.
+
+    On the orbit x_den is reused at three rows in four and q at one in two.
     """
-    pprev, prev, dn, num = 0, 1, 1, 1
+    pprev, prev, dn, num, k, e = 0, 1, 1, 1, None, 0
     for n, a in enumerate(a_values):
         if not a:
             raise ValueError(f"a_{n} = 0: rows are derived only from nonzero values")
-        e = (a & -a).bit_length() - 1  # a & -a is the lowest set bit of a, of either sign
+        low = a & ((1 << (e + 64)) - 1) if a > 0 else 0
+        if not low:
+            low = a
+        e = (low & -low).bit_length() - 1  # low & -low is the lowest set bit, of either sign
         if n >= 2 and a == prev + (n - 1) * pprev:
             dn *= gcd(num, n - 1)
         else:
             dn = gcd(a, prev)
-        k = _log2_exact(dn)
+        k, k_prev = _log2_exact(dn), k
         if k is None:
             num, den = a // dn, prev // dn
         else:
-            num, den = a >> k, prev >> k
-        yield SeqRow(n, a, num, den, dn, e, a >> e)
+            num, den = a >> k, num if k == k_prev else prev >> k
+        yield SeqRow(n, a, num, den, dn, e, num if e == k else a >> e)
         pprev, prev = prev, a
 
 

@@ -244,8 +244,8 @@ MUTANTS = [
     (
         "row derivation's shift guard skipped",
         SEQUENCES,
-        "k = _log2_exact(dn)",
-        "k = dn.bit_length() - 1",
+        "k, k_prev = _log2_exact(dn), k",
+        "k, k_prev = dn.bit_length() - 1, k",
         [S + "test_row_divisors_shift_where_a_power_of_two_and_divide_elsewhere"],
     ),
     # Rows are derived from nonzero values of either sign; a zero is named.
@@ -267,9 +267,31 @@ MUTANTS = [
     (
         "the valuation off by one",
         SEQUENCES,
-        "e = (a & -a).bit_length() - 1",
-        "e = (a & -a).bit_length()",
+        "e = (low & -low).bit_length() - 1",
+        "e = (low & -low).bit_length()",
         [S + "test_rows_from_a_on_nonzero_ints_of_either_sign"],
+    ),
+    # Rows hand on the ints the row before built, each only where it is exact.
+    (
+        "the valuation's window one word short, with no fallback",
+        SEQUENCES,
+        "low = a & ((1 << (e + 64)) - 1) if a > 0 else 0\n        if not low:\n            low = a\n",
+        "low = a & ((1 << (e + 63)) - 1) if a > 0 else a\n",
+        [S + "test_rows_from_a_equals_plain_gcd_and_division"],
+    ),
+    (
+        "x_den handed on when k changed",
+        SEQUENCES,
+        "num if k == k_prev else prev >> k",
+        "num if k_prev is not None else prev >> k",
+        [S + "test_rows_from_a_equals_plain_gcd_and_division"],
+    ),
+    (
+        "q handed on when e != k",
+        SEQUENCES,
+        "num if e == k else a >> e",
+        "num if k is not None else a >> e",
+        [S + "test_rows_from_a_equals_plain_gcd_and_division"],
     ),
     # The walk: step order, the counterexample cap, a step's own range.
     (
@@ -484,6 +506,36 @@ MUTANTS = [
         "Fraction(N) / factorial(n)",
         "Fraction(N) / factorial(n - 1)",
         [TS + "test_ps_exp_of_x_is_the_exponential"],
+    ),
+    # A column's text is reused only where its shadow is the object rendered
+    # just before.
+    (
+        "x_den's text reused where d is unchanged",
+        CLI,
+        "den_t = num1_t if den_s is num1_s",
+        "den_t = num1_t if d_s is d1_s",
+        [TC + "test_row_strings_equal_str_of_each_column"],
+    ),
+    (
+        "d's text reused where x_den's is, after d changed",
+        CLI,
+        "d_t = d1_t if d_s is d1_s",
+        "d_t = d1_t if den_s is num1_s",
+        [TC + "test_row_strings_equal_str_of_each_column"],
+    ),
+    (
+        "shadow's j == 0 path without its equality test",
+        CLI,
+        "if j == 0 and v == base:",
+        "if j == 0:",
+        [TC + "test_row_strings_equal_str_of_each_column"],
+    ),
+    (
+        "the --out file at the default buffer size",
+        CLI,
+        'encoding="utf-8", buffering=_BLOCK)',
+        'encoding="utf-8")',
+        [TC + "test_out_is_written_in_blocks"],
     ),
     # The table's decimal strings: a halving by 2^j drops exactly j digits.
     (

@@ -8,10 +8,10 @@ import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_sequences import positive_ints, recurrence_values
 
@@ -58,6 +58,16 @@ def test_table_writes_file(tmp_path):
     assert out.read_text() == GOLDEN_TABLE
 
 
+def test_out_is_written_in_blocks(tmp_path):
+    # A write smaller than the block waits in the buffer, however many rows
+    # it holds; with the default 8 KiB buffer it would reach the file at once.
+    path = tmp_path / "out.txt"
+    with cli._output(str(path)) as write:
+        write("x" * 200_000)
+        assert path.stat().st_size == 0
+    assert path.read_text() == "x" * 200_000
+
+
 @pytest.mark.parametrize("value", ["-1", "20001"])
 def test_table_max_out_of_range(value, capsys):
     assert main(["table", "--max", value]) == 2
@@ -100,13 +110,52 @@ def test_table_json_matches_plain_reference(capsys):
     assert capsys.readouterr().out.split("\n") == expected.split("\n")
 
 
-@given(st.one_of(recurrence_values(), st.lists(positive_ints, min_size=1, max_size=25)))
-def test_row_strings_equal_str_of_each_column(values):
+def _copy(v):
+    """An int equal to v that is not the object v (for |v| > 256)."""
+    return int(str(v))
+
+
+_ORBIT = rows_from_a(a_seq(20))
+
+
+def _with(n, **columns):
+    """The orbit's rows 0..20, with row n's columns replaced."""
+    return [replace(row, **columns) if row.n == n else row for row in _ORBIT]
+
+
+@given(st.one_of(recurrence_values(), st.lists(positive_ints, min_size=1, max_size=25))
+       .map(rows_from_a))
+# Row 17 takes x_den from row 16 (d_17 = d_16), row 19 does not (d changes).
+@example(_with(17, x_den=_copy(_ORBIT[16].x_num)))  # equal to the previous x_num, not it
+@example(_with(19, x_den=_copy(_ORBIT[18].x_num)))  # the same, in a row where d changes
+@example(_with(17, q=_ORBIT[17].x_num << 1))  # q one halving from x_num, where q is x_num
+@example(_with(17, x_den=_ORBIT[17].x_den ^ 2))  # a corrupted row right after a reused one
+def test_row_strings_equal_str_of_each_column(rows):
     # Recurrence values from random a_0, a_1 give gcds that are not powers of
     # two, and a corrupted index breaks the Decimal shadows and re-enters them
-    # a few rows later; arbitrary lists take the Decimal(v) fallback.
-    rows = rows_from_a(values)
+    # a few rows later; arbitrary lists take the Decimal(v) fallback. The
+    # examples are rows no values give, where a column equals, or nearly
+    # equals, the column whose text it would reuse.
     assert list(_row_strings(rows)) == [[str(v) for v in astuple(row)] for row in rows]
+
+
+def test_row_strings_render_each_handed_on_value_once(monkeypatch):
+    rendered = []
+
+    def spy(value):
+        rendered.append(isinstance(value, decimal.Decimal))
+        return str(value)
+
+    rows = rows_from_a(a_seq(600))
+    monkeypatch.setattr(cli, "str", spy, raising=False)
+    per_row = []
+    for _ in _row_strings(rows):
+        per_row.append(sum(rendered))
+        rendered.clear()
+    # Row 0 renders a, x_num, x_den and d; q is x_num = 1. From row 1 on, a
+    # and x_num are rendered always, x_den and d where d changes (n = 3 mod 4),
+    # and q where it is not x_num (n = 2, 3 mod 4).
+    assert per_row == [4] + [2 + 2 * (n % 4 == 3) + (n % 4 in (2, 3)) for n in range(1, 601)]
 
 
 def test_row_strings_on_the_orbit_build_no_decimal_from_a_big_int(monkeypatch):

@@ -370,7 +370,18 @@ def values_corrupted_by_three(draw):
     return values
 
 
-@given(st.one_of(values_corrupted_by_three(), st.lists(positive_ints, min_size=1, max_size=25)))
+# Rows hand on the ints the row before built. Each @example pins one way a
+# handed-on value could be wrong: the valuation's low window missing the
+# lowest set bit, d's power of two changing, e equal to log2 d or not, and
+# negated values, whose valuation is read off the whole value.
+@given(st.one_of(values_corrupted_by_three(), values_with_a_sign_flipped(),
+                 st.lists(nonzero_ints, min_size=1, max_size=25)))
+@example([1, 1 << 63, 3 << 130, 1])  # e jumps by 63, inside the window, then by 67, past it
+@example(a_seq(12))  # d is 1, 1, 1, 2, 2, 2, 2, 4, ...; e - log2 d is 0, 0, 1, 1, 0, ...
+@example([1, 3, 6, 15, 2, 2])  # d_2 = d_3 = 3 are divided out; d_4 = 1 follows a division
+@example([2, 6, 4, 12])  # e == log2 d at rows 1 and 3, not at rows 0 and 2
+@example(FIRST_A[:5] + [-FIRST_A[5]] + FIRST_A[6:])  # one value negated
+@example(FIRST_A[:4] + [-v for v in FIRST_A[4:]])  # a negated suffix
 def test_rows_from_a_equals_plain_gcd_and_division(values):
     assert rows_from_a(values) == _plain_rows(values)
 
@@ -381,3 +392,13 @@ def test_row_divisors_shift_where_a_power_of_two_and_divide_elsewhere():
     # d_2 = gcd(6, 3) = 3 is not a power of two; d_1 and d_3 are.
     assert rows_from_a([1, 3, 6, 15]) == _plain_rows([1, 3, 6, 15])
     assert [row.d for row in rows_from_a([1, 3, 6, 15])] == [1, 1, 3, 3]
+
+
+def test_rows_on_the_orbit_share_the_ints_they_hand_on():
+    rows = rows_from_a(a_seq(600))
+    for prev, row in zip(rows, rows[1:]):
+        if row.d == prev.d:  # three rows in four
+            assert row.x_den is prev.x_num
+    for row in rows:
+        if row.e == row.d.bit_length() - 1:  # one row in two
+            assert row.q is row.x_num
