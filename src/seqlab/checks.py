@@ -127,16 +127,22 @@ class _Sweep:
         return CheckResult(self.name, self.lo, self.hi, FAIL if cex else PASS, cex, ms)
 
 
+# Pads the walk's shorter streams: no item a caller can pass is this object.
+_END = object()
+
+
 def _walk(*streams: tuple[Iterable, list[_Sweep]]) -> None:
     """Walk the streams in lockstep: item n of each stream goes, in a window
     with up to eight items before it, to the steps of that stream's sweeps (see
-    _Sweep), and the time the steps take adds to each sweep's seconds. Raises
-    ValueError where a stream ends before the last index a sweep on it reads."""
+    _Sweep), and the time the steps take adds to each sweep's seconds. Every
+    item is walked, None too, so a step meets whatever the caller passed.
+    Raises ValueError, "<check> reads indices 0..k; the input stops at m",
+    where a stream ends before the last index k a sweep on it reads."""
     feeds = [(deque(maxlen=_WINDOW), sweeps) for _, sweeps in streams]
     ends = [0] * len(streams)
-    for n, items in enumerate(zip_longest(*(items for items, _ in streams))):
+    for n, items in enumerate(zip_longest(*(items for items, _ in streams), fillvalue=_END)):
         for i, (item, (window, sweeps)) in enumerate(zip(items, feeds)):
-            if item is None:  # this stream has ended
+            if item is _END:  # this stream has ended
                 continue
             ends[i] = n + 1
             window.append(item)
@@ -616,10 +622,6 @@ def _sweeps(config: VerifyConfig) -> list[_Sweep]:
     return [_REGISTRY[name](config) for name in names]
 
 
-def _reach(sweeps: list[_Sweep]) -> int:
-    return max([1] + [max(s.need, s.prefix) for s in sweeps])
-
-
 def _replay(hits: list[tuple[int, str]], error: Optional[Exception]) -> Iterator[tuple[int, str]]:
     yield from hits
     if error is not None:
@@ -769,19 +771,20 @@ def _run(sweeps: list[_Sweep], a_values: Optional[Sequence[int]] = None,
 
 
 def required_length(config: VerifyConfig) -> int:
-    """How many companion values (a_0..a_{N-1}) a run of this config reads."""
-    return _reach(_sweeps(config))
+    """How many companion values (a_0..a_{N-1}) a run of this config reads: the
+    furthest any selected sweep reads, and at least 1. A run given fewer raises
+    the ValueError of a check that reads past them."""
+    return max([1] + [max(s.need, s.prefix) for s in _sweeps(config)])
 
 
 def run_all(config: VerifyConfig, a_values: Optional[Sequence[int]] = None) -> list[CheckResult]:
     """Run the selected checks and return their results, ordered by name.
 
     a_values, when given, replaces the internally computed sequence for every
-    check that consumes companion values or rows; it must cover
-    required_length(config) entries. The rows are derived once and walked
-    once, in step with the values, through every selected sweep (see _run).
+    check that consumes companion values or rows. Input that stops before
+    required_length(config) entries raises the ValueError of a check that
+    reads past it, naming the check and where the input stops, as a lone
+    check_* call does. The rows are derived once and walked once, in step
+    with the values, through every selected sweep (see _run).
     """
-    sweeps = _sweeps(config)
-    if a_values is not None and len(a_values) < _reach(sweeps):
-        raise ValueError("a_values too short for this configuration")
-    return _run(sweeps, a_values)
+    return _run(_sweeps(config), a_values)

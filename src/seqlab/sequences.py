@@ -178,7 +178,8 @@ def _derive_rows(a_values: Iterable[int]) -> Iterator[SeqRow]:
     d_n is taken from the module docstring's identity
     d_{n-1} * gcd(x_num_{n-1}, n-1), a gcd with a small argument; anywhere
     else, corrupted input included, it is gcd(a_n, a_{n-1}) itself. Both give
-    gcd(a_n, a_{n-1}) on any input.
+    gcd(a_n, a_{n-1}) on any input. A None raises as a zero does, and the
+    error prints the value it rejects.
 
     On the orbit d_n is a power of two, so x_num and x_den are shifts of
     a_n and a_{n-1}; a divisor that is not a power of two is divided out.
@@ -200,7 +201,7 @@ def _derive_rows(a_values: Iterable[int]) -> Iterator[SeqRow]:
     pprev, prev, dn, num, k, e = 0, 1, 1, 1, None, 0
     for n, a in enumerate(a_values):
         if not a:
-            raise ValueError(f"a_{n} = 0: rows are derived only from nonzero values")
+            raise ValueError(f"a_{n} = {a!r}: rows are derived only from nonzero values")
         low = a & ((1 << (e + 64)) - 1) if a > 0 else 0
         if not low:
             low = a

@@ -248,7 +248,7 @@ MUTANTS = [
         "k, k_prev = dn.bit_length() - 1, k",
         [S + "test_row_divisors_shift_where_a_power_of_two_and_divide_elsewhere"],
     ),
-    # Rows are derived from nonzero values of either sign; a zero is named.
+    # Rows are derived from nonzero values of either sign; a zero or a None is named.
     (
         "row derivation on abs(a), which hides a negated value",
         SEQUENCES,
@@ -263,6 +263,13 @@ MUTANTS = [
         "        if not a:\n",
         "        if False:\n",
         [T + "test_run_all_names_a_zero_value"],
+    ),
+    (
+        "the rejected value printed as 0",
+        SEQUENCES,
+        'raise ValueError(f"a_{n} = {a!r}: ',
+        'raise ValueError(f"a_{n} = 0: ',
+        [T + "test_a_none_value_never_passes"],
     ),
     (
         "the valuation off by one",
@@ -316,6 +323,24 @@ MUTANTS = [
         "                for first, last, step, found in sweep.steps:\n"
         "                    kept = 0\n",
         [T + "test_a_capped_step_is_not_called_again"],
+    ),
+    (
+        "the walk's end marker back to None",
+        CHECKS,
+        "fillvalue=_END)):\n"
+        "        for i, (item, (window, sweeps)) in enumerate(zip(items, feeds)):\n"
+        "            if item is _END:",
+        "fillvalue=None)):\n"
+        "        for i, (item, (window, sweeps)) in enumerate(zip(items, feeds)):\n"
+        "            if item is None:",
+        [T + "test_the_walk_hands_each_step_a_none_item", T + "test_a_none_value_never_passes"],
+    ),
+    (
+        "required_length's floor of 1 as 0",
+        CHECKS,
+        "return max([1] + [max(s.need, s.prefix)",
+        "return max([0] + [max(s.need, s.prefix)",
+        [T + "test_required_length_covers_the_lookahead"],
     ),
     (
         "the coverage check off by one",

@@ -880,8 +880,10 @@ def test_every_public_check_runs_through_the_driver(monkeypatch):
 
 
 def test_run_all_rejects_short_input():
+    # The check that reads past the input names itself: the first row sweep by
+    # name, whose walk ends first.
     config = VerifyConfig(max_n=40, series_order=20, oracle_max=5)
-    with pytest.raises(ValueError, match="too short"):
+    with pytest.raises(ValueError, match=r"^d_formula reads indices 0\.\.40; the input stops at 10$"):
         run_all(config, a_values=a_seq(10))
 
 
@@ -894,8 +896,41 @@ def test_run_all_each_check_on_exactly_required_length(name):
     results = run_all(config, a_values=a_values)
     assert [r.name for r in results] == [name]
     assert results[0].passed
-    with pytest.raises(ValueError, match="too short"):
+    if name == "sign_flip":  # reads no values: its floor of one is none it needs
+        assert run_all(config, a_values=a_values[:-1])[0].passed
+        return
+    with pytest.raises(ValueError, match=rf"^{name} reads "):
         run_all(config, a_values=a_values[:-1])
+
+
+def test_a_none_value_never_passes():
+    # The walk takes a None for a value, not for the end of its input, so the
+    # step that reads it fails; row derivation names it.
+    values = a_seq(50)
+    values[5] = None
+    config = VerifyConfig(max_n=20, series_order=20, oracle_max=5)
+    with pytest.raises((AttributeError, TypeError)):
+        check_sqrt_factorial_lower(20, values)
+    with pytest.raises((AttributeError, TypeError)):
+        check_a6_relation(20, values)
+    with pytest.raises((AttributeError, TypeError)):
+        run_all(replace(config, checks=["sqrt_factorial"]), values)
+    with pytest.raises(ValueError, match="^a_5 = None: "):
+        run_all(config, values)
+
+
+def test_the_walk_hands_each_step_a_none_item():
+    items = [None, 1, None, 3, None]
+    seen = []
+
+    def step(n, window):
+        seen.append((n, window[-1], len(window)))
+
+    # Beside a longer stream, so the end marker pads this one past its last None.
+    checks._walk((items, [checks._Sweep("s", 0, 4, (0, 4, step), rows=False)]), (range(9), []))
+    assert seen == [(n, item, n + 1) for n, item in enumerate(items)]
+    with pytest.raises(ValueError, match=r"^s reads indices 0\.\.5; the input stops at 4$"):
+        checks._walk((items, [checks._Sweep("s", 0, 5, (0, 5, step), rows=False)]))
 
 
 def test_run_all_check_alone_sees_the_given_values():
