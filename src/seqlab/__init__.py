@@ -22,7 +22,7 @@ _HOMES = {
     **dict.fromkeys(("LESS", "EQUAL", "GREATER", "cmp_shifted_sqrt", "primes_upto"), "exact"),
     **dict.fromkeys((
         "SeqRow", "MoebiusMatrix",
-        "a_seq", "a_mod", "e_closed", "d_closed",
+        "a_seq", "e_closed", "d_closed",
         "moebius", "moebius_apply", "a6_step", "q_step",
         "table", "rows_from_a",
     ), "sequences"),

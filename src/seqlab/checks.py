@@ -28,7 +28,7 @@ from collections import deque
 from contextlib import suppress
 from fractions import Fraction
 from itertools import chain, islice, tee, zip_longest
-from math import gcd
+from math import gcd, prod
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -40,7 +40,6 @@ from .sequences import (
     _derive_rows,
     _log2_exact,
     a_iter,
-    a_mod,
     a6_step,
     d_closed,
     e_closed,
@@ -306,11 +305,20 @@ def _congruence(prime_limit: int, n_limit: int) -> _Sweep:
 
     def hits(a_values: Sequence[int]) -> Iterator[tuple[int, str]]:
         odd_primes = [p for p in primes_upto(min(prime_limit, n_limit)) if p > 2]
+        # kept[n] starts as r_n, the product of the swept primes dividing n,
+        # and becomes a_n mod r_n, read off a_n mod P (see check_congruence).
+        kept = [1] * (n_limit + 1)
         for p in odd_primes:
-            residues = a_mod(n_limit, p)
             for n in range(p, n_limit + 1, p):
-                if residues[n] != 1:
-                    yield n, f"a({n}) = {residues[n]} mod {p}, expected 1"
+                kept[n] *= p
+        product, prev, cur = prod(odd_primes), 0, 1  # a_{-1} = 0, as in a_iter
+        for n in range(n_limit + 1):
+            kept[n] = cur % kept[n]
+            prev, cur = cur, (cur + n * prev) % product
+        for p in odd_primes:
+            for n in range(p, n_limit + 1, p):
+                if kept[n] % p != 1:
+                    yield n, f"a({n}) = {kept[n] % p} mod {p}, expected 1"
         for p in odd_primes:
             for n in range(p, cross + 1, p):
                 if a_values[n] % p != 1:
@@ -322,10 +330,13 @@ def _congruence(prime_limit: int, n_limit: int) -> _Sweep:
 def check_congruence(prime_limit: int, n_limit: int, a_values: Optional[Sequence[int]] = None) -> CheckResult:
     """a_n = 1 mod p whenever the odd prime p divides n.
 
-    One modular sweep per prime covers the whole range cheaply; the same
+    One sweep over n = 0..n_limit carries a_n modulo P, the product of the
+    swept primes, and keeps a_n modulo r_n, the product of those dividing n.
+    Each prime p dividing n divides r_n, which divides P, so a_n mod p is
+    read off exactly. Counterexamples come by prime, then by n. The same
     congruence is then recomputed from full-precision values for n up to
-    CROSS_LIMIT so the modular walk itself is not trusted blindly. Primes
-    above n_limit divide no index in range, so they are not swept. Raises
+    CROSS_LIMIT, so the modular sweep is not trusted blindly. Primes above
+    n_limit divide no index in range, so they are not swept. Raises
     ValueError when a_values stop before the cross-check's last index.
     """
     return _run([_congruence(prime_limit, n_limit)], a_values)[0]

@@ -60,18 +60,6 @@ def a_seq(max_n: int) -> list[int]:
     return list(islice(a_iter(), max_n + 1))
 
 
-def a_mod(max_n: int, m: int) -> list[int]:
-    """[a_0 mod m, ..., a_max_n mod m] via the recurrence carried mod m."""
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    out = [1 % m, 1 % m]
-    for n in range(2, max_n + 1):
-        out.append((out[-1] + (n - 1) * out[-2]) % m)
-    return out[: max_n + 1]
-
-
 def e_closed(n: int) -> int:
     """Closed form for the 2-adic valuation of a_n."""
     if n < 0:

@@ -82,6 +82,36 @@ MUTANTS = [
         "    if False:\n",
         [T + "test_a_bad_config_is_rejected_before_any_work"],
     ),
+    # congruence: one sweep modulo the product P of the swept primes keeps
+    # a_n mod r_n, r_n the product of those dividing n.
+    (
+        "a prime missing from P",
+        CHECKS,
+        "prod(odd_primes)",
+        "prod(odd_primes[1:])",
+        [T + "test_congruence_reads_each_listed_modulus_as_full_values_do"],
+    ),
+    (
+        "r_n built over the odd multiples only",
+        CHECKS,
+        "            for n in range(p, n_limit + 1, p):\n                kept[n] *= p\n",
+        "            for n in range(p, n_limit + 1, 2 * p):\n                kept[n] *= p\n",
+        [T + "test_congruence_reads_each_listed_modulus_as_full_values_do"],
+    ),
+    (
+        "a residue read modulo the first prime",
+        CHECKS,
+        "                if kept[n] % p != 1:\n",
+        "                if kept[n] % odd_primes[0] != 1:\n",
+        [T + "test_congruence_reads_each_listed_modulus_as_full_values_do"],
+    ),
+    (
+        "the sweep started one index late",
+        CHECKS,
+        "        for n in range(n_limit + 1):\n            kept[n] = cur % kept[n]\n",
+        "        for n in range(1, n_limit + 1):\n            kept[n] = cur % kept[n]\n",
+        [T + "test_congruence_reads_each_listed_modulus_as_full_values_do"],
+    ),
     (
         "child exit status ignored",
         CHECKS,
@@ -555,12 +585,34 @@ MUTANTS = [
         "if j == 0:",
         [TC + "test_row_strings_equal_str_of_each_column"],
     ),
+    # Output, to stdout and to --out alike, goes out in blocks of _BLOCK.
     (
-        "the --out file at the default buffer size",
+        "each text handed on at the next write",
         CLI,
-        'encoding="utf-8", buffering=_BLOCK)',
-        'encoding="utf-8")',
-        [TC + "test_out_is_written_in_blocks"],
+        "        if block and size + len(text) > _BLOCK:\n",
+        "        if block:\n",
+        [TC + "test_out_is_written_in_blocks", TC + "test_stdout_is_written_in_blocks"],
+    ),
+    (
+        "the block size never reset",
+        CLI,
+        "            block.clear()\n            size = 0\n",
+        "            block.clear()\n",
+        [TC + "test_stdout_is_written_in_blocks"],
+    ),
+    (
+        "a failing close masks the error in the work",
+        CLI,
+        "            with suppress(OSError):\n                fh.close()\n",
+        "            fh.close()\n",
+        [TC + "test_an_error_in_the_work_outlives_a_block_that_close_cannot_flush"],
+    ),
+    (
+        "the last block dropped",
+        CLI,
+        "        yield write\n        guarded(fh.write, \"\".join(block))\n",
+        "        yield write\n",
+        [TC + "test_table_csv_golden"],
     ),
     # The table's decimal strings: a halving by 2^j drops exactly j digits.
     (

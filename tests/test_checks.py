@@ -40,7 +40,7 @@ from seqlab.checks import (
 from seqlab.exact import GREATER, LESS, SIEVE_LIMIT, cmp_shifted_sqrt, primes_upto
 from seqlab.involutions import check_involution_identity
 from seqlab.report import VerifyConfig
-from seqlab.sequences import SeqRow, a_mod, a_seq, e_closed, q_step, rows_from_a
+from seqlab.sequences import SeqRow, a_seq, e_closed, q_step, rows_from_a
 from test_sequences import positive_ints
 
 HI = 150
@@ -350,17 +350,21 @@ def test_congruence_trivial_without_odd_primes(a150):
     assert check_congruence(2, HI, a150).passed
 
 
-def test_congruence_skips_primes_above_the_range(monkeypatch, a150):
-    swept = []
-
-    def spy(max_n, p):
-        swept.append(p)
-        return a_mod(max_n, p)
-
-    monkeypatch.setattr(checks, "a_mod", spy)
+def test_congruence_reads_each_listed_modulus_as_full_values_do(monkeypatch, a150):
+    # The sweep reads a_n mod m for every modulus m it is handed, by m and
+    # then by n, prime or not: a_4 = 10 is 2 mod 4, and a_8 = 764 is 4 mod 8.
+    moduli = [3, 4, 5, 8]
+    monkeypatch.setattr(checks, "primes_upto", lambda limit: moduli)
+    expected = [
+        (n, f"a({n}) = {a150[n] % m} mod {m}, expected 1")
+        for m in moduli for n in range(m, 41, m) if a150[n] % m != 1
+    ] + [
+        (n, f"full-precision a({n}) is not 1 mod {m}")
+        for m in moduli for n in range(m, 41, m) if a150[n] % m != 1
+    ]
+    assert len(expected) > MAX_COUNTEREXAMPLES
     result = check_congruence(97, 40, a150)
-    assert result.passed
-    assert swept == [p for p in primes_upto(40) if p > 2]
+    assert result.counterexamples == expected[:MAX_COUNTEREXAMPLES]
 
 
 def test_congruence_sieves_no_further_than_the_range(monkeypatch, a150):

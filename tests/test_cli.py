@@ -59,13 +59,33 @@ def test_table_writes_file(tmp_path):
 
 
 def test_out_is_written_in_blocks(tmp_path):
-    # A write smaller than the block waits in the buffer, however many rows
-    # it holds; with the default 8 KiB buffer it would reach the file at once.
+    # A text waits for the next write or the end of the with block, however
+    # long it is; with the default 8 KiB buffer alone it would reach the file
+    # at once.
     path = tmp_path / "out.txt"
     with cli._output(str(path)) as write:
         write("x" * 200_000)
         assert path.stat().st_size == 0
     assert path.read_text() == "x" * 200_000
+
+
+def test_stdout_is_written_in_blocks(monkeypatch, tmp_path):
+    # Each write but the last hands stdout a block of rows, so a table of many
+    # rows is a few writes, not one write per row. Every row here is under
+    # 4 KB, far less than half a block.
+    class CountingStdout(io.StringIO):
+        def write(self, text):
+            sizes.append(len(text))
+            return super().write(text)
+
+    sizes = []
+    monkeypatch.setattr(sys, "stdout", CountingStdout())
+    assert main(["table", "--max", "600"]) == 0
+    assert sum(sizes) > 2 * cli._BLOCK
+    assert all(cli._BLOCK // 2 < size <= cli._BLOCK for size in sizes[:-1])
+    path = tmp_path / "table.csv"
+    assert main(["table", "--max", "600", "--out", str(path)]) == 0
+    assert sys.stdout.getvalue() == path.read_text()
 
 
 @pytest.mark.parametrize("value", ["-1", "20001"])
@@ -331,6 +351,17 @@ def test_an_error_in_the_work_outlives_a_failing_close(monkeypatch):
     monkeypatch.setattr(cli, "iter_rows", rows)
     with pytest.raises(RuntimeError, match="work failed"):
         main(["table", "--max", "5", "--out", "/dev/full"])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_an_error_in_the_work_outlives_a_block_that_close_cannot_flush():
+    # The short first block is handed to the file when the long text comes,
+    # and waits in the file's buffer, which close cannot flush.
+    with pytest.raises(RuntimeError, match="work failed"):
+        with cli._output("/dev/full") as write:
+            write("x" * 100)
+            write("y" * cli._BLOCK)
+            raise RuntimeError("work failed")
 
 
 def test_verify_text_output(capsys):

@@ -13,7 +13,6 @@ from seqlab.sequences import (
     MoebiusMatrix,
     SeqRow,
     a_iter,
-    a_mod,
     a_seq,
     a6_step,
     d_closed,
@@ -95,23 +94,6 @@ def test_x_recurrence_holds():
     xs = x_seq(30)
     for n in range(30):
         assert xs[n + 1] == 1 + Fraction(n, 1) / xs[n]
-
-
-def test_a_mod_matches_full_precision():
-    a = a_seq(80)
-    for m in (2, 3, 7, 10, 97):
-        assert a_mod(80, m) == [v % m for v in a]
-
-
-def test_a_mod_short_prefixes():
-    assert a_mod(0, 2) == [1]
-    assert a_mod(1, 3) == [1, 1]
-    assert a_mod(2, 3) == [1, 1, 2]
-
-
-def test_a_mod_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        a_mod(5, 1)
 
 
 def test_d_values():
