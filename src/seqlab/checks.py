@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exact import primes_upto
 from .involutions import ENUMERATION_MAX, count_involutions_enum
-from .report import FAIL, PASS, CheckResult, VerifyConfig, decimal_text
+from .report import CheckResult, VerifyConfig, decimal_text
 from .sequences import (
     SeqRow,
     _derive_rows,
@@ -123,7 +123,7 @@ class _Sweep:
         found = (found for _, _, _, found in self.steps)
         cex = list(islice(chain(*found, hits), MAX_COUNTEREXAMPLES))
         ms = int((self.seconds + seconds + perf_counter() - start) * 1000)
-        return CheckResult(self.name, self.lo, self.hi, FAIL if cex else PASS, cex, ms)
+        return CheckResult(self.name, self.lo, self.hi, cex, ms)
 
 
 # Pads the walk's shorter streams: no item a caller can pass is this object.

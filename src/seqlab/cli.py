@@ -32,17 +32,24 @@ EXIT_USAGE = 2
 
 _T = TypeVar("_T")
 
-# Everything stays exact at any size, but an unbounded --max is a footgun.
-MAX_N_CEILING = 20000
+# Everything stays exact at any size, but an unbounded --max is a footgun, so
+# each command's --max stops where it still finishes in well under a minute
+# (wall and peak RSS of a child started with posix_spawn and reaped with
+# wait4, medians of three runs, 2-vCPU host, CPython 3.11). `verify` costs
+# about 5x per doubling, nearly all of it the walk: 7.5 s and 21 MiB at 40000,
+# 37 s and 25 MiB at 80000. `table` writes every digit of every row, 1.4 GB
+# of CSV in 5.2 s at 20000, and its output grows as N^2.
+VERIFY_MAX_N = 80000
+TABLE_MAX_N = 20000
 
 # The series check grows about 8x per doubling of the order, nearly all of it
 # the convolution: 0.04 s at 600, 0.26-0.28 s at 1200 and 2.1-2.2 s at 2400
-# (in process, 2-vCPU host, CPython 3.11). At 2400, `series` takes 2.0-3.0 s
-# and 24 MiB, and `verify --checks d_upper,series` 2.2-3.8 s and 20 MiB (wall
-# and peak RSS of a child started with posix_spawn and reaped with wait4).
-# Beyond this it soon runs for minutes, so --order stops here for both verify
-# and series.
-MAX_ORDER = 2400
+# (in process, 2-vCPU host, CPython 3.11). Measured as --max is above,
+# `series` takes 3.1 s and 24 MiB at 2400 and 28 s and 48 MiB at 4800, and
+# `verify --checks d_upper,series` 3.7 s and 20 MiB at 2400 and 33 s and
+# 45 MiB at 4800. The next doubling would run for minutes, so --order stops
+# here for both verify and series.
+MAX_ORDER = 4800
 
 _COLUMNS = [f.name for f in fields(SeqRow)]
 CSV_HEADER = ",".join(_COLUMNS)
@@ -68,21 +75,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.add_argument("--out", default=None, help="output file (default stdout)")
 
+    defaults = VerifyConfig()
     p_verify = sub.add_parser("verify", help="run the check suite")
-    p_verify.add_argument("--max", type=int, default=1000, help="largest index n (default 1000)")
-    p_verify.add_argument("--primes", type=int, default=97, help="largest congruence prime (default 97)")
-    p_verify.add_argument("--order", type=int, default=600, help="series truncation order (default 600)")
+    p_verify.add_argument("--max", type=int, default=defaults.max_n, help="largest index n (default %(default)s)")
+    p_verify.add_argument("--primes", type=int, default=defaults.prime_limit,
+                          help="largest congruence prime (default %(default)s)")
+    p_verify.add_argument("--order", type=int, default=defaults.series_order,
+                          help="series truncation order (default %(default)s)")
     p_verify.add_argument("--checks", default=None, help="comma-separated subset of check names")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None, help="output file (default stdout)")
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for the sampled identity check")
+    p_verify.add_argument("--seed", type=int, default=defaults.seed, help="seed for the sampled identity check")
 
     p_series = sub.add_parser("series", help="print coefficients and identity outcomes")
     p_series.add_argument("--order", type=int, default=12, help="truncation order (default 12)")
     p_series.add_argument("--out", default=None, help="output file (default stdout)")
 
     p_oracle = sub.add_parser("oracle", help="compare enumerated involution counts")
-    p_oracle.add_argument("--max", type=int, default=10, help=f"largest n (at most {ENUMERATION_MAX})")
+    p_oracle.add_argument("--max", type=int, default=ENUMERATION_MAX, help=f"largest n (at most {ENUMERATION_MAX})")
     p_oracle.add_argument("--out", default=None, help="output file (default stdout)")
 
     return parser
@@ -241,7 +251,7 @@ def _row_strings(rows: Iterable[SeqRow]) -> Iterator[list[str]]:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    _check_range("--max", args.max, 0, MAX_N_CEILING)
+    _check_range("--max", args.max, 0, TABLE_MAX_N)
     with _output(args.out) as write:
         strings = _row_strings(iter_rows(args.max))
         if args.format == "csv":
@@ -257,7 +267,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _check_range("--max", args.max, 0, MAX_N_CEILING)
+    _check_range("--max", args.max, 0, VERIFY_MAX_N)
     _check_range("--order", args.order, 2, MAX_ORDER)
     _check_range("--primes", args.primes, 0, SIEVE_LIMIT)
     checks = None

@@ -17,20 +17,24 @@ class CheckResult:
     """Outcome of one named check over an index range.
 
     counterexamples holds (n, detail) pairs; an empty list means the check
-    held everywhere it looked. elapsed_ms is wall time and is the only field
-    allowed to differ between otherwise identical runs.
+    held everywhere it looked, and that is the verdict: status and passed are
+    read off it. elapsed_ms is wall time and is the only field allowed to
+    differ between otherwise identical runs.
     """
 
     name: str
     lo: int
     hi: int
-    status: str
     counterexamples: list[tuple[int, str]] = field(default_factory=list)
     elapsed_ms: int = 0
 
     @property
+    def status(self) -> str:
+        return FAIL if self.counterexamples else PASS
+
+    @property
     def passed(self) -> bool:
-        return self.status == PASS
+        return not self.counterexamples
 
     def to_dict(self) -> dict:
         return {

@@ -44,6 +44,7 @@ TS = "tests/test_series.py::"
 TI = "tests/test_involutions.py::"
 TC = "tests/test_cli.py::"
 TP = "tests/test_package.py::"
+TR = "tests/test_report.py::"
 
 MUTANTS = [
     # The fork path: a check's tail read in a forked child while the walk runs.
@@ -621,6 +622,22 @@ MUTANTS = [
         "10 ** -j)",
         "10 ** (1 - j))",
         [TC + "test_row_strings_on_the_orbit_build_no_decimal_from_a_big_int"],
+    ),
+    # A result's verdict is read off its counterexamples, and verify's flags
+    # default to VerifyConfig's fields.
+    (
+        "status read as pass when counterexamples exist",
+        REPORT,
+        "        return FAIL if self.counterexamples else PASS\n",
+        "        return PASS\n",
+        [TR + "test_status_and_passed_follow_the_counterexamples"],
+    ),
+    (
+        "a verify default written apart from VerifyConfig",
+        CLI,
+        "default=defaults.series_order,",
+        "default=601,",
+        [TC + "test_verify_defaults_are_verify_config_s"],
     ),
     # A counterexample's value may have more digits than str() of an int allows.
     (

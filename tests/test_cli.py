@@ -19,7 +19,8 @@ import seqlab.cli as cli
 from seqlab import __version__
 from seqlab.checks import CHECK_NAMES
 from seqlab.cli import _row_strings, main
-from seqlab.report import FAIL, CheckResult
+from seqlab.involutions import ENUMERATION_MAX
+from seqlab.report import CheckResult, VerifyConfig
 from seqlab.sequences import a_seq, iter_rows, rows_from_a
 
 GOLDEN_TABLE = """n,a,x_num,x_den,d,e,q
@@ -92,6 +93,12 @@ def test_stdout_is_written_in_blocks(monkeypatch, tmp_path):
 def test_table_max_out_of_range(value, capsys):
     assert main(["table", "--max", value]) == 2
     assert "--max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cap", [("table", 20000), ("verify", 80000)])
+def test_each_command_s_max_is_capped_at_its_measured_ceiling(command, cap, capsys):
+    assert main([command, "--max", str(cap + 1)]) == 2
+    assert capsys.readouterr().err == f"seqlab: --max is capped at {cap}\n"
 
 
 def _reference_rows(max_n):
@@ -213,9 +220,11 @@ def _int_flag(small, above_cap):
     )
 
 
+# Each command's --max is drawn against that command's own cap; series takes
+# no --max, and rejects it at any value.
+_MAX_CAPS = {"table": cli.TABLE_MAX_N, "verify": cli.VERIFY_MAX_N, "series": 0, "oracle": ENUMERATION_MAX}
 _FLAG_VALUES = {
-    "--max": _int_flag(12, "20001"),
-    "--order": _int_flag(40, "2401"),
+    "--order": _int_flag(40, str(cli.MAX_ORDER + 1)),
     "--primes": _int_flag(200, "10000001"),
     # involutions takes about 0.4 s a run whatever --max is: one rare draw.
     "--checks": st.one_of(
@@ -240,9 +249,10 @@ def cli_argv(draw):
     command = draw(st.sampled_from(sorted(_SMALL_ARGS)))
     own = _SMALL_ARGS[command][::2]
     argv = [command, *_SMALL_ARGS[command]]
+    values = {**_FLAG_VALUES, "--max": _int_flag(12, str(_MAX_CAPS[command] + 1))}
     # Mostly the subcommand's own flags, sometimes one it rejects.
-    for flag in draw(st.lists(st.sampled_from(own * 3 + sorted(_FLAG_VALUES)), max_size=3)):
-        argv += [flag, draw(_FLAG_VALUES[flag])]
+    for flag in draw(st.lists(st.sampled_from(own * 3 + sorted(values)), max_size=3)):
+        argv += [flag, draw(values[flag])]
     return argv
 
 
@@ -397,7 +407,7 @@ def test_verify_rejects_bad_flags(capsys):
     assert main(["verify", "--checks", " , "]) == 2
     assert main(["verify", "--max", "-3"]) == 2
     assert main(["verify", "--max", "10", "--order", "1000000"]) == 2
-    assert "--order is capped at 2400" in capsys.readouterr().err
+    assert "--order is capped at 4800" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value,message", [
@@ -413,8 +423,7 @@ def test_verify_bounds_primes(value, message, capsys):
 
 def test_verify_exit_code_on_failure(monkeypatch, capsys):
     def fake_run_all(config, a_values=None):
-        return [CheckResult(name="parity", lo=1, hi=2, status=FAIL,
-                            counterexamples=[(2, "boom")])]
+        return [CheckResult(name="parity", lo=1, hi=2, counterexamples=[(2, "boom")])]
 
     monkeypatch.setattr(cli, "run_all", fake_run_all)
     rc = main(["verify", "--checks", "parity", "--max", "10"])
@@ -423,6 +432,17 @@ def test_verify_exit_code_on_failure(monkeypatch, capsys):
     assert "FAIL parity" in out
     assert "n=2: boom" in out
     assert "aggregate: fail" in out
+
+
+def test_verify_defaults_are_verify_config_s(monkeypatch):
+    args = cli.build_parser().parse_args(["verify"])
+    defaults = VerifyConfig()
+    assert (args.max, args.primes, args.order, args.seed) == (
+        defaults.max_n, defaults.prime_limit, defaults.series_order, defaults.seed)
+    configs = []
+    monkeypatch.setattr(cli, "run_all", lambda config: configs.append(config) or [])
+    assert main(["verify"]) == 0
+    assert configs == [defaults]
 
 
 def test_series_output(capsys):
@@ -445,13 +465,13 @@ def test_series_and_verify_share_the_order_cap(capsys):
     assert main(["series", "--order", "20001"]) == 2
     assert main(["verify", "--order", "20001"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["seqlab: --order is capped at 2400"] * 2
+    assert err == ["seqlab: --order is capped at 4800"] * 2
 
 
 @pytest.mark.parametrize("command", ["series", "verify"])
 def test_order_is_capped_at_the_measured_ceiling(command, capsys):
-    assert main([command, "--order", "2401"]) == 2
-    assert capsys.readouterr().err == "seqlab: --order is capped at 2400\n"
+    assert main([command, "--order", "4801"]) == 2
+    assert capsys.readouterr().err == "seqlab: --order is capped at 4800\n"
 
 
 def test_oracle_output(capsys):

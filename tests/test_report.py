@@ -13,12 +13,11 @@ from seqlab.report import FAIL, PASS, CheckResult, ReportDocument, VerifyConfig,
 
 
 def _doc():
-    good = CheckResult(name="alpha", lo=0, hi=9, status=PASS, elapsed_ms=3)
+    good = CheckResult(name="alpha", lo=0, hi=9, elapsed_ms=3)
     bad = CheckResult(
         name="beta",
         lo=1,
         hi=5,
-        status=FAIL,
         counterexamples=[(4, "something broke")],
         elapsed_ms=1,
     )
@@ -26,8 +25,20 @@ def _doc():
 
 
 def test_passed_property():
-    assert CheckResult(name="x", lo=0, hi=0, status=PASS).passed
-    assert not CheckResult(name="x", lo=0, hi=0, status=FAIL).passed
+    assert CheckResult(name="x", lo=0, hi=0).passed
+    assert not CheckResult(name="x", lo=0, hi=0, counterexamples=[(0, "boom")]).passed
+
+
+def test_status_and_passed_follow_the_counterexamples():
+    result = CheckResult(name="x", lo=0, hi=3)
+    assert (result.status, result.passed) == (PASS, True)
+    result.counterexamples.append((2, "boom"))
+    assert (result.status, result.passed) == (FAIL, False)
+    assert result.to_dict()["status"] == FAIL
+    result.counterexamples.clear()
+    assert (result.status, result.passed) == (PASS, True)
+    with pytest.raises(TypeError):
+        CheckResult(name="x", lo=0, hi=3, status=PASS)
 
 
 def test_aggregate_fails_if_any_result_fails():
