@@ -2,19 +2,21 @@
 
 Each check scans an index range with exact arithmetic and returns a
 CheckResult; a counterexample is an (n, detail) pair. Most checks are steps
-of one walk: a step reads row n, or the companion value a_n, together with at
-most the eight items before it. One driver, _run, runs every check, for
-run_all (what the command line drives) and for each public check_* alike: it
-derives the rows once, walks them and the values once for every selected
-step, and keeps only the leading values that the checks reading whole
-prefixes need. A check's tail reads only those leading values, so in a run of
-two or more checks, where os.fork exists, each tail is read in forked children
-while the walk goes on, one child for each of its parts (d_upper's mechanism
-has two, split where its cost halves); a run of one check reads its tail in
-process, and so does a run whose fork fails. Either way the results are the
-same. Checks accept precomputed a_values/rows so callers can feed
-deliberately corrupted data and confirm the sweeps catch it; a check given
-values and no rows reads the rows derived from those values.
+of a walk over one stream, the rows or the companion values: a step reads
+row n, or a_n, together with at most the eight items before it. One driver,
+_run, runs every check, for run_all (what the command line drives) and for
+each public check_* alike. It chains two walks: it walks the values once,
+derives the rows once from what that walk yields, walks them once, and then
+finishes the values walk; it keeps only the leading values that the checks
+reading whole prefixes need. A check's tail reads only those leading values,
+so in a run of two or more checks, where os.fork exists, each tail is read
+in forked children while the walks go on, one child for each of its parts
+(d_upper's mechanism has two, split where its cost halves); a run of one
+check reads its tail in process, and so does a run whose fork fails. Either
+way the results are the same. Checks accept precomputed a_values/rows so
+callers can feed deliberately corrupted data and confirm the sweeps catch
+it; a check given values and no rows reads the rows derived from those
+values.
 
 This module owns that protocol: the sweep (_Sweep, with Hit, Step, Tail and
 MAX_COUNTEREXAMPLES), the walk, the forked tails and the driver. Every check's
@@ -27,7 +29,7 @@ import random
 from collections import deque
 from contextlib import suppress
 from fractions import Fraction
-from itertools import chain, islice, tee, zip_longest
+from itertools import chain, islice
 from math import gcd, prod
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -109,61 +111,55 @@ class _Sweep:
         self.seconds = 0.0
 
     def result(self, values: Sequence[int] = (),
-               tail: Optional[tuple[Iterable[tuple[int, str]], float]] = None) -> CheckResult:
+               reads: Optional[list[tuple[Iterable[tuple[int, str]], float]]] = None) -> CheckResult:
         """The check's result, the tail reading the given leading values; reading
-        it counts toward the elapsed time. `tail`, when given, is the tail as
-        read elsewhere: its parts' counterexamples in order, which raise where a
-        part raised, and the seconds that reading its parts took, summed."""
+        it counts toward the elapsed time. `reads`, when given, is the tail as
+        read elsewhere: one (counterexamples, seconds) pair per part, in order,
+        whose counterexamples raise where the part raised."""
         if len(values) < self.prefix:
             raise ValueError(f"{self.name} reads a_0..a_{self.prefix - 1}; the input stops at {len(values) - 1}")
         start = perf_counter()
-        if tail is None:
-            tail = chain.from_iterable(part(values) for part in self.parts), 0.0
-        hits, seconds = tail
+        if reads is None:
+            reads = [(chain.from_iterable(part(values) for part in self.parts), 0.0)]
         found = (found for _, _, _, found in self.steps)
-        cex = list(islice(chain(*found, hits), MAX_COUNTEREXAMPLES))
-        ms = int((self.seconds + seconds + perf_counter() - start) * 1000)
+        cex = list(islice(chain(*found, *(hits for hits, _ in reads)), MAX_COUNTEREXAMPLES))
+        ms = int((self.seconds + sum(seconds for _, seconds in reads) + perf_counter() - start) * 1000)
         return CheckResult(self.name, self.lo, self.hi, cex, ms)
 
 
-# Pads the walk's shorter streams: no item a caller can pass is this object.
-_END = object()
-
-
-def _walk(*streams: tuple[Iterable, list[_Sweep]]) -> None:
-    """Walk the streams in lockstep: item n of each stream goes, in a window
-    with up to eight items before it, to the steps of that stream's sweeps (see
-    _Sweep), and the time the steps take adds to each sweep's seconds. Every
-    item is walked, None too, so a step meets whatever the caller passed.
-    Raises ValueError, "<check> reads indices 0..k; the input stops at m",
-    where a stream ends before the last index k a sweep on it reads."""
-    feeds = [(deque(maxlen=_WINDOW), sweeps) for _, sweeps in streams]
-    ends = [0] * len(streams)
-    for n, items in enumerate(zip_longest(*(items for items, _ in streams), fillvalue=_END)):
-        for i, (item, (window, sweeps)) in enumerate(zip(items, feeds)):
-            if item is _END:  # this stream has ended
-                continue
-            ends[i] = n + 1
-            window.append(item)
-            start = perf_counter()
-            for sweep in sweeps:
-                kept = 0
-                for first, last, step, found in sweep.steps:
-                    kept += len(found)
-                    if kept >= MAX_COUNTEREXAMPLES:
-                        break
-                    if first <= n <= last:
-                        hit = step(n, window)
-                        if hit is not None:
-                            found.append(hit)
-                            kept += 1
-                now = perf_counter()
-                sweep.seconds += now - start
-                start = now
-    for (_, sweeps), end in zip(streams, ends):
+def _walk(items: Iterable, sweeps: list[_Sweep]) -> Iterator:
+    """Walk one stream: yield item n, then hand it, in a window with up to
+    eight items before it, to the sweeps' steps (see _Sweep); the time the
+    steps take adds to each sweep's seconds. Item n is yielded before its
+    steps run, so whatever the consumer builds from it is built first: _run
+    derives row n from value n, and walks it, before the value steps at n
+    run. Every item is walked, None too, so a step meets whatever the caller
+    passed. Raises ValueError, "<check> reads indices 0..k; the input stops
+    at m", where the stream ends before the last index k a sweep reads."""
+    window = deque(maxlen=_WINDOW)
+    end = 0
+    for n, item in enumerate(items):
+        window.append(item)
+        yield item
+        end = n + 1
+        start = perf_counter()
         for sweep in sweeps:
-            if end < sweep.need:
-                raise ValueError(f"{sweep.name} reads indices 0..{sweep.need - 1}; the input stops at {end - 1}")
+            kept = 0
+            for first, last, step, found in sweep.steps:
+                kept += len(found)
+                if kept >= MAX_COUNTEREXAMPLES:
+                    break
+                if first <= n <= last:
+                    hit = step(n, window)
+                    if hit is not None:
+                        found.append(hit)
+                        kept += 1
+            now = perf_counter()
+            sweep.seconds += now - start
+            start = now
+    for sweep in sweeps:
+        if end < sweep.need:
+            raise ValueError(f"{sweep.name} reads indices 0..{sweep.need - 1}; the input stops at {end - 1}")
 
 
 def _gap_certainly_inside(n: int, p: int, q: int) -> bool:
@@ -363,8 +359,9 @@ def _cost_half(m: int) -> int:
     Horner steps, each a few small multiplies of a product of about n log n
     bits), so it costs about as much on 1..h as on h+1..m: for m = 600,
     h = 477, and timed in process on a 2-vCPU host the two parts took
-    0.14-0.21 s and 0.13-0.20 s there (quartiles of 15 runs; medians 0.19 s
-    each). Since 1^2 + ... + h^2 = h(h+1)(2h+1)/6, the test stays in ints.
+    0.15-0.18 s and 0.13-0.18 s of CPU there (quartiles of 15 runs; medians
+    0.15 s each). Since 1^2 + ... + h^2 = h(h+1)(2h+1)/6, the test stays in
+    ints.
     """
     whole = m * (m + 1) * (2 * m + 1)
     return next(h for h in range(m + 1) if 2 * h * (h + 1) * (2 * h + 1) >= whole)
@@ -717,14 +714,6 @@ class _ForkedTail:
             self.pid = None
 
 
-def _read(tails: list[_ForkedTail]) -> tuple[Iterator[tuple[int, str]], float]:
-    """A tail read in forked parts, as _Sweep.result takes it: the parts'
-    counterexamples in order, a part's error raised before any later part's
-    counterexamples, and the parts' seconds summed. Reaps every child."""
-    reads = [tail.read() for tail in tails]
-    return chain.from_iterable(hits for hits, _ in reads), sum(seconds for _, seconds in reads)
-
-
 def _close(forked: dict[int, list[_ForkedTail]]) -> None:
     for tails in forked.values():
         for tail in tails:
@@ -733,12 +722,17 @@ def _close(forked: dict[int, list[_ForkedTail]]) -> None:
 
 def _run(sweeps: list[_Sweep], a_values: Optional[Sequence[int]] = None,
          rows: Optional[Sequence[SeqRow]] = None) -> list[CheckResult]:
-    """The sweeps' results: one walk over the rows and the values, and each
-    sweep's tail on the leading values.
+    """The sweeps' results: a walk over the values, a walk over the rows, and
+    each sweep's tail on the leading values.
 
     The values are a_values, or the sequence's own when None; only the prefix
-    that some sweep reads whole is kept. Rows, when not given, are derived
-    once from those values, through a tee that the walk drains in step.
+    that some sweep reads whole is kept. The two walks are chained, not run
+    side by side: rows, when not given, are derived from what the values walk
+    yields, the rows walk drains them, and then the values walk is drained to
+    the furthest index a value step reads (a6_relation reads six values past
+    the rows). Since the values walk yields each value before its steps run,
+    each index still goes row derivation, row steps, value steps; where the
+    input is too short, the values walk, which ends first, names its check.
 
     A run of two or more sweeps, where os.fork exists, starts each part of
     each tail that has its leading values in a child of its own (_ForkedTail)
@@ -759,7 +753,7 @@ def _run(sweeps: list[_Sweep], a_values: Optional[Sequence[int]] = None,
     derive = rows is None and on_rows
     walked = max([0] + [s.need for s in on_rows])
     ahead = max([walked if derive else 0] + [s.need for s in on_values])
-    values: Iterable[int] = chain(prefix, islice(source, max(0, ahead - len(prefix))))
+    values = _walk(chain(prefix, islice(source, max(0, ahead - len(prefix)))), on_values)
     forked: dict[int, list[_ForkedTail]] = {}
     try:
         if len(sweeps) > 1 and hasattr(os, "fork"):
@@ -773,10 +767,10 @@ def _run(sweeps: list[_Sweep], a_values: Optional[Sequence[int]] = None,
                 _close(forked)
                 forked.clear()
         if derive:
-            values, for_rows = tee(values)
-            rows = _derive_rows(islice(for_rows, walked))
-        _walk((islice(rows or (), walked), on_rows), (values, on_values))
-        return [s.result(prefix, _read(forked[i]) if i in forked else None) for i, s in enumerate(sweeps)]
+            rows = _derive_rows(values)
+        deque(_walk(islice(rows or (), walked), on_rows), 0)
+        deque(values, 0)  # the rest of the values walk: a6_relation reads past the rows
+        return [s.result(prefix, [t.read() for t in forked[i]] if i in forked else None) for i, s in enumerate(sweeps)]
     finally:
         _close(forked)
 

@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="emit the derived table")
-    p_table.add_argument("--max", type=int, default=20, help="largest index n (default 20)")
+    p_table.add_argument("--max", type=int, default=20, help="largest index n (default %(default)s)")
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.add_argument("--out", default=None, help="output file (default stdout)")
 
@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=defaults.seed, help="seed for the sampled identity check")
 
     p_series = sub.add_parser("series", help="print coefficients and identity outcomes")
-    p_series.add_argument("--order", type=int, default=12, help="truncation order (default 12)")
+    p_series.add_argument("--order", type=int, default=12, help="truncation order (default %(default)s)")
     p_series.add_argument("--out", default=None, help="output file (default stdout)")
 
     p_oracle = sub.add_parser("oracle", help="compare enumerated involution counts")

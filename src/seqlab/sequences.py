@@ -89,10 +89,6 @@ class MoebiusMatrix:
     def identity() -> "MoebiusMatrix":
         return MoebiusMatrix(1, 0, 0, 1)
 
-    @property
-    def det(self) -> int:
-        return self.alpha * self.delta - self.beta * self.gamma
-
     def __matmul__(self, other: "MoebiusMatrix") -> "MoebiusMatrix":
         return MoebiusMatrix(
             self.alpha * other.alpha + self.beta * other.gamma,
@@ -106,7 +102,8 @@ def moebius(n: int, k: int) -> MoebiusMatrix:
     """The matrix carrying x_n to x_{n+k}: a product of the one-step maps.
 
     One step from index n + j is x -> 1 + (n+j)/x, i.e. [[1, n+j], [1, 0]].
-    Steps compose by left multiplication, so det is (-1)^k * prod(n+j).
+    Steps compose by left multiplication, so the determinant
+    alpha*delta - beta*gamma is (-1)^k * prod(n+j).
     """
     if n < 0 or k < 0:
         raise ValueError("moebius requires nonnegative n and k")

@@ -58,7 +58,7 @@ MUTANTS = [
     (
         "tail time dropped",
         CHECKS,
-        "ms = int((self.seconds + seconds + perf_counter() - start) * 1000)",
+        "ms = int((self.seconds + sum(seconds for _, seconds in reads) + perf_counter() - start) * 1000)",
         "ms = int((self.seconds + perf_counter() - start) * 1000)",
         [T + "test_a_tail_s_time_reaches_elapsed_ms"],
     ),
@@ -154,8 +154,8 @@ MUTANTS = [
     (
         "parts replayed in reverse",
         CHECKS,
-        "reads = [tail.read() for tail in tails]",
-        "reads = [tail.read() for tail in reversed(tails)]",
+        "[t.read() for t in forked[i]]",
+        "[t.read() for t in reversed(forked[i])]",
         [T + "test_the_mechanism_s_parts_report_as_in_process",
          T + "test_a_part_s_error_raises_before_the_later_parts_hits"],
     ),
@@ -349,22 +349,33 @@ MUTANTS = [
     (
         "the walk's cap counted per step",
         CHECKS,
-        "                kept = 0\n"
-        "                for first, last, step, found in sweep.steps:\n",
-        "                for first, last, step, found in sweep.steps:\n"
-        "                    kept = 0\n",
+        "            kept = 0\n"
+        "            for first, last, step, found in sweep.steps:\n",
+        "            for first, last, step, found in sweep.steps:\n"
+        "                kept = 0\n",
         [T + "test_a_capped_step_is_not_called_again"],
     ),
     (
-        "the walk's end marker back to None",
+        "the item yielded after its steps",  # yields where a last sweep would run
         CHECKS,
-        "fillvalue=_END)):\n"
-        "        for i, (item, (window, sweeps)) in enumerate(zip(items, feeds)):\n"
-        "            if item is _END:",
-        "fillvalue=None)):\n"
-        "        for i, (item, (window, sweeps)) in enumerate(zip(items, feeds)):\n"
-        "            if item is None:",
-        [T + "test_the_walk_hands_each_step_a_none_item", T + "test_a_none_value_never_passes"],
+        "        yield item\n"
+        "        end = n + 1\n"
+        "        start = perf_counter()\n"
+        "        for sweep in sweeps:\n",
+        "        end = n + 1\n"
+        "        start = perf_counter()\n"
+        "        for sweep in [*sweeps, None]:\n"
+        "            if sweep is None:\n"
+        "                yield item\n"
+        "                break\n",
+        [T + "test_a_none_value_never_passes"],
+    ),
+    (
+        "the values walk not drained after the rows",
+        CHECKS,
+        "        deque(values, 0)",
+        "        pass",
+        [T + "test_run_all_walks_the_values_past_the_rows"],
     ),
     (
         "required_length's floor of 1 as 0",
@@ -390,8 +401,8 @@ MUTANTS = [
     (
         "result() keeping 50",
         CHECKS,
-        "cex = list(islice(chain(*found, hits), MAX_COUNTEREXAMPLES))",
-        "cex = list(islice(chain(*found, hits), 50))",
+        "cex = list(islice(chain(*found, *(hits for hits, _ in reads)), MAX_COUNTEREXAMPLES))",
+        "cex = list(islice(chain(*found, *(hits for hits, _ in reads)), 50))",
         [T + "test_counterexamples_are_capped"],
     ),
     (

@@ -4,6 +4,7 @@ import os
 import sys
 import time
 import tracemalloc
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
@@ -699,14 +700,14 @@ def test_a_capped_step_is_not_called_again():
     # and the tail is never read.
     calls = {"a": 0, "b": 0, "tail": 0}
     sweep = _counting_sweep(calls, lambda n: n % 10 == 0, (0, 99))
-    checks._walk((range(100), [sweep]))
+    deque(checks._walk(range(100), [sweep]), 0)
     texts = [text for _, text in sweep.result().counterexamples]
     assert (calls["a"], calls["b"], calls["tail"]) == (100, 22, 0)
     assert texts == ["a"] * 10 + ["b"] * 15
     # With 15 found on the walk, the tail is read for the 10 that fit.
     calls = {"a": 0, "b": 0, "tail": 0}
     sweep = _counting_sweep(calls, lambda n: n >= 90, (95, 99))
-    checks._walk((range(100), [sweep]))
+    deque(checks._walk(range(100), [sweep]), 0)
     texts = [text for _, text in sweep.result().counterexamples]
     assert (calls["a"], calls["b"], calls["tail"]) == (100, 5, 10)
     assert texts == ["a"] * 10 + ["b"] * 5 + ["tail"] * 10
@@ -884,11 +885,22 @@ def test_every_public_check_runs_through_the_driver(monkeypatch):
 
 
 def test_run_all_rejects_short_input():
-    # The check that reads past the input names itself: the first row sweep by
-    # name, whose walk ends first.
+    # The check that reads past the input names itself: the value sweep that
+    # reads furthest, since the values walk, which rows are derived from, ends
+    # first.
     config = VerifyConfig(max_n=40, series_order=20, oracle_max=5)
-    with pytest.raises(ValueError, match=r"^d_formula reads indices 0\.\.40; the input stops at 10$"):
+    with pytest.raises(ValueError, match=r"^a6_relation reads indices 0\.\.46; the input stops at 10$"):
         run_all(config, a_values=a_seq(10))
+
+
+def test_run_all_walks_the_values_past_the_rows():
+    # a6_relation reads a_46 at max_n = 40, six values past the last row: the
+    # values walk goes on after the rows walk ends.
+    v = a_seq(100)
+    v[46] += 2
+    config = VerifyConfig(max_n=40, series_order=20, oracle_max=5)
+    got = {r.name: r.counterexamples for r in run_all(config, v)}
+    assert got["a6_relation"] == [(40, "six-step recurrence fails tying a(38), a(42), a(46)")]
 
 
 @pytest.mark.parametrize("name", CHECK_NAMES)
@@ -930,11 +942,10 @@ def test_the_walk_hands_each_step_a_none_item():
     def step(n, window):
         seen.append((n, window[-1], len(window)))
 
-    # Beside a longer stream, so the end marker pads this one past its last None.
-    checks._walk((items, [checks._Sweep("s", 0, 4, (0, 4, step), rows=False)]), (range(9), []))
+    deque(checks._walk(items, [checks._Sweep("s", 0, 4, (0, 4, step), rows=False)]), 0)
     assert seen == [(n, item, n + 1) for n, item in enumerate(items)]
     with pytest.raises(ValueError, match=r"^s reads indices 0\.\.5; the input stops at 4$"):
-        checks._walk((items, [checks._Sweep("s", 0, 5, (0, 5, step), rows=False)]))
+        deque(checks._walk(items, [checks._Sweep("s", 0, 5, (0, 5, step), rows=False)]), 0)
 
 
 def test_run_all_check_alone_sees_the_given_values():

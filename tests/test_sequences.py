@@ -115,11 +115,15 @@ def test_closed_form_domains():
         d_closed(0)
 
 
+def _det(m):
+    return m.alpha * m.delta - m.beta * m.gamma
+
+
 def test_moebius_matrix_identity_and_det():
     ident = MoebiusMatrix.identity()
-    assert ident.det == 1
+    assert _det(ident) == 1
     m = MoebiusMatrix(1, 4, 1, 0)
-    assert m.det == -4
+    assert _det(m) == -4
     assert (m @ ident) == m
     assert (ident @ m) == m
 
@@ -137,7 +141,7 @@ def test_moebius_det_product_form():
             expected = (-1) ** k
             for j in range(k):
                 expected *= n + j
-            assert moebius(n, k).det == expected
+            assert _det(moebius(n, k)) == expected
 
 
 def test_moebius_transports_the_orbit():
