@@ -30,7 +30,7 @@ from collections import deque
 from contextlib import suppress
 from fractions import Fraction
 from itertools import chain, islice
-from math import gcd, prod
+from math import factorial, gcd, prod
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -290,6 +290,12 @@ def check_sqrt_factorial_lower(hi: int, a_values: Optional[Sequence[int]] = None
 
     From n = 2 on, a row whose bit lengths already prove a_n^2 > n! passes
     without squaring; every other row, and n <= 1, compares the square.
+
+    The running n! is the one full-size factorial left in the walk, because
+    the filter needs bitlen(n!) to within the orbit's margin: log2(a_n^2/n!)
+    grows only about as 2.9 sqrt(n) bits. A closed-form bound such as
+    n! <= 2^(sum of ceil(log2 k) over k <= n) is about 0.45 n bits loose and
+    leaves every row from n = 20 to 3000 undecided.
     """
     return _run([_sqrt_factorial(hi)], a_values)[0]
 
@@ -455,13 +461,18 @@ def check_d_formula(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckRe
     return _run([_d_formula(hi)], rows=rows)[0]
 
 
-def _quarter_bound(hi: int) -> _Sweep:
-    fact = 1  # (n-1)!
+def _factorial_above_power_of_4(m: int) -> bool:
+    """m! > 4^m, exactly: True where S(m) = (m+1)L - 2^(L+1) + 2, the sum of
+    floor(log2 k) over k <= m (L = floor(log2 m), m >= 1), exceeds 2m, which
+    decides every m >= 12 (check_quarter_bound_and_D says why); m! otherwise."""
+    L = m.bit_length() - 1
+    if m >= 1 and (m + 1) * L - (2 << L) + 2 > 2 * m:
+        return True
+    return factorial(m) > 1 << 2 * m
 
+
+def _quarter_bound(hi: int) -> _Sweep:
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
-        nonlocal fact
-        if n > 1:
-            fact *= n - 1
         row = w[-1]
         k = _log2_exact(row.d)  # on the orbit d = 2^k: d^4 > 2^(n+1) is 4k > n+1, x_den * d a shift
         if (row.d ** 4 > 1 << (n + 1)) if k is None else 4 * k > n + 1:
@@ -470,9 +481,9 @@ def _quarter_bound(hi: int) -> _Sweep:
             return n, f"D({n}) * d({n}) != a({n-1})"
         if n >= 4 and row.x_den <= 1:
             return n, f"x({n}) reduced denominator is {row.x_den}"
-        if n >= 10 and fact <= 1 << 2 * (n - 1):
+        if n >= 10 and not _factorial_above_power_of_4(n - 1):
             return n, f"({n-1})! does not exceed 4^{n-1}"
-        if n == 9 and fact >= 1 << 2 * (n - 1):
+        if n == 9 and _factorial_above_power_of_4(n - 1):
             return n, "the factorial bound should still fail at n = 9"
 
     return _Sweep("quarter_bound", 1, hi, (1, hi, step))
@@ -485,6 +496,12 @@ def check_quarter_bound_and_D(hi: int, rows: Optional[Sequence[SeqRow]] = None) 
     so no later value of x is an integer. For n >= 10: (n-1)! > 4^{n-1},
     which is what makes the fourth-power bound eventually crush d_n^4
     against a_{n-1}^2 >= (n-1)!; the inequality is genuinely false at n = 9.
+
+    The factorial clause reads no row. With m = n - 1 and L = floor(log2 m),
+    S(m) = (m+1)L - 2^(L+1) + 2 is the sum of floor(log2 k) over k <= m, so
+    m! >= 2^S(m). S(12) = 25 > 24, and each later k adds at least 3 to S(m)
+    and 2 to 2m, so S(m) > 2m proves m! > 4^m for every m >= 12 without
+    computing m!; the rows up to n = 12 compare math.factorial(m) exactly.
     """
     return _run([_quarter_bound(hi)], rows=rows)[0]
 

@@ -36,8 +36,8 @@ _T = TypeVar("_T")
 # each command's --max stops where it still finishes in well under a minute
 # (wall and peak RSS of a child started with posix_spawn and reaped with
 # wait4, medians of three runs, 2-vCPU host, CPython 3.11). `verify` costs
-# about 5x per doubling, nearly all of it the walk: 7.5 s and 21 MiB at 40000,
-# 37 s and 25 MiB at 80000. `table` writes every digit of every row, 1.4 GB
+# about 4x per doubling, nearly all of it the walk: 6.9 s and 18 MiB at 40000,
+# 29 s and 20 MiB at 80000. `table` writes every digit of every row, 1.4 GB
 # of CSV in 5.2 s at 20000, and its output grows as N^2.
 VERIFY_MAX_N = 80000
 TABLE_MAX_N = 20000

@@ -103,13 +103,7 @@ def egf_F(order: int, a_values: Sequence[int]) -> tuple[Fraction, ...]:
         raise ValueError("order must be nonnegative")
     if len(a_values) < order + 1:
         raise ValueError("not enough companion values for the requested order")
-    out = []
-    fact = 1
-    for n in range(order + 1):
-        if n:
-            fact *= n
-        out.append(Fraction(a_values[n], fact))
-    return tuple(out)
+    return tuple(Fraction(a_values[n], factorial(n)) for n in range(order + 1))
 
 
 def convolutions(lo: int, hi: int, a_values: Sequence[int]) -> Iterator[int]:

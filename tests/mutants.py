@@ -204,12 +204,42 @@ MUTANTS = [
         "(row.x_den << row.d.bit_length() - 1)",
         [T + "test_quarter_bound_decides_d4_at_the_boundary"],
     ),
+    # quarter_bound's factorial clause reads m! > 4^m off a bit-length sum S(m)
+    # and computes m! only where S(m) does not decide it.
     (
         "quarter_bound's 4^(n-1) as 2^(2n-1)",
         CHECKS,
-        "if n >= 10 and fact <= 1 << 2 * (n - 1):",
-        "if n >= 10 and fact <= 1 << 2 * n - 1:",
+        "return factorial(m) > 1 << 2 * m",
+        "return factorial(m) > 1 << 2 * m - 1",
         [T + "test_all_checks_pass_on_clean_data"],
+    ),
+    (
+        "S(m)'s 2^(L+1) as 2^L",
+        CHECKS,
+        "(m + 1) * L - (2 << L) + 2",
+        "(m + 1) * L - (1 << L) + 2",
+        [T + "test_all_checks_pass_on_clean_data"],
+    ),
+    (
+        "S(m)'s (m+1)L as (m+1)(L+1)",
+        CHECKS,
+        "(m + 1) * L - (2 << L) + 2",
+        "(m + 1) * (L + 1) - (2 << L) + 2",
+        [T + "test_all_checks_pass_on_clean_data"],
+    ),
+    (
+        "the exact m! fallback dropped",
+        CHECKS,
+        "return factorial(m) > 1 << 2 * m",
+        "return False",
+        [T + "test_all_checks_pass_on_clean_data"],
+    ),
+    (
+        "S(m) without its m >= 1 guard",
+        CHECKS,
+        "if m >= 1 and (m + 1) * L",
+        "if (m + 1) * L",
+        [T + "test_factorial_above_power_of_4_is_exact"],
     ),
     # The power-of-two kernel without its guard lets d = 0 through.
     (
@@ -566,6 +596,13 @@ MUTANTS = [
         "for k in range(order + 1) if a[k] != closed[k]",
         "for k in range(order) if a[k] != closed[k]",
         [TS + "test_identity_parts_match_the_fraction_reference_under_corruption"],
+    ),
+    (
+        "egf_F dividing by (n + 1)!",
+        SERIES,
+        "Fraction(a_values[n], factorial(n))",
+        "Fraction(a_values[n], factorial(n + 1))",
+        [TS + "test_egf_coefficients"],
     ),
     (
         "ps_exp dividing by (n - 1)!",

@@ -540,6 +540,25 @@ def test_quarter_bound_decides_d4_at_the_boundary(rows150, k, offset, nudge):
     assert check_quarter_bound_and_D(HI, rows).counterexamples == _quarter_bound_reference(HI, rows)
 
 
+def test_factorial_above_power_of_4_is_exact():
+    for m in [*range(301), 1000, 20000, 80000]:
+        assert checks._factorial_above_power_of_4(m) == (math.factorial(m) > 4 ** m), m
+
+
+def test_quarter_bound_computes_no_factorial_past_11(rows150, monkeypatch):
+    # The bit-length sum decides every row from n = 13 on, so no full-size
+    # factorial enters the walk.
+    seen = []
+
+    def spy(m):
+        seen.append(m)
+        return math.factorial(m)
+
+    monkeypatch.setattr(checks, "factorial", spy)
+    assert check_quarter_bound_and_D(HI, rows150).passed
+    assert seen and max(seen) <= 11
+
+
 def _e_q_reference(hi, rows):
     cex = []
     first_q = (1, 1, 1, 1, 5, 13, 19, 29)
