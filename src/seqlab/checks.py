@@ -30,7 +30,7 @@ from collections import deque
 from contextlib import suppress
 from fractions import Fraction
 from itertools import chain, islice
-from math import factorial, gcd, prod
+from math import gcd, prod
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -204,6 +204,8 @@ def _gap_side(n: int, p: int, q: int) -> int:
 def _x_bounds(hi: int) -> _Sweep:
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
         p, q = w[-1].x_num, w[-1].x_den
+        if q < 0:  # x_den carries a_{n-1}'s sign: move it into p
+            p, q = -p, -q
         side = -1 if 2 * p <= q else _gap_side(n, p, q)
         if side < 0:
             return n, f"x({n}) = {decimal_text(w[-1].x)} is not above (1+sqrt({4*n-3}))/2"
@@ -218,14 +220,16 @@ def check_x_bounds(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckRes
 
     With x = p/q and t = 2p - q, x > (1 + sqrt(m))/2 means t > 0 and
     t^2 > m q^2 (the comparison cmp_shifted_sqrt makes). Given t > 0, both
-    bounds are read off the quadratic gap's predicate (see _gap_side).
+    bounds are read off the quadratic gap's predicate (see _gap_side). The
+    reduced denominator carries the sign of a_{n-1}, so the step first moves
+    x's sign into p: both readings take q > 0.
     """
     return _run([_x_bounds(hi)], rows=rows)[0]
 
 
 def _mod4_exclusion(hi: int) -> _Sweep:
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
-        if w[-1].x_den == 1:
+        if w[-1].x_den in (1, -1):
             return n, f"x({n}) = {decimal_text(w[-1].x)} is an integer"
 
     return _Sweep("mod4_exclusion", 4, hi, (4, hi, step))
@@ -237,8 +241,8 @@ def check_mod4_exclusion(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> Ch
     If x_n were an integer, (2 x_n - 1)^2 would be an odd square strictly
     between 4n - 3 and 4n + 1, i.e. one of 4n - 2, 4n - 1, 4n; odd squares
     are 1 mod 4 and those three are 2, 3, 0 mod 4. That argument holds for
-    every n, so what the sweep checks is its consequence: every reduced
-    denominator exceeds 1.
+    every n, so what the sweep checks is its consequence: no reduced
+    denominator is 1 or -1 (it carries the sign of a_{n-1}).
     """
     return _run([_mod4_exclusion(hi)], rows=rows)[0]
 
@@ -461,16 +465,6 @@ def check_d_formula(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckRe
     return _run([_d_formula(hi)], rows=rows)[0]
 
 
-def _factorial_above_power_of_4(m: int) -> bool:
-    """m! > 4^m, exactly: True where S(m) = (m+1)L - 2^(L+1) + 2, the sum of
-    floor(log2 k) over k <= m (L = floor(log2 m), m >= 1), exceeds 2m, which
-    decides every m >= 12 (check_quarter_bound_and_D says why); m! otherwise."""
-    L = m.bit_length() - 1
-    if m >= 1 and (m + 1) * L - (2 << L) + 2 > 2 * m:
-        return True
-    return factorial(m) > 1 << 2 * m
-
-
 def _quarter_bound(hi: int) -> _Sweep:
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
         row = w[-1]
@@ -481,10 +475,6 @@ def _quarter_bound(hi: int) -> _Sweep:
             return n, f"D({n}) * d({n}) != a({n-1})"
         if n >= 4 and row.x_den <= 1:
             return n, f"x({n}) reduced denominator is {row.x_den}"
-        if n >= 10 and not _factorial_above_power_of_4(n - 1):
-            return n, f"({n-1})! does not exceed 4^{n-1}"
-        if n == 9 and _factorial_above_power_of_4(n - 1):
-            return n, "the factorial bound should still fail at n = 9"
 
     return _Sweep("quarter_bound", 1, hi, (1, hi, step))
 
@@ -496,12 +486,7 @@ def check_quarter_bound_and_D(hi: int, rows: Optional[Sequence[SeqRow]] = None) 
     so no later value of x is an integer. For n >= 10: (n-1)! > 4^{n-1},
     which is what makes the fourth-power bound eventually crush d_n^4
     against a_{n-1}^2 >= (n-1)!; the inequality is genuinely false at n = 9.
-
-    The factorial clause reads no row. With m = n - 1 and L = floor(log2 m),
-    S(m) = (m+1)L - 2^(L+1) + 2 is the sum of floor(log2 k) over k <= m, so
-    m! >= 2^S(m). S(12) = 25 > 24, and each later k adds at least 3 to S(m)
-    and 2 to 2m, so S(m) > 2m proves m! > 4^m for every m >= 12 without
-    computing m!; the rows up to n = 12 compare math.factorial(m) exactly.
+    That fact is about n alone, so the sweep does not check it: the tests do.
     """
     return _run([_quarter_bound(hi)], rows=rows)[0]
 
@@ -530,7 +515,7 @@ def check_parity(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResul
 
 def _integrality(hi: int) -> _Sweep:
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
-        if (w[-1].x_den == 1) != (n <= 3):
+        if (w[-1].x_den in (1, -1)) != (n <= 3):
             what = "should be" if n <= 3 else "is unexpectedly"
             return n, f"x({n}) = {decimal_text(w[-1].x)} {what} an integer"
 
@@ -538,7 +523,8 @@ def _integrality(hi: int) -> _Sweep:
 
 
 def check_integrality(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
-    """x_n is an integer exactly at n = 0, 1, 2, 3."""
+    """x_n is an integer exactly at n = 0, 1, 2, 3: its reduced denominator,
+    which carries the sign of a_{n-1}, is 1 or -1 there and nowhere else."""
     return _run([_integrality(hi)], rows=rows)[0]
 
 

@@ -135,14 +135,12 @@ def q_step(n: int, q_nm2: int, q_np2: int) -> int:
 
     The odd parts satisfy the same shape of recurrence with the factor of 2
     absorbed: q_{n+6} = (n^2 + 9n + 19) q_{n+2} - (n (n-1) (n+2) (n+5) / 4) q_{n-2}.
-    The product of four consecutive-ish factors is always divisible by 4.
+    The division is exact for every n: n (n-1) is even, and so is one of
+    n + 2 and n + 5, which differ by 3.
     """
     if n < 2:
         raise ValueError("q_step requires n >= 2")
-    coef = n * (n - 1) * (n + 2) * (n + 5)
-    if coef % 4:
-        raise ArithmeticError("coefficient not divisible by 4")
-    return (n * n + 9 * n + 19) * q_np2 - (coef // 4) * q_nm2
+    return (n * n + 9 * n + 19) * q_np2 - (n * (n - 1) * (n + 2) * (n + 5) // 4) * q_nm2
 
 
 def _log2_exact(d: int) -> Optional[int]:

@@ -204,43 +204,6 @@ MUTANTS = [
         "(row.x_den << row.d.bit_length() - 1)",
         [T + "test_quarter_bound_decides_d4_at_the_boundary"],
     ),
-    # quarter_bound's factorial clause reads m! > 4^m off a bit-length sum S(m)
-    # and computes m! only where S(m) does not decide it.
-    (
-        "quarter_bound's 4^(n-1) as 2^(2n-1)",
-        CHECKS,
-        "return factorial(m) > 1 << 2 * m",
-        "return factorial(m) > 1 << 2 * m - 1",
-        [T + "test_all_checks_pass_on_clean_data"],
-    ),
-    (
-        "S(m)'s 2^(L+1) as 2^L",
-        CHECKS,
-        "(m + 1) * L - (2 << L) + 2",
-        "(m + 1) * L - (1 << L) + 2",
-        [T + "test_all_checks_pass_on_clean_data"],
-    ),
-    (
-        "S(m)'s (m+1)L as (m+1)(L+1)",
-        CHECKS,
-        "(m + 1) * L - (2 << L) + 2",
-        "(m + 1) * (L + 1) - (2 << L) + 2",
-        [T + "test_all_checks_pass_on_clean_data"],
-    ),
-    (
-        "the exact m! fallback dropped",
-        CHECKS,
-        "return factorial(m) > 1 << 2 * m",
-        "return False",
-        [T + "test_all_checks_pass_on_clean_data"],
-    ),
-    (
-        "S(m) without its m >= 1 guard",
-        CHECKS,
-        "if m >= 1 and (m + 1) * L",
-        "if (m + 1) * L",
-        [T + "test_factorial_above_power_of_4_is_exact"],
-    ),
     # The power-of-two kernel without its guard lets d = 0 through.
     (
         "d & (d - 1) as the power-of-two test",
@@ -248,6 +211,29 @@ MUTANTS = [
         "if _log2_exact(w[-1].d) is None:",
         "if w[-1].d & (w[-1].d - 1):",
         [T + "test_d_power_of_two_rejects_a_d_that_is_no_power_of_two"],
+    ),
+    # x_den carries a_{n-1}'s sign; x_bounds moves it into p, and the integer
+    # tests read x_den = -1 as an integer x too.
+    (
+        "x_bounds without its sign move",
+        CHECKS,
+        "        if q < 0:  # x_den carries a_{n-1}'s sign: move it into p\n            p, q = -p, -q\n",
+        "",
+        [T + "test_x_bounds_reads_the_sign_of_x_not_of_its_denominator"],
+    ),
+    (
+        "mod4_exclusion's test as `x_den == 1`",
+        CHECKS,
+        "        if w[-1].x_den in (1, -1):\n",
+        "        if w[-1].x_den == 1:\n",
+        [T + "test_an_integer_x_over_minus_one_is_caught"],
+    ),
+    (
+        "integrality's test as `x_den == 1`",
+        CHECKS,
+        "if (w[-1].x_den in (1, -1)) != (n <= 3):",
+        "if (w[-1].x_den == 1) != (n <= 3):",
+        [T + "test_an_integer_x_over_minus_one_is_caught"],
     ),
     # A check's name is spelled only in its sweep; a typo there renames the check.
     (

@@ -112,7 +112,8 @@ def _x_bounds_reference(lo, hi, rows):
 
 @st.composite
 def rows_with_x_at_least_half(draw):
-    """Rows 0..hi whose x = p/q >= 1/2 often sits on or next to a bound."""
+    """Rows 0..hi whose x = p/q >= 1/2 often sits on or next to a bound; p and
+    q are negated together at some rows, as where a_{n-1} < 0."""
     rows = []
     for n in range(draw(st.integers(4, 60)) + 1):
         q = draw(st.integers(1, 10**6))
@@ -123,14 +124,27 @@ def rows_with_x_at_least_half(draw):
             st.integers((q + 1) // 2, 10**7),
             st.integers(-2, 2).map(lambda k: max((q + 1) // 2, near + k)),
         ))
-        rows.append(SeqRow(n, 1, p, q, 1, 0, 1))
+        sign = draw(st.sampled_from([1, -1]))
+        rows.append(SeqRow(n, 1, sign * p, sign * q, 1, 0, 1))
     return rows
 
 
 @given(rows_with_x_at_least_half())
+# x(4) = -12/-5 = 12/5 lies inside (1+sqrt(13))/2 < x < (1+sqrt(17))/2.
+@example([SeqRow(n, 1, 12, 5, 1, 0, 1) for n in range(4)] + [SeqRow(4, 1, -12, -5, 1, 0, 1)])
 def test_x_bounds_agrees_with_cmp_shifted_sqrt(rows):
     hi = len(rows) - 1
     assert check_x_bounds(hi, rows).counterexamples == _x_bounds_reference(4, hi, rows)
+
+
+def test_x_bounds_reads_the_sign_of_x_not_of_its_denominator():
+    # Negating a_99 and a_100 leaves x(100) = a_100 / a_99 as it was; x(99)
+    # and x(101), now negative, fall below the window.
+    values = a_seq(120)
+    values[99], values[100] = -values[99], -values[100]
+    result = check_x_bounds(120, rows_from_a(values))
+    assert [n for n, _ in result.counterexamples] == [99, 101]
+    assert all("is not above" in detail for _, detail in result.counterexamples)
 
 
 def _gap_side_reference(n, p, q):
@@ -302,6 +316,16 @@ def test_mod4_exclusion_catches_forced_integer(rows150):
     result = check_mod4_exclusion(HI, rows)
     assert not result.passed
     assert result.counterexamples[0][0] == 9
+
+
+def test_an_integer_x_over_minus_one_is_caught():
+    # a_9 = -1 makes x(10) = a_10 / a_9 an integer whose reduced denominator
+    # is -1.
+    values = a_seq(HI)
+    values[9] = -1
+    rows = rows_from_a(values)
+    assert (10, "x(10) = -9496 is an integer") in check_mod4_exclusion(HI, rows).counterexamples
+    assert (10, "x(10) = -9496 is unexpectedly an integer") in check_integrality(HI, rows).counterexamples
 
 
 def test_quadratic_gap_catches_planted_value(rows150):
@@ -541,22 +565,10 @@ def test_quarter_bound_decides_d4_at_the_boundary(rows150, k, offset, nudge):
 
 
 def test_factorial_above_power_of_4_is_exact():
+    # The fact behind quarter_bound's fourth-power bound, which reads no row
+    # and so is checked here: (n-1)! > 4^(n-1) from n = 10 on, and not before.
     for m in [*range(301), 1000, 20000, 80000]:
-        assert checks._factorial_above_power_of_4(m) == (math.factorial(m) > 4 ** m), m
-
-
-def test_quarter_bound_computes_no_factorial_past_11(rows150, monkeypatch):
-    # The bit-length sum decides every row from n = 13 on, so no full-size
-    # factorial enters the walk.
-    seen = []
-
-    def spy(m):
-        seen.append(m)
-        return math.factorial(m)
-
-    monkeypatch.setattr(checks, "factorial", spy)
-    assert check_quarter_bound_and_D(HI, rows150).passed
-    assert seen and max(seen) <= 11
+        assert (math.factorial(m) > 4 ** m) == (m >= 9), m
 
 
 def _e_q_reference(hi, rows):
