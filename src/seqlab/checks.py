@@ -21,7 +21,10 @@ values.
 This module owns that protocol: the sweep (_Sweep, with Hit, Step, Tail and
 MAX_COUNTEREXAMPLES), the walk, the forked tails and the driver. Every check's
 sweep is built here, involutions' too, whose public check_involution_identity
-stays in involutions and runs through _run like the rest.
+stays in involutions and runs through _run like the rest. Every sweep
+factory takes the VerifyConfig and reads its own fields off it; run_all
+hands it the run's config, and each public check_* builds one from its own
+arguments.
 """
 
 import os
@@ -201,7 +204,7 @@ def _gap_side(n: int, p: int, q: int) -> int:
     return 1 if g >= n * qq else 0
 
 
-def _x_bounds(hi: int) -> _Sweep:
+def _x_bounds(c: VerifyConfig) -> _Sweep:
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
         p, q = w[-1].x_num, w[-1].x_den
         if q < 0:  # x_den carries a_{n-1}'s sign: move it into p
@@ -212,7 +215,7 @@ def _x_bounds(hi: int) -> _Sweep:
         if side > 0:
             return n, f"x({n}) = {decimal_text(w[-1].x)} is not below (1+sqrt({4*n+1}))/2"
 
-    return _Sweep("x_bounds", 4, hi, (4, hi, step))
+    return _Sweep("x_bounds", 4, c.max_n, (4, c.max_n, step))
 
 
 def check_x_bounds(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
@@ -224,15 +227,15 @@ def check_x_bounds(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckRes
     reduced denominator carries the sign of a_{n-1}, so the step first moves
     x's sign into p: both readings take q > 0.
     """
-    return _run([_x_bounds(hi)], rows=rows)[0]
+    return _run([_x_bounds(VerifyConfig(max_n=hi))], rows=rows)[0]
 
 
-def _mod4_exclusion(hi: int) -> _Sweep:
+def _mod4_exclusion(c: VerifyConfig) -> _Sweep:
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
         if w[-1].x_den in (1, -1):
             return n, f"x({n}) = {decimal_text(w[-1].x)} is an integer"
 
-    return _Sweep("mod4_exclusion", 4, hi, (4, hi, step))
+    return _Sweep("mod4_exclusion", 4, c.max_n, (4, c.max_n, step))
 
 
 def check_mod4_exclusion(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
@@ -244,22 +247,22 @@ def check_mod4_exclusion(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> Ch
     every n, so what the sweep checks is its consequence: no reduced
     denominator is 1 or -1 (it carries the sign of a_{n-1}).
     """
-    return _run([_mod4_exclusion(hi)], rows=rows)[0]
+    return _run([_mod4_exclusion(VerifyConfig(max_n=hi))], rows=rows)[0]
 
 
-def _quadratic_gap(hi: int) -> _Sweep:
+def _quadratic_gap(c: VerifyConfig) -> _Sweep:
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
         p, q = w[-1].x_num, w[-1].x_den
         if _gap_side(n, p, q):
             gap = Fraction(p * (p - q), q * q)  # x^2 - x
             return n, f"x({n})^2 - x({n}) = {decimal_text(gap)} escapes ({n-1}, {n})"
 
-    return _Sweep("quadratic_gap", 4, hi, (4, hi, step))
+    return _Sweep("quadratic_gap", 4, c.max_n, (4, c.max_n, step))
 
 
 def check_quadratic_gap(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
     """n - 1 < x_n^2 - x_n < n, strictly, for n >= 4."""
-    return _run([_quadratic_gap(hi)], rows=rows)[0]
+    return _run([_quadratic_gap(VerifyConfig(max_n=hi))], rows=rows)[0]
 
 
 def _square_certainly_above(a: int, m: int) -> bool:
@@ -269,7 +272,7 @@ def _square_certainly_above(a: int, m: int) -> bool:
     return 2 * a.bit_length() - 1 > m.bit_length()
 
 
-def _sqrt_factorial(hi: int) -> _Sweep:
+def _sqrt_factorial(c: VerifyConfig) -> _Sweep:
     fact = 1  # n!
 
     def step(n: int, w: Sequence[int]) -> Hit:
@@ -281,19 +284,20 @@ def _sqrt_factorial(hi: int) -> _Sweep:
         sq = w[-1] * w[-1]
         if sq < fact:
             return n, f"a({n})^2 = {decimal_text(sq)} < {n}! "
-        if sq == fact and n > 1:
-            return n, f"unexpected equality a({n})^2 = {n}!"
         if sq > fact and n <= 1:
             return n, f"expected equality a({n})^2 = {n}! fails"
 
-    return _Sweep("sqrt_factorial", 0, hi, (0, hi, step), rows=False)
+    return _Sweep("sqrt_factorial", 0, c.max_n, (0, c.max_n, step), rows=False)
 
 
 def check_sqrt_factorial_lower(hi: int, a_values: Optional[Sequence[int]] = None) -> CheckResult:
     """a_n^2 >= n! for all n, with equality exactly at n = 0 and n = 1.
 
-    From n = 2 on, a row whose bit lengths already prove a_n^2 > n! passes
-    without squaring; every other row, and n <= 1, compares the square.
+    From n = 2 on no int squares to n!: by Bertrand's postulate a prime in
+    (n/2, n] divides n! exactly once. So past n = 1 the sweep checks only
+    a_n^2 >= n!, and the tests carry that n! is not a square. From n = 2 on,
+    a row whose bit lengths already prove a_n^2 > n! passes without
+    squaring; every other row, and n <= 1, compares the square.
 
     The running n! is the one full-size factorial left in the walk, because
     the filter needs bitlen(n!) to within the orbit's margin: log2(a_n^2/n!)
@@ -301,10 +305,11 @@ def check_sqrt_factorial_lower(hi: int, a_values: Optional[Sequence[int]] = None
     n! <= 2^(sum of ceil(log2 k) over k <= n) is about 0.45 n bits loose and
     leaves every row from n = 20 to 3000 undecided.
     """
-    return _run([_sqrt_factorial(hi)], a_values)[0]
+    return _run([_sqrt_factorial(VerifyConfig(max_n=hi))], a_values)[0]
 
 
-def _congruence(prime_limit: int, n_limit: int) -> _Sweep:
+def _congruence(c: VerifyConfig) -> _Sweep:
+    prime_limit, n_limit = c.prime_limit, c.max_n
     if prime_limit < 0:
         raise ValueError(f"prime_limit must be nonnegative, got {prime_limit}")
     cross = min(CROSS_LIMIT, n_limit)
@@ -345,20 +350,20 @@ def check_congruence(prime_limit: int, n_limit: int, a_values: Optional[Sequence
     n_limit divide no index in range, so they are not swept. Raises
     ValueError when a_values stop before the cross-check's last index.
     """
-    return _run([_congruence(prime_limit, n_limit)], a_values)[0]
+    return _run([_congruence(VerifyConfig(max_n=n_limit, prime_limit=prime_limit))], a_values)[0]
 
 
-def _d_power_of_two(hi: int) -> _Sweep:
+def _d_power_of_two(c: VerifyConfig) -> _Sweep:
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
         if _log2_exact(w[-1].d) is None:
             return n, f"d({n}) = {decimal_text(w[-1].d)} is not a power of two"
 
-    return _Sweep("d_power_of_two", 1, hi, (1, hi, step))
+    return _Sweep("d_power_of_two", 1, c.max_n, (1, c.max_n, step))
 
 
 def check_d_power_of_two(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
     """gcd(a_n, a_{n-1}) is a power of two for every n >= 1."""
-    return _run([_d_power_of_two(hi)], rows=rows)[0]
+    return _run([_d_power_of_two(VerifyConfig(max_n=hi))], rows=rows)[0]
 
 
 def _cost_half(m: int) -> int:
@@ -377,8 +382,8 @@ def _cost_half(m: int) -> int:
     return next(h for h in range(m + 1) if 2 * h * (h + 1) * (2 * h + 1) >= whole)
 
 
-def _d_upper(hi: int) -> _Sweep:
-    mech = min(hi, DEFAULT_MECHANISM_HI)
+def _d_upper(c: VerifyConfig) -> _Sweep:
+    mech = min(c.max_n, DEFAULT_MECHANISM_HI)
     half = _cost_half(mech)
 
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
@@ -396,7 +401,7 @@ def _d_upper(hi: int) -> _Sweep:
                     yield n, f"d({n+1}) does not divide the convolution value"
         return hits
 
-    return _Sweep("d_upper", 1, hi, (1, hi, step), parts=(mechanism(1, half), mechanism(half + 1, mech)),
+    return _Sweep("d_upper", 1, c.max_n, (1, c.max_n, step), parts=(mechanism(1, half), mechanism(half + 1, mech)),
                   prefix=max(2 * mech + 1, mech + 2))
 
 
@@ -416,13 +421,13 @@ def check_d_upper(
     Given a_values and no rows, the plain bound reads the rows derived from
     a_values.
     """
-    return _run([_d_upper(hi)], a_values, rows)[0]
+    return _run([_d_upper(VerifyConfig(max_n=hi))], a_values, rows)[0]
 
 
 _FIRST_Q = (1, 1, 1, 1, 5, 13, 19, 29)
 
 
-def _e_q(hi: int) -> _Sweep:
+def _e_q(c: VerifyConfig) -> _Sweep:
     def per_row(n: int, w: Sequence[SeqRow]) -> Hit:
         row = w[-1]
         if row.e != e_closed(n):
@@ -438,7 +443,7 @@ def _e_q(hi: int) -> _Sweep:
         if w[-1].q != q_step(n - 6, w[-9].q, w[-5].q):
             return n, f"odd-part recurrence fails tying q({n-8}), q({n-4}), q({n})"
 
-    return _Sweep("e_q", 0, hi, (0, hi, per_row), (8, hi, recurrence))
+    return _Sweep("e_q", 0, c.max_n, (0, c.max_n, per_row), (8, c.max_n, recurrence))
 
 
 def check_e_q(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
@@ -449,23 +454,23 @@ def check_e_q(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
     1,1,1,1,5,13,19,29, and q_{n+6} = (n^2+9n+19) q_{n+2}
     - (n(n-1)(n+2)(n+5)/4) q_{n-2} must hold wherever it fits in range.
     """
-    return _run([_e_q(hi)], rows=rows)[0]
+    return _run([_e_q(VerifyConfig(max_n=hi))], rows=rows)[0]
 
 
-def _d_formula(hi: int) -> _Sweep:
+def _d_formula(c: VerifyConfig) -> _Sweep:
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
         if w[-1].d != d_closed(n):
             return n, f"d({n}) = {decimal_text(w[-1].d)}, closed form gives {d_closed(n)}"
 
-    return _Sweep("d_formula", 1, hi, (1, hi, step))
+    return _Sweep("d_formula", 1, c.max_n, (1, c.max_n, step))
 
 
 def check_d_formula(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
     """gcd(a_n, a_{n-1}) equals its closed form 2^k / 2^{k+1} by n mod 4."""
-    return _run([_d_formula(hi)], rows=rows)[0]
+    return _run([_d_formula(VerifyConfig(max_n=hi))], rows=rows)[0]
 
 
-def _quarter_bound(hi: int) -> _Sweep:
+def _quarter_bound(c: VerifyConfig) -> _Sweep:
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
         row = w[-1]
         k = _log2_exact(row.d)  # on the orbit d = 2^k: d^4 > 2^(n+1) is 4k > n+1, x_den * d a shift
@@ -476,7 +481,7 @@ def _quarter_bound(hi: int) -> _Sweep:
         if n >= 4 and row.x_den <= 1:
             return n, f"x({n}) reduced denominator is {row.x_den}"
 
-    return _Sweep("quarter_bound", 1, hi, (1, hi, step))
+    return _Sweep("quarter_bound", 1, c.max_n, (1, c.max_n, step))
 
 
 def check_quarter_bound_and_D(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
@@ -488,10 +493,10 @@ def check_quarter_bound_and_D(hi: int, rows: Optional[Sequence[SeqRow]] = None) 
     against a_{n-1}^2 >= (n-1)!; the inequality is genuinely false at n = 9.
     That fact is about n alone, so the sweep does not check it: the tests do.
     """
-    return _run([_quarter_bound(hi)], rows=rows)[0]
+    return _run([_quarter_bound(VerifyConfig(max_n=hi))], rows=rows)[0]
 
 
-def _parity(hi: int) -> _Sweep:
+def _parity(c: VerifyConfig) -> _Sweep:
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
         row = w[-1]
         if (not row.x_den & 1) != (n % 4 == 0):
@@ -501,7 +506,7 @@ def _parity(hi: int) -> _Sweep:
             return n, (f"numerator {decimal_text(row.x_num)} has the wrong parity "
                        f"for n mod 4 = {n % 4}")
 
-    return _Sweep("parity", 1, hi, (1, hi, step))
+    return _Sweep("parity", 1, c.max_n, (1, c.max_n, step))
 
 
 def check_parity(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
@@ -510,58 +515,58 @@ def check_parity(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResul
     For n >= 1: x_den is even iff n = 0 mod 4, and x_num is even iff
     n = 2 or 3 mod 4.
     """
-    return _run([_parity(hi)], rows=rows)[0]
+    return _run([_parity(VerifyConfig(max_n=hi))], rows=rows)[0]
 
 
-def _integrality(hi: int) -> _Sweep:
+def _integrality(c: VerifyConfig) -> _Sweep:
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
         if (w[-1].x_den in (1, -1)) != (n <= 3):
             what = "should be" if n <= 3 else "is unexpectedly"
             return n, f"x({n}) = {decimal_text(w[-1].x)} {what} an integer"
 
-    return _Sweep("integrality", 0, hi, (0, hi, step))
+    return _Sweep("integrality", 0, c.max_n, (0, c.max_n, step))
 
 
 def check_integrality(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> CheckResult:
     """x_n is an integer exactly at n = 0, 1, 2, 3: its reduced denominator,
     which carries the sign of a_{n-1}, is 1 or -1 there and nowhere else."""
-    return _run([_integrality(hi)], rows=rows)[0]
+    return _run([_integrality(VerifyConfig(max_n=hi))], rows=rows)[0]
 
 
-def _a6_relation(hi: int) -> _Sweep:
+def _a6_relation(c: VerifyConfig) -> _Sweep:
     def step(n: int, w: Sequence[int]) -> Hit:  # the relation at m = n - 6 ends at a_n
         m = n - 6
         if w[-1] != a6_step(m, w[-9], w[-5]):
             return m, f"six-step recurrence fails tying a({m-2}), a({m+2}), a({m+6})"
 
-    return _Sweep("a6_relation", 2, hi, (8, hi + 6, step), rows=False)
+    return _Sweep("a6_relation", 2, c.max_n, (8, c.max_n + 6, step), rows=False)
 
 
 def check_a6_relation(hi: int, a_values: Optional[Sequence[int]] = None) -> CheckResult:
     """a_{n+6} = 2(n^2+9n+19) a_{n+2} - n(n-1)(n+2)(n+5) a_{n-2} for n >= 2."""
-    return _run([_a6_relation(hi)], a_values)[0]
+    return _run([_a6_relation(VerifyConfig(max_n=hi))], a_values)[0]
 
 
-def _series(order: int) -> _Sweep:
-    if order < 2:
+def _series(c: VerifyConfig) -> _Sweep:
+    if c.series_order < 2:
         raise ValueError("order must be at least 2")
 
     def hits(a_values: Sequence[int]) -> Iterator[tuple[int, str]]:
-        for part, idx in series_identity_parts(order, a_values).items():
+        for part, idx in series_identity_parts(c.series_order, a_values).items():
             if idx is not None:
                 yield idx, f"{part}: first discrepancy at index {idx}"
 
-    return _Sweep("series", 0, order, parts=(hits,), prefix=order + 1)
+    return _Sweep("series", 0, c.series_order, parts=(hits,), prefix=c.series_order + 1)
 
 
 def check_series_identities(order: int, a_values: Optional[Sequence[int]] = None) -> CheckResult:
     """All generating-function identities, coefficient by coefficient."""
-    return _run([_series(order)], a_values)[0]
+    return _run([_series(VerifyConfig(series_order=order))], a_values)[0]
 
 
-def _sign_flip(seed: int) -> _Sweep:
+def _sign_flip(c: VerifyConfig) -> _Sweep:
     def hits(_: Sequence[int]) -> Iterator[tuple[int, str]]:
-        rng = random.Random(seed)
+        rng = random.Random(c.seed)
         for i in range(1, SIGN_FLIP_SAMPLES + 1):
             p, q = rng.randint(1, 10**6), rng.randint(1, 10**6)
             n = rng.randint(1, 10**6)
@@ -582,43 +587,29 @@ def check_sign_flip(seed: int = 0) -> CheckResult:
     with F = p + n q, so that f = F/p, both sides times q^2 give
     F^2 - F p - n p^2 = -n (p^2 - p q - n q^2).
     """
-    return _run([_sign_flip(seed)])[0]
+    return _run([_sign_flip(VerifyConfig(seed=seed))])[0]
 
 
-def _involutions(max_n: int) -> _Sweep:
-    if max_n > ENUMERATION_MAX:
+def _involutions(c: VerifyConfig) -> _Sweep:
+    if c.oracle_max > ENUMERATION_MAX:
         raise ValueError(f"enumeration capped at n = {ENUMERATION_MAX}")
 
     def hits(a_values: Sequence[int]) -> Iterator[tuple[int, str]]:
-        for n in range(max_n + 1):
+        for n in range(c.oracle_max + 1):
             got = count_involutions_enum(n)
             if got != a_values[n]:
                 yield n, f"enumerated {got} involutions but a({n}) = {decimal_text(a_values[n])}"
 
-    return _Sweep("involutions", 0, max_n, parts=(hits,), prefix=max_n + 1)
+    return _Sweep("involutions", 0, c.oracle_max, parts=(hits,), prefix=c.oracle_max + 1)
 
 
-# Keyed by each sweep's own name, read off the sweep the default config builds.
+# Every factory takes the config and reads its own fields off it. The registry
+# is keyed by each sweep's own name, read off the sweep the default config builds.
 _REGISTRY: dict[str, Callable[[VerifyConfig], _Sweep]] = {
     make(VerifyConfig()).name: make
-    for make in (
-        lambda c: _x_bounds(c.max_n),
-        lambda c: _mod4_exclusion(c.max_n),
-        lambda c: _quadratic_gap(c.max_n),
-        lambda c: _sqrt_factorial(c.max_n),
-        lambda c: _congruence(c.prime_limit, c.max_n),
-        lambda c: _d_power_of_two(c.max_n),
-        lambda c: _d_upper(c.max_n),
-        lambda c: _e_q(c.max_n),
-        lambda c: _d_formula(c.max_n),
-        lambda c: _quarter_bound(c.max_n),
-        lambda c: _parity(c.max_n),
-        lambda c: _integrality(c.max_n),
-        lambda c: _a6_relation(c.max_n),
-        lambda c: _series(c.series_order),
-        lambda c: _involutions(c.oracle_max),
-        lambda c: _sign_flip(c.seed),
-    )
+    for make in (_x_bounds, _mod4_exclusion, _quadratic_gap, _sqrt_factorial, _congruence, _d_power_of_two,
+                 _d_upper, _e_q, _d_formula, _quarter_bound, _parity, _integrality, _a6_relation, _series,
+                 _involutions, _sign_flip)
 }
 
 CHECK_NAMES = sorted(_REGISTRY)

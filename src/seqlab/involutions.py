@@ -18,7 +18,7 @@ from itertools import islice, permutations
 from math import factorial
 from typing import Optional, Sequence
 
-from .report import CheckResult
+from .report import CheckResult, VerifyConfig
 
 # 10! = 3628800 permutations enumerate in about a tenth of a second: all of
 # them are drawn in C, and Python reads only 59974 of them, the first tuples
@@ -83,4 +83,4 @@ def check_involution_identity(
     """Confirm a_n equals the enumerated involution count for 0 <= n <= max_n."""
     from .checks import _involutions, _run  # checks imports this module
 
-    return _run([_involutions(max_n)], a_values)[0]
+    return _run([_involutions(VerifyConfig(oracle_max=max_n))], a_values)[0]

@@ -239,8 +239,8 @@ MUTANTS = [
     (
         "a sweep's name changed",
         CHECKS,
-        '_Sweep("x_bounds", 4, hi, (4, hi, step))',
-        '_Sweep("x_bound", 4, hi, (4, hi, step))',
+        '_Sweep("x_bounds", 4, c.max_n, (4, c.max_n, step))',
+        '_Sweep("x_bound", 4, c.max_n, (4, c.max_n, step))',
         [T + "test_check_names_are_stable"],
     ),
     # The leading-bit filters: each may only decide what the exact test would.
@@ -351,9 +351,27 @@ MUTANTS = [
     (
         "e_q's two steps swapped",
         CHECKS,
-        "(0, hi, per_row), (8, hi, recurrence)",
-        "(8, hi, recurrence), (0, hi, per_row)",
+        "(0, c.max_n, per_row), (8, c.max_n, recurrence)",
+        "(8, c.max_n, recurrence), (0, c.max_n, per_row)",
         [T + "test_e_q_recurrence_finds_follow_the_per_row_finds"],
+    ),
+    # e_q's row-consistency clauses: derived rows always pass them, so only a
+    # corrupted q, pinned by an @example, reaches each.
+    (
+        "e_q's oddness clause dropped",
+        CHECKS,
+        "        if not row.q & 1:\n"
+        "            return n, f\"odd part of a({n}) came out even\"\n",
+        "",
+        [T + "test_e_q_matches_the_two_phase_loop"],
+    ),
+    (
+        "e_q's rebuild clause dropped",
+        CHECKS,
+        "        if (row.q << row.e) != row.a:\n"
+        "            return n, f\"q({n}) * 2^e({n}) does not rebuild a({n})\"\n",
+        "",
+        [T + "test_e_q_matches_the_two_phase_loop"],
     ),
     (
         "the walk's cap test >= as >",

@@ -520,10 +520,8 @@ def test_quarter_bound_catches_broken_product(rows150):
 
 
 def _quarter_bound_reference(hi, rows):
-    cex, fact, power = [], 1, 1
+    cex = []
     for n in range(1, hi + 1):
-        if n > 1:
-            fact, power = fact * (n - 1), power * 4
         row = rows[n]
         if row.d ** 4 > 1 << (n + 1):
             cex.append((n, f"d({n})^4 = {row.d ** 4} exceeds 2^{n+1}"))
@@ -531,10 +529,6 @@ def _quarter_bound_reference(hi, rows):
             cex.append((n, f"D({n}) * d({n}) != a({n-1})"))
         elif n >= 4 and row.x_den <= 1:
             cex.append((n, f"x({n}) reduced denominator is {row.x_den}"))
-        elif n >= 10 and fact <= power:
-            cex.append((n, f"({n-1})! does not exceed 4^{n-1}"))
-        elif n == 9 and fact >= power:
-            cex.append((n, "the factorial bound should still fail at n = 9"))
         if len(cex) >= MAX_COUNTEREXAMPLES:
             break
     return cex
@@ -569,6 +563,14 @@ def test_factorial_above_power_of_4_is_exact():
     # and so is checked here: (n-1)! > 4^(n-1) from n = 10 on, and not before.
     for m in [*range(301), 1000, 20000, 80000]:
         assert (math.factorial(m) > 4 ** m) == (m >= 9), m
+
+
+def test_factorial_is_not_a_square():
+    # Why sqrt_factorial checks no equality past n = 1: a prime in (n/2, n]
+    # divides n! exactly once (Bertrand's postulate), so no int squares to it.
+    for n in [*range(2, 301), 1000, 20000]:
+        f = math.factorial(n)
+        assert math.isqrt(f) ** 2 != f, n
 
 
 def _e_q_reference(hi, rows):
@@ -617,13 +619,33 @@ def corrupted_indices(draw, hi):
     return draw(st.lists(st.integers(0, hi), max_size=8)) + list(run)
 
 
-@given(st.integers(0, 120), st.data())
-def test_e_q_matches_the_two_phase_loop(hi, data):
+# Corruptions of a row's odd part q, made after the rows are derived: derived
+# rows always rebuild a_n from an odd q, so only these reach the rows' own
+# consistency facts. q * 2 is even; q + 2 stays odd but rebuilds another a_n.
+Q_CORRUPTIONS = [lambda q: q * 2, lambda q: q + 2]
+
+
+@st.composite
+def e_q_cases(draw):
+    """(hi, value corruptions, q corruptions), each corruption an (index, kind) pair."""
+    hi = draw(st.integers(0, 120))
+    values = [(i, draw(st.integers(0, len(E_Q_CORRUPTIONS) - 1))) for i in draw(corrupted_indices(hi))]
+    qs = draw(st.lists(st.tuples(st.integers(0, hi), st.integers(0, len(Q_CORRUPTIONS) - 1)), max_size=4))
+    return hi, values, qs
+
+
+@given(e_q_cases())
+@example((40, [], [(20, 0)]))  # q(20) even: "odd part of a(20) came out even" first
+@example((40, [], [(21, 1)]))  # q(21) + 2: "q(21) * 2^e(21) does not rebuild a(21)" first
+def test_e_q_matches_the_two_phase_loop(case):
     # Past the cap in either phase, or across both.
+    hi, value_cuts, q_cuts = case
     values = a_seq(hi)
-    for i in data.draw(corrupted_indices(hi)):
-        values[i] = data.draw(st.sampled_from(E_Q_CORRUPTIONS))(values[i])
+    for i, kind in value_cuts:
+        values[i] = E_Q_CORRUPTIONS[kind](values[i])
     rows = rows_from_a(values)
+    for i, kind in q_cuts:
+        rows[i] = replace(rows[i], q=Q_CORRUPTIONS[kind](rows[i].q))
     assert check_e_q(hi, rows).counterexamples == _e_q_reference(hi, rows)
 
 
@@ -665,7 +687,7 @@ def test_integrality_catches_both_directions(rows150):
 def _integrality_reference(hi, rows):
     cex = []
     expected = [n for n in (0, 1, 2, 3) if n <= hi]
-    got = [row.n for row in rows[: hi + 1] if row.x_den == 1]
+    got = [row.n for row in rows[: hi + 1] if row.x_den in (1, -1)]
     for n in sorted(set(got) ^ set(expected)):
         x = rows[n].x
         if n in got:
@@ -679,10 +701,10 @@ def _integrality_reference(hi, rows):
 
 @given(st.integers(0, 100), st.data())
 def test_integrality_matches_the_symmetric_difference(hi, data):
-    # x_den + 2 removes an integer at n <= 3; x_den = 1 plants one later.
+    # x_den + 2 removes an integer at n <= 3; x_den = 1 or -1 plants one later.
     rows = rows_from_a(a_seq(hi))
     for i in data.draw(corrupted_indices(hi)):
-        rows[i] = replace(rows[i], x_den=rows[i].x_den + 2 if i <= 3 else 1)
+        rows[i] = replace(rows[i], x_den=rows[i].x_den + 2 if i <= 3 else data.draw(st.sampled_from([1, -1])))
     assert check_integrality(hi, rows).counterexamples == _integrality_reference(hi, rows)
 
 
@@ -1251,7 +1273,7 @@ def test_the_mechanism_s_parts_report_as_in_process(forks, a150, k, failing):
     bad[k] += 2
     in_process = check_d_upper(100, a_values=bad)
     assert not forks
-    forked = checks._run([checks._d_upper(100), checks._Sweep("empty", 0, 0)], bad)[0]
+    forked = checks._run([checks._d_upper(VerifyConfig(max_n=100)), checks._Sweep("empty", 0, 0)], bad)[0]
     assert len(forks) == 2
     assert forked.counterexamples == in_process.counterexamples
     assert [n for n, _ in forked.counterexamples] == list(failing)
@@ -1272,6 +1294,6 @@ def test_the_mechanism_s_parts_cover_its_range_once_in_order(hi):
     half = checks._cost_half(mech)
     assert 2 * _square_sum(half) >= _square_sum(mech) > 2 * _square_sum(half - 1)
     zeros = [0] * (2 * mech + 2)
-    first, second = checks._d_upper(hi).parts
+    first, second = checks._d_upper(VerifyConfig(max_n=hi)).parts
     assert [n for n, _ in first(zeros)] == list(range(1, half + 1))
     assert [n for n, _ in second(zeros)] == list(range(half + 1, mech + 1))
