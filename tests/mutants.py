@@ -730,35 +730,44 @@ MUTANTS = [
         'import importlib\n\nfrom . import checks\n',
         [TP + "test_import_loads_no_submodule"],
     ),
-    # The enumeration's block walk: a block that fails is drained in C, and the
-    # stream must hold exactly n! tuples.
-    (
-        "a drained block one tuple too long",
-        INVOLUTIONS,
-        "rest = [factorial(n - k - 1) - 1 for k in range(n)]",
-        "rest = [factorial(n - k - 1) for k in range(n)]",
-        [TI + "test_counts_small"],
-    ),
+    # The enumeration's search of the permutation tree. The forward branch
+    # only cuts prefixes that no involution extends (a permutation whose
+    # backward tests all pass is an involution), so its mutant leaves every
+    # count as it is and only the prefix count sees it.
     (
         "the prefix test without its p[v] == k branch",
         INVOLUTIONS,
-        "if p[v] == k if v < k else k not in p[:k]:",
-        "if k not in p[:k]:",
+        "if free[v] and (p[v] == k if v < k else free[k]):",
+        "if free[v] and free[k]:",
         [TI + "test_counts_small"],
     ),
     (
-        "the drained-stream guard removed",
+        "the forward branch always true",
         INVOLUTIONS,
-        "    if next(perms, None) is not None:\n",
-        "    if False:\n",
-        [TI + "test_a_stream_running_past_n_factorial_raises"],
+        "if free[v] and (p[v] == k if v < k else free[k]):",
+        "if free[v] and (p[v] == k if v < k else True):",
+        [TI + "test_the_search_keeps_only_prefixes_of_involutions[3]"],
     ),
     (
-        "a short stream lets StopIteration out",
+        "a value not freed on backtracking",
         INVOLUTIONS,
-        "    except StopIteration:\n",
-        "    except RuntimeError:\n",
-        [TI + "test_a_stream_ending_before_n_factorial_raises[31]"],
+        "                free[v] = True\n",
+        "",
+        [TI + "test_counts_small"],
+    ),
+    (
+        "the candidate loop one value short",
+        INVOLUTIONS,
+        "for v in range(n):",
+        "for v in range(n - 1):",
+        [TI + "test_counts_small"],
+    ),
+    (
+        "a prefix counted at length n - 1",
+        INVOLUTIONS,
+        "if k == n:",
+        "if k == n - 1:",
+        [TI + "test_counts_small"],
     ),
 ]
 

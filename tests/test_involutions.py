@@ -1,5 +1,6 @@
+import sys
+from functools import cache
 from itertools import permutations
-from math import factorial
 
 import pytest
 
@@ -12,6 +13,7 @@ from seqlab.involutions import (
 from seqlab.sequences import a_seq
 
 
+@cache
 def plain_scan(n):
     """The per-tuple reference: every permutation is visited in Python and
     tested on p[p[i]] == i for i = 0, 1, ... until one fails."""
@@ -31,44 +33,38 @@ def test_counts_small():
     assert [count_involutions_enum(n) for n in range(11)] == [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496]
 
 
-@pytest.mark.parametrize("n", range(10))
+@pytest.mark.parametrize("n", range(ENUMERATION_MAX + 1))
 def test_enumeration_matches_the_plain_scan(n):
     assert count_involutions_enum(n) == plain_scan(n)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_enumeration_draws_every_permutation(monkeypatch, n):
-    drawn = []
-
-    def counted(items):
-        for p in permutations(items):
-            drawn.append(p)
-            yield p
-
-    monkeypatch.setattr(involutions, "permutations", counted)
-    count_involutions_enum(n)
-    assert len(drawn) == len(set(drawn)) == factorial(n)
+def _involution_prefixes(n):
+    """Every prefix, the empty one and the whole permutation included, of an
+    involution on n elements, found by the plain per-tuple test."""
+    found = [p for p in permutations(range(n)) if all(p[p[i]] == i for i in range(n))]
+    return {p[:k] for p in found for k in range(n + 1)}
 
 
-def test_a_stream_running_past_n_factorial_raises(monkeypatch):
-    def one_too_many(items):
-        yield from permutations(items)
-        yield tuple(items)
+@pytest.mark.parametrize("n", range(9))
+def test_the_search_keeps_only_prefixes_of_involutions(n):
+    # Every function call made inside the module, the entry point's own
+    # excepted, is one prefix the search kept. A prefix no involution extends
+    # would cost time without changing the count.
+    calls = 0
 
-    monkeypatch.setattr(involutions, "permutations", one_too_many)
-    with pytest.raises(RuntimeError, match=r"ran on past 5! tuples"):
-        count_involutions_enum(5)
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_filename == involutions.__file__:
+            calls += code is not count_involutions_enum.__code__
 
-
-# The first tuple, one in a block the walk drains and the last, which it reads.
-@pytest.mark.parametrize("dropped", [0, 31, 119])
-def test_a_stream_ending_before_n_factorial_raises(monkeypatch, dropped):
-    def one_too_few(items):
-        return (p for i, p in enumerate(permutations(items)) if i != dropped)
-
-    monkeypatch.setattr(involutions, "permutations", one_too_few)
-    with pytest.raises(RuntimeError, match=r"ended before 5! tuples"):
-        count_involutions_enum(5)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        count_involutions_enum(n)
+    finally:
+        sys.setprofile(previous)
+    assert calls == len(_involution_prefixes(n))
 
 
 def test_count_domain():
@@ -96,3 +92,35 @@ def test_check_catches_corruption():
 def test_check_respects_cap():
     with pytest.raises(ValueError):
         check_involution_identity(ENUMERATION_MAX + 1)
+
+
+def _involutions_reference(values):
+    """The involutions check from its docstring: a_n against the per-tuple
+    scan for every n <= ENUMERATION_MAX, as (name, lo, hi, counterexamples)."""
+    cex = [
+        (n, f"enumerated {plain_scan(n)} involutions but a({n}) = {values[n]}")
+        for n in range(ENUMERATION_MAX + 1)
+        if plain_scan(n) != values[n]
+    ]
+    return "involutions", 0, ENUMERATION_MAX, cex
+
+
+# The ways the corruption corpus changes a value, and zero and a sign flip.
+CORRUPTIONS = {
+    "plus 2": lambda v: v + 2,
+    "minus 1": lambda v: v - 1,
+    "doubled": lambda v: v * 2,
+    "zero": lambda v: 0,
+    "negated": lambda v: -v,
+    "shifted 400 bits": lambda v: v << 400,
+}
+
+
+@pytest.mark.parametrize("n", [0, 5, ENUMERATION_MAX])
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+def test_check_matches_the_reference_under_corruption(corruption, n):
+    values = a_seq(ENUMERATION_MAX)
+    values[n] = CORRUPTIONS[corruption](values[n])
+    result = check_involution_identity(ENUMERATION_MAX, values)
+    assert (result.name, result.lo, result.hi, result.counterexamples) == _involutions_reference(values)
+    assert [m for m, _ in result.counterexamples] == [n]
