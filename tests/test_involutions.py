@@ -1,6 +1,7 @@
 import sys
 from functools import cache
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -36,6 +37,31 @@ def test_counts_small():
 @pytest.mark.parametrize("n", range(ENUMERATION_MAX + 1))
 def test_enumeration_matches_the_plain_scan(n):
     assert count_involutions_enum(n) == plain_scan(n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumeration_draws_every_permutation(monkeypatch, n):
+    # Each unplaced value the search draws at position k extends p[:k] to a
+    # node of the permutation tree. A drawn node that no drawn node extends is
+    # where the (n - len)! permutations below it are decided; these subtrees
+    # must hold every one of the n! permutations, and none twice.
+    drawn = []
+
+    def drawing_range(stop):
+        for v in range(stop):
+            search = sys._getframe(1).f_locals
+            if search["free"][v]:
+                drawn.append(tuple(search["p"][: search["k"]]) + (v,))
+            yield v
+
+    monkeypatch.setattr(involutions, "range", drawing_range, raising=False)
+    count_involutions_enum(n)
+    nodes = set(drawn)
+    assert len(drawn) == len(nodes)
+    assert all(len(set(node)) == len(node) for node in nodes)
+    assert all(len(node) == 1 or node[:-1] in nodes for node in nodes)
+    decided = [node for node in nodes if not any(node + (v,) in nodes for v in range(n))]
+    assert sum(factorial(n - len(node)) for node in decided) == factorial(n)
 
 
 def _involution_prefixes(n):
