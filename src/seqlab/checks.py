@@ -11,12 +11,12 @@ finishes the values walk; it keeps only the leading values that the checks
 reading whole prefixes need. A check's tail reads only those leading values,
 so in a run of two or more checks, where os.fork exists, each tail is read
 in forked children while the walks go on, one child for each of its parts
-(d_upper's mechanism has two, split where its cost halves); a run of one
-check reads its tail in process, and so does a run whose fork fails. Either
-way the results are the same. Checks accept precomputed a_values/rows so
-callers can feed deliberately corrupted data and confirm the sweeps catch
-it; a check given values and no rows reads the rows derived from those
-values.
+(d_upper's mechanism has two, split where its cost halves); a child is
+listed on its sweep from fork to reap. A run of one check reads its tail in
+process, and so does a run whose fork fails. Either way the results are the
+same. Checks accept precomputed a_values/rows so callers can feed
+deliberately corrupted data and confirm the sweeps catch it; a check given
+values and no rows reads the rows derived from those values.
 
 This module owns that protocol: the sweep (_Sweep, with Hit, Step, Tail and
 MAX_COUNTEREXAMPLES), the walk, the forked tails and the driver. Every check's
@@ -90,7 +90,9 @@ class _Sweep:
     for none: part(values) iterates over counterexamples read off the leading
     values that result() is handed. The parts' counterexamples follow one
     another in order, and no part reads anything of another, so each can be
-    read apart (see _run). MAX_COUNTEREXAMPLES are kept; a step whose finds
+    read apart: `forked` lists the children (_ForkedTail) that _run started,
+    one for each part, each listed from fork to reap, and is empty when the
+    tail is read in process. MAX_COUNTEREXAMPLES are kept; a step whose finds
     could no longer be kept is not called again, and the tail is read no
     further than needed: a part is not called before the parts ahead of it
     are read out.
@@ -112,18 +114,17 @@ class _Sweep:
         self.steps = [(first, last, step, []) for first, last, step in steps]
         self.need = max((last + 1 for _, last, _ in steps), default=0)
         self.seconds = 0.0
+        self.forked: list[_ForkedTail] = []
 
-    def result(self, values: Sequence[int] = (),
-               reads: Optional[list[tuple[Iterable[tuple[int, str]], float]]] = None) -> CheckResult:
-        """The check's result, the tail reading the given leading values; reading
-        it counts toward the elapsed time. `reads`, when given, is the tail as
-        read elsewhere: one (counterexamples, seconds) pair per part, in order,
-        whose counterexamples raise where the part raised."""
+    def result(self, values: Sequence[int] = ()) -> CheckResult:
+        """The check's result, the tail reading the given leading values, or
+        read in the sweep's children where it has any; reading it counts toward
+        the elapsed time, a child's as the seconds the child took."""
         if len(values) < self.prefix:
             raise ValueError(f"{self.name} reads a_0..a_{self.prefix - 1}; the input stops at {len(values) - 1}")
+        reads = [tail.read() for tail in self.forked]  # before the clock: the wait is in the children's seconds
         start = perf_counter()
-        if reads is None:
-            reads = [(chain.from_iterable(part(values) for part in self.parts), 0.0)]
+        reads = reads or [(chain.from_iterable(part(values) for part in self.parts), 0.0)]
         found = (found for _, _, _, found in self.steps)
         cex = list(islice(chain(*found, *(hits for hits, _ in reads)), MAX_COUNTEREXAMPLES))
         ms = int((self.seconds + sum(seconds for _, seconds in reads) + perf_counter() - start) * 1000)
@@ -632,7 +633,8 @@ def _replay(hits: list[tuple[int, str]], error: Optional[Exception]) -> Iterator
 
 class _ForkedTail:
     """One part of the named sweep's tail, read in a forked child from the
-    given leading values.
+    given leading values. _run lists it on its sweep from fork to reap:
+    result() reads it, and _close kills and reaps it unless read() has.
 
     The child lowers its own priority (os.nice(10)) so that the parent, whose
     walk is the critical path, is not kept waiting for a CPU by the children
@@ -651,16 +653,17 @@ class _ForkedTail:
 
         self.name = name
         read_end, write_end = os.pipe()
+        self.pipe = open(read_end, "rb")
         try:
             pid = os.fork()
         except OSError:
-            os.close(read_end)
+            self.pipe.close()
             os.close(write_end)
             raise
         if pid == 0:
             code = 1
             try:
-                os.close(read_end)
+                self.pipe.close()
                 gc.disable()
                 with suppress(OSError):
                     os.nice(10)  # the parent's walk is the critical path: leave it the CPU
@@ -678,16 +681,14 @@ class _ForkedTail:
                 os._exit(code)
         os.close(write_end)
         self.pid: Optional[int] = pid
-        self.fd: Optional[int] = read_end
 
     def read(self) -> tuple[Iterator[tuple[int, str]], float]:
         """The child's counterexamples, raising where the part raised, and the
         seconds it took; reaps the child."""
         import pickle
 
-        fd, self.fd = self.fd, None
-        with open(fd, "rb") as pipe:
-            message = pipe.read()
+        with self.pipe:
+            message = self.pipe.read()
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
         if status:
@@ -696,22 +697,24 @@ class _ForkedTail:
         return _replay(hits, error), seconds
 
     def close(self) -> None:
-        """Close the pipe; kill and reap the child unless read() reaped it."""
+        """Close the pipe; kill and reap the child unless read() reaped it.
+        Closing again does nothing."""
         import signal
 
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
+        self.pipe.close()
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
 
 
-def _close(forked: dict[int, list[_ForkedTail]]) -> None:
-    for tails in forked.values():
-        for tail in tails:
+def _close(sweeps: list[_Sweep]) -> None:
+    """Close the sweeps' children and unlist them, so that each sweep's tail
+    is read in process."""
+    for s in sweeps:
+        for tail in s.forked:
             tail.close()
+        s.forked.clear()
 
 
 def _run(sweeps: list[_Sweep], a_values: Optional[Sequence[int]] = None,
@@ -730,15 +733,16 @@ def _run(sweeps: list[_Sweep], a_values: Optional[Sequence[int]] = None,
 
     A run of two or more sweeps, where os.fork exists, starts each part of
     each tail that has its leading values in a child of its own (_ForkedTail)
-    as soon as the prefix is built, walks meanwhile, and then reads each
-    sweep's children in the sweep's place, their counterexamples in the order
+    as soon as the prefix is built, and lists each child on its sweep from
+    fork to reap, before the next fork; it walks meanwhile, and then each
+    sweep's result() reads its children, their counterexamples in the order
     of the parts and under the one MAX_COUNTEREXAMPLES cap, and the sweep's
-    seconds the sum of its parts' seconds. So the results, and the errors
-    raised, are those of reading every tail in process, as a run of one sweep
-    does. A fork (or pipe) that fails with OSError kills and reaps the
-    children already started, and then every tail is read in process. Every
-    child is reaped before _run returns or raises; an error or an interrupt
-    kills the children not yet read.
+    seconds the sum of its parts' seconds. So the results, and the errors raised, are those of
+    reading every tail in process, as a run of one sweep does. A fork (or
+    pipe) that fails with OSError kills and reaps the children already
+    started and unlists them, and then every tail is read in process. Every
+    child is reaped and unlisted before _run returns or raises; an error or
+    an interrupt kills the children not yet read.
     """
     source = iter(a_values) if a_values is not None else a_iter()
     prefix = list(islice(source, max([0] + [s.prefix for s in sweeps])))
@@ -748,25 +752,22 @@ def _run(sweeps: list[_Sweep], a_values: Optional[Sequence[int]] = None,
     walked = max([0] + [s.need for s in on_rows])
     ahead = max([walked if derive else 0] + [s.need for s in on_values])
     values = _walk(chain(prefix, islice(source, max(0, ahead - len(prefix)))), on_values)
-    forked: dict[int, list[_ForkedTail]] = {}
     try:
         if len(sweeps) > 1 and hasattr(os, "fork"):
             try:
-                for i, s in enumerate(sweeps):
-                    if s.parts and len(prefix) >= s.prefix:
-                        forked[i] = []
-                        for part in s.parts:  # each child is in `forked` before the next fork
-                            forked[i].append(_ForkedTail(s.name, part, prefix))
+                for s in sweeps:
+                    if len(prefix) >= s.prefix:
+                        for part in s.parts:  # each child is listed before the next fork
+                            s.forked.append(_ForkedTail(s.name, part, prefix))
             except OSError:  # no pipe or no process to be had: read every tail in process
-                _close(forked)
-                forked.clear()
+                _close(sweeps)
         if derive:
             rows = _derive_rows(values)
         deque(_walk(islice(rows or (), walked), on_rows), 0)
         deque(values, 0)  # the rest of the values walk: a6_relation reads past the rows
-        return [s.result(prefix, [t.read() for t in forked[i]] if i in forked else None) for i, s in enumerate(sweeps)]
+        return [s.result(prefix) for s in sweeps]
     finally:
-        _close(forked)
+        _close(sweeps)
 
 
 def required_length(config: VerifyConfig) -> int:

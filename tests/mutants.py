@@ -131,8 +131,8 @@ MUTANTS = [
     (
         "prefix guard dropped",
         CHECKS,
-        "if s.parts and len(prefix) >= s.prefix:",
-        "if s.parts:",
+        "if len(prefix) >= s.prefix:",
+        "if True:",
         [T + "test_a_tail_short_of_its_prefix_raises_as_in_process"],
     ),
     # A tail in parts: d_upper's mechanism split where its cost halves, each
@@ -154,8 +154,8 @@ MUTANTS = [
     (
         "parts replayed in reverse",
         CHECKS,
-        "[t.read() for t in forked[i]]",
-        "[t.read() for t in reversed(forked[i])]",
+        "[tail.read() for tail in self.forked]",
+        "[tail.read() for tail in reversed(self.forked)]",
         [T + "test_the_mechanism_s_parts_report_as_in_process",
          T + "test_a_part_s_error_raises_before_the_later_parts_hits"],
     ),
@@ -176,18 +176,40 @@ MUTANTS = [
     (
         "children listed only after every fork",
         CHECKS,
-        "                        forked[i] = []\n"
-        "                        for part in s.parts:  # each child is in `forked` before the next fork\n"
-        "                            forked[i].append(_ForkedTail(s.name, part, prefix))\n",
-        "                        forked[i] = [_ForkedTail(s.name, part, prefix) for part in s.parts]\n",
+        "                        for part in s.parts:  # each child is listed before the next fork\n"
+        "                            s.forked.append(_ForkedTail(s.name, part, prefix))\n",
+        "                        s.forked.extend([_ForkedTail(s.name, part, prefix) for part in s.parts])\n",
         [T + "test_no_child_outlives_a_fork_that_fails"],
     ),
     (
         "a failed fork re-raised",
         CHECKS,
-        "                forked.clear()\n",
-        "                raise\n",
+        "read every tail in process\n                _close(sweeps)\n",
+        "read every tail in process\n                _close(sweeps)\n                raise\n",
         [T + "test_no_child_outlives_a_fork_that_fails"],
+    ),
+    (
+        "the fallback leaves the sweeps' children listed",
+        CHECKS,
+        "        s.forked.clear()\n",
+        "",
+        [T + "test_no_child_outlives_a_fork_that_fails"],
+    ),
+    (
+        "close() leaves the pipe open",
+        CHECKS,
+        "        self.pipe.close()\n        if self.pid is not None:\n",
+        "        if self.pid is not None:\n",
+        [T + "test_no_descriptor_outlives_run"],
+    ),
+    (
+        "result() reads its children after its clock starts",
+        CHECKS,
+        "        reads = [tail.read() for tail in self.forked]  # before the clock: the wait is in the children's seconds\n"
+        "        start = perf_counter()\n",
+        "        start = perf_counter()\n"
+        "        reads = [tail.read() for tail in self.forked]\n",
+        [T + "test_a_forked_part_s_time_counts_once"],
     ),
     # quarter_bound decides d^4 > 2^(n+1) from the exponent where d = 2^k.
     (

@@ -1,6 +1,7 @@
 import errno
 import math
 import os
+import random
 import sys
 import time
 import tracemalloc
@@ -8,6 +9,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -42,6 +44,8 @@ from seqlab.exact import GREATER, LESS, SIEVE_LIMIT, cmp_shifted_sqrt, primes_up
 from seqlab.involutions import check_involution_identity
 from seqlab.report import VerifyConfig
 from seqlab.sequences import SeqRow, a_seq, e_closed, q_step, rows_from_a
+from test_corpus import _corrupt
+from test_involutions import plain_scan
 from test_sequences import positive_ints
 
 HI = 150
@@ -98,10 +102,11 @@ def test_x_bounds_reports_x_below_one_half(rows150):
 
 
 def _x_bounds_reference(lo, hi, rows):
+    # cmp_shifted_sqrt compares x >= 1/2; a smaller x lies below every (1 + sqrt(m))/2.
     cex = []
     for n in range(lo, hi + 1):
         x = rows[n].x
-        if cmp_shifted_sqrt(x, 4 * n - 3) is not GREATER:
+        if 2 * x < 1 or cmp_shifted_sqrt(x, 4 * n - 3) is not GREATER:
             cex.append((n, f"x({n}) = {x} is not above (1+sqrt({4*n-3}))/2"))
         elif cmp_shifted_sqrt(x, 4 * n + 1) is not LESS:
             cex.append((n, f"x({n}) = {x} is not below (1+sqrt({4*n+1}))/2"))
@@ -1255,6 +1260,78 @@ def test_no_child_outlives_a_fork_that_fails(monkeypatch):
     _assert_no_child_left()
 
 
+@pytest.fixture
+def kept_tails(monkeypatch):
+    """Every forked tail _run starts, kept alive after it returns, so that no
+    finalizer closes a pipe that _run left open."""
+    kept = []
+
+    class Kept(checks._ForkedTail):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kept.append(self)
+
+    monkeypatch.setattr(checks, "_ForkedTail", Kept)
+    return kept
+
+
+def _forked_run_all(monkeypatch):
+    assert all(r.passed for r in run_all(VerifyConfig(max_n=40, series_order=20, oracle_max=5)))
+
+
+def _walk_that_raises(monkeypatch):
+    # The input stops at 49, so the walk raises while a child sleeps.
+    sweeps = [_tail_sweep("walk", (lambda v: (),)), _tail_sweep("slow", (_sleeps(30),))]
+    with pytest.raises(ValueError, match="the input stops at 49"):
+        checks._run(sweeps, list(range(50)))
+
+
+def _fork_that_fails(monkeypatch):
+    # The second fork fails: the first child is killed and its tail read in process.
+    real_fork, calls = os.fork, []
+
+    def fork():
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError(errno.EAGAIN, "no process left")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    sweeps = [_tail_sweep("parts", (lambda v: (), _late_hits)), _tail_sweep("quiet", (lambda v: (),))]
+    assert checks._run(sweeps, list(range(100)))[0].counterexamples == list(_late_hits(()))
+
+
+def _child_without_a_result(monkeypatch):
+    def unpicklable(values):
+        yield 0, lambda: None
+
+    with pytest.raises(RuntimeError, match="^odd: "):
+        checks._run([_tail_sweep("odd", (unpicklable,)), _tail_sweep("quiet", (lambda v: (),))], list(range(100)))
+
+
+@fork_only
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count descriptors in")
+@pytest.mark.parametrize("run", [_forked_run_all, _walk_that_raises, _fork_that_fails, _child_without_a_result])
+def test_no_descriptor_outlives_run(kept_tails, monkeypatch, run):
+    # Each child's pipe is closed by _run itself, whichever way the run ends:
+    # the tails are kept alive, so a pipe left open stays open here.
+    before = len(os.listdir("/proc/self/fd"))
+    run(monkeypatch)
+    assert kept_tails
+    assert len(os.listdir("/proc/self/fd")) == before
+    _assert_no_child_left()
+
+
+@fork_only
+def test_a_forked_part_s_time_counts_once(forks):
+    # The parent waits in result() for the sleeping child; that wait is in the
+    # child's own seconds, so the parent's clock must not count it again.
+    sweeps = [_tail_sweep("sleepy", (_sleeps(0.3),)), _tail_sweep("quiet", (lambda v: (),))]
+    elapsed = checks._run(sweeps, list(range(100)))[0].elapsed_ms
+    assert len(forks) == 2
+    assert 300 <= elapsed < 550
+
+
 # With hi = 100 the mechanism's parts are n = 1..80 and 81..100. A changed a_k
 # breaks the convolution at every n >= k/2, and nowhere else.
 MECH_SPLIT_CASES = {
@@ -1297,3 +1374,103 @@ def test_the_mechanism_s_parts_cover_its_range_once_in_order(hi):
     first, second = checks._d_upper(VerifyConfig(max_n=hi)).parts
     assert [n for n, _ in first(zeros)] == list(range(1, half + 1))
     assert [n for n, _ in second(zeros)] == list(range(half + 1, mech + 1))
+
+
+# Plain references, each written from its check's docstring in plain ints, and
+# run_all on corrupted values against every check that has one.
+
+
+def _capped(hits):
+    return list(islice(hits, MAX_COUNTEREXAMPLES))
+
+
+def _plain_rows(values):
+    """Row n of the values, from its own gcd: x_n = a_n / a_{n-1} reduced by
+    d_n = gcd(a_n, a_{n-1}), row 0 read as a_0 / 1; e_n is the 2-adic
+    valuation of a_n and q_n = a_n / 2^e_n."""
+    rows = []
+    for n, a in enumerate(values):
+        prev = values[n - 1] if n else 1
+        d, e = math.gcd(a, prev), (a & -a).bit_length() - 1
+        rows.append(SeqRow(n, a, a // d, prev // d, d, e, a // 2 ** e))
+    return rows
+
+
+def _mod4_exclusion_reference(hi, values):
+    # x_n = a_n / a_{n-1} is an integer exactly when a_{n-1} divides a_n.
+    return _capped((n, f"x({n}) = {values[n] // values[n - 1]} is an integer")
+                   for n in range(4, hi + 1) if values[n] % values[n - 1] == 0)
+
+
+def _parity_reference(hi, rows):
+    def hits():
+        for row in rows[1: hi + 1]:
+            r = row.n % 4
+            if (row.x_den % 2 == 0) != (r == 0):
+                yield row.n, f"denominator {row.x_den} has the wrong parity for n mod 4 = {r}"
+            elif (row.x_num % 2 == 0) != (r in (2, 3)):
+                yield row.n, f"numerator {row.x_num} has the wrong parity for n mod 4 = {r}"
+    return _capped(hits())
+
+
+def _d_formula_reference(hi, values):
+    # With n = 4k + r, gcd(a_n, a_{n-1}) is 2^k for r = 0, 1, 2 and 2^(k+1) for r = 3.
+    def hits():
+        for n in range(1, hi + 1):
+            d, closed = math.gcd(values[n], values[n - 1]), 2 ** (n // 4 + (n % 4 == 3))
+            if d != closed:
+                yield n, f"d({n}) = {d}, closed form gives {closed}"
+    return _capped(hits())
+
+
+def _d_power_of_two_reference(hi, values):
+    # A positive d is a power of two exactly when d - 1 shares no bit with it.
+    gcds = ((n, math.gcd(values[n], values[n - 1])) for n in range(1, hi + 1))
+    return _capped((n, f"d({n}) = {d} is not a power of two") for n, d in gcds if d & (d - 1))
+
+
+def _involutions_reference(m, values):
+    return _capped((n, f"enumerated {plain_scan(n)} involutions but a({n}) = {values[n]}")
+                   for n in range(m + 1) if plain_scan(n) != values[n])
+
+
+ORACLE_MAX = 7
+
+# Each check's (lo, hi, counterexamples) for run_all's max_n = hi, read off the
+# values or the plain rows.
+REFERENCES = {
+    "d_formula": lambda hi, values, rows: (1, hi, _d_formula_reference(hi, values)),
+    "d_power_of_two": lambda hi, values, rows: (1, hi, _d_power_of_two_reference(hi, values)),
+    "e_q": lambda hi, values, rows: (0, hi, _e_q_reference(hi, rows)),
+    "integrality": lambda hi, values, rows: (0, hi, _integrality_reference(hi, rows)),
+    "involutions": lambda hi, values, rows: (0, ORACLE_MAX, _involutions_reference(ORACLE_MAX, values)),
+    "mod4_exclusion": lambda hi, values, rows: (4, hi, _mod4_exclusion_reference(hi, values)),
+    "parity": lambda hi, values, rows: (1, hi, _parity_reference(hi, rows)),
+    "quarter_bound": lambda hi, values, rows: (1, hi, _quarter_bound_reference(hi, rows)),
+    "sqrt_factorial": lambda hi, values, rows: (0, hi, _sqrt_factorial_reference(hi, values)),
+    "x_bounds": lambda hi, values, rows: (4, hi, _x_bounds_reference(4, hi, rows)),
+}
+
+
+@st.composite
+def corrupted_runs(draw):
+    """(hi, {n: (seed, negated)}): each a_n listed is changed as the corruption
+    corpus changes it, from random.Random(seed), and then negated or not."""
+    hi = draw(st.integers(0, 200))
+    return hi, {n: (draw(st.integers(0, 2 ** 32)), draw(st.booleans())) for n in draw(corrupted_indices(hi))}
+
+
+@settings(max_examples=30, deadline=None)
+@given(corrupted_runs())
+@example((200, {n: (n, n % 3 == 0) for n in range(40, 130)}))  # five checks fill the cap
+@example((30, {1: (0, True), 4: (1, False), 6: (2, True)}))  # in the oracle's range, signs flipped
+@example((3, {}))  # x_bounds and mod4_exclusion read no row
+def test_run_all_matches_the_references(case):
+    hi, corruptions = case
+    config = VerifyConfig(max_n=hi, oracle_max=ORACLE_MAX, checks=list(REFERENCES))
+    values = a_seq(required_length(config) - 1)
+    for n, (seed, negated) in corruptions.items():
+        values[n] = _corrupt(random.Random(seed), values[n]) * (-1 if negated else 1)
+    rows = _plain_rows(values)
+    got = [(r.name, r.lo, r.hi, r.counterexamples) for r in run_all(config, values)]
+    assert got == [(name, *reference(hi, values, rows)) for name, reference in sorted(REFERENCES.items())]
