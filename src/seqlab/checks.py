@@ -10,13 +10,12 @@ derives the rows once from what that walk yields, walks them once, and then
 finishes the values walk; it keeps only the leading values that the checks
 reading whole prefixes need. A check's tail reads only those leading values,
 so in a run of two or more checks, where os.fork exists, each tail is read
-in forked children while the walks go on, one child for each of its parts
-(d_upper's mechanism has two, split where its cost halves); a child is
-listed on its sweep from fork to reap. A run of one check reads its tail in
-process, and so does a run whose fork fails. Either way the results are the
-same. Checks accept precomputed a_values/rows so callers can feed
-deliberately corrupted data and confirm the sweeps catch it; a check given
-values and no rows reads the rows derived from those values.
+in forked children while the walks go on, one child for each of its parts;
+a child is listed on its sweep from fork to reap. A run of one check reads
+its tail in process, and so does a run whose fork fails. Either way the
+results are the same. Checks accept precomputed a_values/rows so callers can
+feed deliberately corrupted data and confirm the sweeps catch it; a check
+given values and no rows reads the rows derived from those values.
 
 This module owns that protocol: the sweep (_Sweep, with Hit, Step, Tail and
 MAX_COUNTEREXAMPLES), the walk, the forked tails and the driver. Every check's
@@ -367,43 +366,23 @@ def check_d_power_of_two(hi: int, rows: Optional[Sequence[SeqRow]] = None) -> Ch
     return _run([_d_power_of_two(VerifyConfig(max_n=hi))], rows=rows)[0]
 
 
-def _cost_half(m: int) -> int:
-    """The first h with 1^2 + ... + h^2 at least half of 1^2 + ... + m^2.
-
-    The mechanism's cost at n grows about as n^2 (convolutions carries its
-    products from one n to the next, so each n costs about n carries and
-    Horner steps, each a few small multiplies of a product of about n log n
-    bits), so it costs about as much on 1..h as on h+1..m: for m = 600,
-    h = 477, and timed in process on a 2-vCPU host the two parts took
-    0.15-0.18 s and 0.13-0.18 s of CPU there (quartiles of 15 runs; medians
-    0.15 s each). Since 1^2 + ... + h^2 = h(h+1)(2h+1)/6, the test stays in
-    ints.
-    """
-    whole = m * (m + 1) * (2 * m + 1)
-    return next(h for h in range(m + 1) if 2 * h * (h + 1) * (2 * h + 1) >= whole)
-
-
 def _d_upper(c: VerifyConfig) -> _Sweep:
     mech = min(c.max_n, DEFAULT_MECHANISM_HI)
-    half = _cost_half(mech)
 
     def step(n: int, w: Sequence[SeqRow]) -> Hit:
         if w[-1].d > 1 << (n - 1):
             return n, f"d({n}) = {decimal_text(w[-1].d)} exceeds 2^{n-1}"
 
-    def mechanism(first: int, last: int) -> Tail:
-        def hits(a_values: Sequence[int]) -> Iterator[tuple[int, str]]:
-            for n, lhs in enumerate(convolutions(first, last, a_values), first):
-                want = expected_convolution(n)
-                d = gcd(a_values[n + 1], a_values[n])  # of any signs; two zeros give 0, a non-divisor
-                if lhs != want:
-                    yield n, f"alternating convolution at 2n = {2*n} is not (2n)!/n!"
-                elif d == 0 or want % d:
-                    yield n, f"d({n+1}) does not divide the convolution value"
-        return hits
+    def mechanism(a_values: Sequence[int]) -> Iterator[tuple[int, str]]:
+        for n, lhs in enumerate(convolutions(1, mech, a_values), 1):
+            want = expected_convolution(n)
+            d = gcd(a_values[n + 1], a_values[n])  # of any signs; two zeros give 0, a non-divisor
+            if lhs != want:
+                yield n, f"alternating convolution at 2n = {2*n} is not (2n)!/n!"
+            elif d == 0 or want % d:
+                yield n, f"d({n+1}) does not divide the convolution value"
 
-    return _Sweep("d_upper", 1, c.max_n, (1, c.max_n, step), parts=(mechanism(1, half), mechanism(half + 1, mech)),
-                  prefix=max(2 * mech + 1, mech + 2))
+    return _Sweep("d_upper", 1, c.max_n, (1, c.max_n, step), parts=(mechanism,), prefix=max(2 * mech + 1, mech + 2))
 
 
 def check_d_upper(
@@ -415,10 +394,9 @@ def check_d_upper(
     2^n (2n-1)!!, and d_{n+1} divides it; since d_{n+1} is a power of two and
     (2n-1)!! is odd, d_{n+1} <= 2^n follows. The mechanism needs a_0..a_{2n},
     so it runs to n = min(hi, DEFAULT_MECHANISM_HI), 600 at most, while the
-    plain bound runs over the full range. The mechanism is a tail of two
-    parts, n = 1..h and h+1..600, each one range of series.convolutions,
-    split where its cost, which grows about as n^2, halves (h = 477, see
-    _cost_half), so a run of several checks reads the two in two children.
+    plain bound runs over the full range. The mechanism is a tail of one
+    part, one range of series.convolutions, which a run of several checks
+    reads in a child.
     Given a_values and no rows, the plain bound reads the rows derived from
     a_values.
     """

@@ -42,13 +42,15 @@ _T = TypeVar("_T")
 VERIFY_MAX_N = 80000
 TABLE_MAX_N = 20000
 
-# The series check grows about 8x per doubling of the order, nearly all of it
-# the convolution: 0.04 s at 600, 0.26-0.28 s at 1200 and 2.1-2.2 s at 2400
-# (in process, 2-vCPU host, CPython 3.11). Measured as --max is above,
-# `series` takes 3.1 s and 24 MiB at 2400 and 28 s and 48 MiB at 4800, and
-# `verify --checks d_upper,series` 3.7 s and 20 MiB at 2400 and 33 s and
-# 45 MiB at 4800. The next doubling would run for minutes, so --order stops
-# here for both verify and series.
+# Memory, not time, bounds --order. The series check holds a_0..a_order and
+# the closed form's coefficients, about order^2 log2(order) / 4 bits each, so
+# its peak RSS grows more than 2x per doubling; its time is mostly
+# math.perm's (2n)!/n! at each n, the convolution's recurrence taking
+# milliseconds on the orbit. Measured as --max is above, `series` takes
+# 0.57 s and 32 MiB at 4800 and `verify --checks d_upper,series` 0.68 s and
+# 29 MiB; at 9600 the series identities alone took about 3 s and 83 MiB, past
+# the 64 MiB that CI allows a command at its cap. So --order stops here for both
+# verify and series.
 MAX_ORDER = 4800
 
 _COLUMNS = [f.name for f in fields(SeqRow)]

@@ -24,18 +24,22 @@ a_{k+2} = a_{k+1} + (k+1) a_k itself.
 F(x) F(-x) = exp(x^2) and the convolution are one identity: the coefficient
 of x^k in F(x) F(-x) is c_k / k! where c_k is that alternating convolution at
 k, and c_k vanishes for odd k whatever the a_m are. convolutions is the single
-kernel for both: it yields the convolution for a range of n, and
-convolution_lhs is its one-n case. It sums the terms in blocks of consecutive
-m, fixed by m alone, Horner's rule running on the small ratios
-C(2n, m+1) / C(2n, m) inside a block, so the big binomial C(2n, m) multiplies
-once per block instead of once per term. Nor is a product a_m a_r multiplied
-afresh for each n: it is kept already multiplied by its block weight, and
-from n to n + 1 it is carried through the even-step relation
-a_r = 2 (r-1) a_{r-2} - (r-2)(r-3) a_{r-4}, which follows from the
-recurrence, but only at the indices r where that relation holds on the given
-values; elsewhere the product is multiplied directly, so the kernel is exact
-on any input. A term then costs two small multiplies and a subtract to carry,
-and one small multiply and a subtract in the Horner sum.
+kernel for both: it yields the convolution C_n = c_{2n} for a range of n, and
+convolution_lhs is its one-n case. It does not sum the 2n + 1 terms; it runs a
+first-order recurrence in n that holds for every sequence of ints. Let
+e_i = a_i - a_{i-1} - (i-1) a_{i-2}, with a_{-1} = 0, be the residuals of the
+two-step recurrence, A = sum a_j x^j / j!, G(x) = A(x) A(-x) and
+R = A' - (1+x) A = sum e_{j+1} x^j / j!. Then
+
+    C_0 = a_0^2,
+    C_n = 2 (2n-1) C_{n-1} - 2 sum_j (-1)^j C(2n-1, j) e_{j+1} a_{2n-1-j}.
+
+Proof: A' = R + (1+x) A gives G' = A'(x) A(-x) - A(x) A'(-x)
+= 2x G + R(x) A(-x) - A(x) R(-x). Read at x^{2n-1} times (2n-1)!, the left side
+is C_n and 2x G gives 2 (2n-1) C_{n-1}; with j + i = 2n - 1 odd, (-1)^i is
+-(-1)^j, so R(x) A(-x) and -A(x) R(-x) each give the sum above times -1.
+Only the nonzero residuals enter the sum, and on the involution numbers every
+residual is 0, so there a step is one small multiply.
 
 A truncated series over exact rationals, for the Fraction API below (egf_F,
 ps_exp, ps_mul), is a plain tuple of its K + 1 coefficients c_0..c_K, c_0
@@ -43,15 +47,8 @@ first.
 """
 
 from fractions import Fraction
-from math import comb, factorial, perm, prod
+from math import comb, factorial, perm
 from typing import Iterator, Optional, Sequence
-
-# convolutions cuts the indices m into blocks m..h-1 whose denominator
-# (m+1)...(h-1) stays below this, so inside a block big ints are multiplied
-# only by small ints and each carried product grows by at most 240 bits. A
-# larger bound means fewer multiplies by the big binomial and longer products;
-# from 2^180 to 2^480 the kernel's time stayed within a 2-vCPU host's noise.
-_BLOCK_BOUND = 1 << 240
 
 
 def _require_terms(f: Sequence) -> None:
@@ -109,94 +106,76 @@ def egf_F(order: int, a_values: Sequence[int]) -> tuple[Fraction, ...]:
 def convolutions(lo: int, hi: int, a_values: Sequence[int]) -> Iterator[int]:
     """convolution_lhs(n, a_values) for n = lo, lo + 1, ..., hi, in turn.
 
-    The terms are summed as convolution_lhs describes, but the products
-    a_m a_r, r = 2n - m, are carried from n to n + 1 instead of multiplied
-    afresh, each already multiplied by its block weight w_m. For each m < n
-    the kernel keeps w_m a_m a_r for this n and for n - 1; where the even-step
-    relation a_j = 2 (j-1) a_{j-2} - (j-2)(j-3) a_{j-4}, which follows from
-    the recurrence, holds in ints on the given values (ok[j]), distributivity
-    gives w_m a_m a_j from w_m a_m a_{j-2} and w_m a_m a_{j-4} exactly, in two
-    small multiplies and a subtract. Where the relation fails the product is
-    multiplied directly, so the result is exact on any input. The first n of
-    a range multiplies its products directly, and those of n - 1 too when the
-    range goes on; each step adds the new product m = n - 1 the same way.
+    Each C_n follows from C_{n-1} by the recurrence of the module docstring,
+    from C_0 = a_0^2, whatever lo is. Write r_j = e_{j+1} and k = 2n - 1. The
+    sum runs over the j with r_j != 0 alone. Such a j enters it at the first
+    n with j <= k, where C(k, j) is k or 1, and from then on the kernel keeps
+    its signed binomial (-1)^j C(k, j). From one n to the next, k going to
+    k + 2, that is carried by C(k+2, j) = C(k, j) (k+1)(k+2) / ((k+1-j)(k+2-j)),
+    a division that is exact since its quotient is (-1)^j C(k+2, j); so no
+    binomial is ever computed afresh.
+
+    The terms j and v = k - j share their binomial and have opposite signs.
+    A j whose partner's r_v is 0 adds its one product. Where both are
+    nonzero, the pair is summed once, by one product instead of two:
+    r_j a_v - r_v a_j = (r_j + r_v)(a_v - a_j) + r_j a_j - r_v a_v, the
+    diagonal products r_j a_j being computed once, as j enters. So a step
+    costs one small multiply, plus a carry for each nonzero residual so far
+    and one product for each pair that holds one.
+
+    The residuals e_1..e_{2hi-2} are computed before the first value is
+    yielded, so a value there that is not an int raises at once; e_{2hi-1}
+    and e_{2hi} only at n = hi, the one n that reads them. A range with
+    hi < lo yields nothing and reads no value.
     """
     if lo < 0:
         raise ValueError("n must be nonnegative")
     if len(a_values) < 2 * hi + 1:
         raise ValueError("need a_0..a_{2n}")
+    if hi < lo:
+        return
     a = a_values
-    blocks = []  # (m, h, d): the block m..h-1 and d = (m+1)...(h-1)
-    w = []  # w[i] = (i+1)...(h-1), the weight of i in its block m..h-1
-    m = 0
-    while m < hi:
-        h, d = m + 1, 1
-        while d * h < _BLOCK_BOUND:
-            d *= h
-            h += 1
-        blocks.append((m, h, d))
-        w += [prod(range(i + 1, h)) for i in range(m, h)]
-        m = h
-    ok = [
-        j >= 4 and a[j] == 2 * (j - 1) * a[j - 2] - (j - 2) * (j - 3) * a[j - 4]
-        for j in range(2 * hi + 1)
-    ]
-    for n in range(lo, hi + 1):
-        k = 2 * n
-        if n == lo:
-            top = [w[m] * a[m] * a[k - m] for m in range(n)]  # w_m a_m a_r
-            if n < hi:  # only a next n reads w_m a_m a_{r-2}
-                prev = [w[m] * a[m] * a[k - 2 - m] for m in range(n)]
-        else:
-            for m in range(n - 1):  # in place, so that no third list of products is alive
-                r = k - m
-                t = top[m]
-                top[m] = 2 * (r - 1) * t - (r - 2) * (r - 3) * prev[m] if ok[r] else w[m] * a[m] * a[r]
-                prev[m] = t
-            prev.append(w[n - 1] * a[n - 1] * a[n - 1])
-            top.append(w[n - 1] * a[n - 1] * a[n + 1])
-        half = 0
-        c = 1  # (-1)^m C(2n, m) at the block's start m
-        for m, h, d in blocks:
-            if m >= n:
-                break
-            cut = min(h, n)
-            acc = top[cut - 1]
-            for i in range(cut - 2, m - 1, -1):
-                acc = top[i] - (k - i) * acc
-            half += c * acc // d
-            if h < n:
-                c = c * prod(range(m - k, h - k)) // (d * h)
-        middle = comb(k, n) * a[n] * a[n]
-        yield 2 * half + (-middle if n & 1 else middle)
+
+    def residual(i: int) -> int:
+        return a[i] - a[i - 1] - (i - 1) * a[i - 2] if i > 1 else a[1] - a[0]
+
+    r = [residual(i) for i in range(1, 2 * hi - 1)]  # r[j] = e_{j+1}
+    diag: list[int] = []  # r_j a_j for each j that has entered
+    live: list[int] = []  # each j with r_j != 0 that has entered the sum
+    signed: list[int] = []  # its (-1)^j C(k, j) at the current n
+    c = a[0] * a[0]
+    if lo == 0:
+        yield c
+    for n in range(1, hi + 1):
+        k = 2 * n - 1
+        up = (k - 1) * k  # C(k, j) = C(k-2, j) (k-1) k / ((k-1-j)(k-j))
+        signed = [b * up // ((k - 1 - j) * (k - j)) for j, b in zip(live, signed)]
+        if n == hi:
+            r += [residual(k), residual(k + 1)]
+        for j, b in ((k - 1, k), (k, -1)):  # (-1)^j C(k, j) at j = k - 1 and j = k
+            diag.append(r[j] * a[j])
+            if r[j]:
+                live.append(j)
+                signed.append(b)
+        s = 0
+        for j, b in zip(live, signed):
+            v = k - j
+            if not r[v]:
+                s += b * r[j] * a[v]
+            elif j < v:
+                s += b * ((r[j] + r[v]) * (a[v] - a[j]) + diag[j] - diag[v])
+        c = 2 * k * c - 2 * s
+        if n >= lo:
+            yield c
 
 
 def convolution_lhs(n: int, a_values: Sequence[int]) -> int:
     """sum_{m+r=2n} (-1)^r C(2n, m) a_m a_r, which should equal 2^n (2n-1)!!.
 
-    The terms at m and 2n - m carry the same binomial and, 2n being even, the
-    same sign, for any input; so the sum over m < n is doubled and the middle
-    term C(2n, n) a_n^2 added once.
-
-    The terms m < n are summed in blocks m..h-1, so that the big binomial
-    multiplies once per block, not once per term. A block grows while
-    d = (m+1)...(h-1) stays below _BLOCK_BOUND, so the blocks depend on the
-    indices alone, and the last one is cut short at n. Consecutive signed
-    binomials differ by the small ratio -(2n-i)/(i+1), so Horner's rule from
-    the block's top gives the block's sum as (-1)^m C(2n, m) acc / d, with acc
-    an int: each term enters acc already multiplied by its weight
-    w_i = (i+1)...(h-1), so a Horner step is one small multiply and a
-    subtract. A block cut at n still divides by its full d, the terms it is
-    missing counting as zero. The division is exact for any int input, since
-    its quotient is the block's sum. From one block to the next the signed
-    binomial advances as c (m-2n)(m+1-2n)...(h-1-2n) / (d h), exact too,
-    since its quotient is (-1)^h C(2n, h) and reads no values; the middle
-    term's C(2n, n) is math.comb's.
-
-    This is the one-n case of convolutions, so it multiplies each product
-    a_m a_r directly; over a range of n, convolutions carries the products
-    from one n to the next through the even-step relation, wherever it holds
-    on the given values.
+    This is the one-n case of convolutions: it runs the recurrence from
+    C_0 = a_0^2 up to n and returns C_n, exact on any input. On values whose
+    residuals all vanish that is n small multiplies; each nonzero residual
+    adds a carry, and at most a product, to every later step.
     """
     return next(convolutions(n, n, a_values))
 

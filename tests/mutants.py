@@ -135,29 +135,13 @@ MUTANTS = [
         "if True:",
         [T + "test_a_tail_short_of_its_prefix_raises_as_in_process"],
     ),
-    # A tail in parts: d_upper's mechanism split where its cost halves, each
-    # part read in a child of its own.
-    (
-        "split skips n = h+1",
-        CHECKS,
-        "mechanism(half + 1, mech)",
-        "mechanism(half + 2, mech)",
-        [T + "test_the_mechanism_s_parts_cover_its_range_once_in_order"],
-    ),
-    (
-        "split reads n = h twice",
-        CHECKS,
-        "mechanism(half + 1, mech)",
-        "mechanism(half, mech)",
-        [T + "test_the_mechanism_s_parts_cover_its_range_once_in_order"],
-    ),
+    # A tail in parts, each part read in a child of its own.
     (
         "parts replayed in reverse",
         CHECKS,
         "[tail.read() for tail in self.forked]",
         "[tail.read() for tail in reversed(self.forked)]",
-        [T + "test_the_mechanism_s_parts_report_as_in_process",
-         T + "test_a_part_s_error_raises_before_the_later_parts_hits"],
+        [T + "test_a_part_s_error_raises_before_the_later_parts_hits"],
     ),
     (
         "a part's seconds dropped",
@@ -171,7 +155,7 @@ MUTANTS = [
         CHECKS,
         "for part in s.parts:  # each child",
         "for part in s.parts[:1]:  # each child",
-        [T + "test_the_mechanism_s_parts_report_as_in_process", T + "test_no_child_outlives_run_all"],
+        [T + "test_a_part_s_error_raises_before_the_later_parts_hits"],
     ),
     (
         "children listed only after every fork",
@@ -468,99 +452,102 @@ MUTANTS = [
         "prefix = list(islice(source, max([0] + [s.prefix - 1 for s in sweeps])))",
         [T + "test_no_child_outlives_run_all"],
     ),
-    # The convolution in blocks: one big multiply per block, exact on any input.
+    # The convolution by its first-order recurrence, over the nonzero residuals.
     (
-        "C(2n, m) advanced one index short at a block end",
+        "the correction's sign (-1)^j flipped",
         SERIES,
-        "prod(range(m - k, h - k)) // (d * h)",
-        "prod(range(m - k, h - k - 1)) // d",
-        [TS + "test_convolution_equals_the_direct_sum_across_blocks"],
+        "for j, b in ((k - 1, k), (k, -1)):",
+        "for j, b in ((k - 1, -k), (k, 1)):",
+        [TS + "test_the_recurrence_equals_the_direct_sum"],
     ),
     (
-        "the binomial advanced by d instead of d h",
+        "the binomial carried with (k, k+1) for (k+1, k+2)",
         SERIES,
-        " // (d * h)",
-        " // d",
-        [TS + "test_convolution_equals_the_direct_sum_across_blocks"],
+        "up = (k - 1) * k  # C(k, j) = C(k-2, j) (k-1) k / ((k-1-j)(k-j))\n"
+        "        signed = [b * up // ((k - 1 - j) * (k - j))",
+        "up = (k - 2) * (k - 1)\n"
+        "        signed = [b * up // ((k - 2 - j) * (k - 1 - j))",
+        [TS + "test_the_recurrence_equals_the_direct_sum"],
     ),
     (
-        "Horner's factor 2n - i as 2n - i - 1",
+        "the residual's coefficient i - 1 as i",
         SERIES,
-        "- (k - i) * acc",
-        "- (k - i - 1) * acc",
-        [TS + "test_convolution_equals_the_direct_sum_across_blocks"],
+        "- (i - 1) * a[i - 2]",
+        "- i * a[i - 2]",
+        [TS + "test_the_recurrence_equals_the_direct_sum"],
     ),
     (
-        "the block weights lag one index",
+        "a residual entering one n late",
         SERIES,
-        "prod(range(i + 1, h))",
-        "prod(range(i + 2, h))",
-        [TS + "test_convolution_equals_the_direct_sum_across_blocks"],
+        "        for j, b in ((k - 1, k), (k, -1)):  # (-1)^j C(k, j) at j = k - 1 and j = k\n"
+        "            diag.append(r[j] * a[j])\n"
+        "            if r[j]:\n"
+        "                live.append(j)\n"
+        "                signed.append(b)\n"
+        "        s = 0\n"
+        "        for j, b in zip(live, signed):\n"
+        "            v = k - j\n"
+        "            if not r[v]:\n"
+        "                s += b * r[j] * a[v]\n"
+        "            elif j < v:\n"
+        "                s += b * ((r[j] + r[v]) * (a[v] - a[j]) + diag[j] - diag[v])\n"
+        "        c = 2 * k * c - 2 * s\n",
+        "        s = 0\n"
+        "        for j, b in zip(live, signed):\n"
+        "            v = k - j\n"
+        "            if not r[v]:\n"
+        "                s += b * r[j] * a[v]\n"
+        "            elif j < v:\n"
+        "                s += b * ((r[j] + r[v]) * (a[v] - a[j]) + diag[j] - diag[v])\n"
+        "        c = 2 * k * c - 2 * s\n"
+        "        for j, b in ((k - 1, k), (k, -1)):  # (-1)^j C(k, j) at j = k - 1 and j = k\n"
+        "            diag.append(r[j] * a[j])\n"
+        "            if r[j]:\n"
+        "                live.append(j)\n"
+        "                signed.append(b)\n",
+        [TS + "test_the_recurrence_equals_the_direct_sum"],
     ),
     (
-        "a block weight one factor short",
+        "a pair summed from both ends",
         SERIES,
-        "prod(range(i + 1, h))",
-        "prod(range(i + 1, h - 1))",
-        [TS + "test_convolution_equals_the_direct_sum_across_blocks"],
+        "            elif j < v:\n",
+        "            else:\n",
+        [TS + "test_the_recurrence_equals_the_direct_sum"],
     ),
     (
-        "the middle term's sign flipped",
+        "the pair's diagonal products swapped",
         SERIES,
-        "(-middle if n & 1 else middle)",
-        "(middle if n & 1 else -middle)",
-        [TS + "test_convolution_equals_the_direct_sum_across_blocks"],
-    ),
-    # The products carried from n to n + 1, only where the even-step relation holds.
-    (
-        "the even-step guard dropped",
-        SERIES,
-        "2 * (r - 1) * t - (r - 2) * (r - 3) * prev[m] if ok[r] else w[m] * a[m] * a[r]",
-        "2 * (r - 1) * t - (r - 2) * (r - 3) * prev[m]",
-        [TS + "test_ranged_convolutions_equal_the_direct_sum"],
+        "+ diag[j] - diag[v])",
+        "+ diag[v] - diag[j])",
+        [TS + "test_the_recurrence_equals_the_direct_sum"],
     ),
     (
-        "the guard read at r - 2",
+        "2(2n-1) as 2(2n+1)",
         SERIES,
-        "* prev[m] if ok[r] else",
-        "* prev[m] if ok[r - 2] else",
-        [TS + "test_ranged_convolutions_equal_the_direct_sum"],
+        "c = 2 * k * c",
+        "c = 2 * (k + 2) * c",
+        [TS + "test_the_recurrence_equals_the_direct_sum"],
     ),
     (
-        "the guard on the recurrence, not the even-step relation",
+        "the seed a_0 a_1",
         SERIES,
-        "a[j] == 2 * (j - 1) * a[j - 2] - (j - 2) * (j - 3) * a[j - 4]",
-        "a[j] == a[j - 1] + (j - 1) * a[j - 2]",
-        [TS + "test_ranged_convolutions_equal_the_direct_sum",
-         TS + "test_convolutions_carry_by_the_even_step_relation_alone"],
+        "c = a[0] * a[0]",
+        "c = a[0] * a[1]",
+        [TS + "test_the_recurrence_equals_the_direct_sum"],
     ),
     (
-        "the carry's coefficient 2(r - 1) as 2(r - 2)",
+        "a range with hi < lo reads its values",
         SERIES,
-        "2 * (r - 1) * t",
-        "2 * (r - 2) * t",
-        [TS + "test_ranged_convolutions_equal_the_direct_sum"],
+        "    if hi < lo:\n        return\n",
+        "",
+        [TS + "test_ranged_convolutions_domain"],
     ),
     (
-        "the carry's (r - 2)(r - 3) as (r - 1)(r - 2)",
+        "the last two residuals computed before the first value",
         SERIES,
-        "(r - 2) * (r - 3) * prev[m]",
-        "(r - 1) * (r - 2) * prev[m]",
-        [TS + "test_ranged_convolutions_equal_the_direct_sum"],
-    ),
-    (
-        "n - 1 products left unseeded for a range of two",
-        SERIES,
-        "if n < hi:",
-        "if n < hi - 1:",
-        [TS + "test_ranged_convolutions_equal_the_direct_sum"],
-    ),
-    (
-        "a range seeded with a_m a_{r-4} for a_m a_{r-2}",
-        SERIES,
-        "a[k - 2 - m] for m in range(n)]",
-        "a[k - 4 - m] for m in range(n)]",
-        [TS + "test_ranged_convolutions_equal_the_direct_sum"],
+        "for i in range(1, 2 * hi - 1)]",
+        "for i in range(1, 2 * hi + 1)]",
+        [TS + "test_a_value_that_is_not_an_int_raises_where_it_is_first_read"],
     ),
     # The convolution's closed form, (2n)!/n! from math.perm.
     (

@@ -1120,7 +1120,7 @@ def test_no_child_outlives_a_walk_that_raises(forks, error):
 def test_no_child_outlives_run_all(forks):
     results = run_all(VerifyConfig(max_n=40, series_order=20, oracle_max=5))
     assert all(r.passed for r in results)
-    assert len(forks) == 6  # congruence, d_upper's two parts, involutions, series and sign_flip
+    assert len(forks) == 5  # congruence, d_upper, involutions, series and sign_flip
     _assert_no_child_left()
 
 
@@ -1332,48 +1332,40 @@ def test_a_forked_part_s_time_counts_once(forks):
     assert 300 <= elapsed < 550
 
 
-# With hi = 100 the mechanism's parts are n = 1..80 and 81..100. A changed a_k
-# breaks the convolution at every n >= k/2, and nowhere else.
-MECH_SPLIT_CASES = {
-    "first failing n in part 1, report full there": (100, range(50, 75)),
-    "all in part 2": (180, range(90, 101)),
-    "in each part": (156, range(78, 101)),
-    "full report across the split": (150, range(75, 100)),
+# With hi = 100 the mechanism is one part, n = 1..100. A changed a_k breaks
+# the convolution at every n >= k/2, and nowhere else.
+MECH_CASES = {
+    "failing from 50 capped": (100, range(50, 75)),
+    "failing from 90": (180, range(90, 101)),
+    "failing from 78": (156, range(78, 101)),
+    "failing from 75 capped": (150, range(75, 100)),
 }
 
 
 @fork_only
-@pytest.mark.parametrize("k, failing", list(MECH_SPLIT_CASES.values()), ids=list(MECH_SPLIT_CASES))
-def test_the_mechanism_s_parts_report_as_in_process(forks, a150, k, failing):
-    assert checks._cost_half(100) == 80
+@pytest.mark.parametrize("k, failing", list(MECH_CASES.values()), ids=list(MECH_CASES))
+def test_the_mechanism_reports_forked_as_in_process(forks, a150, k, failing):
     bad = list(a150[:201])
     bad[k] += 2
     in_process = check_d_upper(100, a_values=bad)
     assert not forks
     forked = checks._run([checks._d_upper(VerifyConfig(max_n=100)), checks._Sweep("empty", 0, 0)], bad)[0]
-    assert len(forks) == 2
+    assert len(forks) == 1
     assert forked.counterexamples == in_process.counterexamples
     assert [n for n, _ in forked.counterexamples] == list(failing)
     assert all("convolution at 2n" in text for _, text in forked.counterexamples)
     _assert_no_child_left()
 
 
-def _square_sum(m):
-    return sum(k ** 2 for k in range(m + 1))
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, checks.DEFAULT_MECHANISM_HI + 100))
 @example(100)
 def test_the_mechanism_s_parts_cover_its_range_once_in_order(hi):
-    # Zeros break the convolution at every n, so each part yields each n it reads.
+    # Zeros break the convolution at every n, so the one part yields each n it reads.
     mech = min(hi, checks.DEFAULT_MECHANISM_HI)
-    half = checks._cost_half(mech)
-    assert 2 * _square_sum(half) >= _square_sum(mech) > 2 * _square_sum(half - 1)
     zeros = [0] * (2 * mech + 2)
-    first, second = checks._d_upper(VerifyConfig(max_n=hi)).parts
-    assert [n for n, _ in first(zeros)] == list(range(1, half + 1))
-    assert [n for n, _ in second(zeros)] == list(range(half + 1, mech + 1))
+    (part,) = checks._d_upper(VerifyConfig(max_n=hi)).parts
+    assert [n for n, _ in part(zeros)] == list(range(1, mech + 1))
 
 
 # Plain references, each written from its check's docstring in plain ints, and
@@ -1434,12 +1426,62 @@ def _involutions_reference(m, values):
                    for n in range(m + 1) if plain_scan(n) != values[n])
 
 
+def _plain_convolution(n, values):
+    return sum((-1) ** (2 * n - m) * math.comb(2 * n, m) * values[m] * values[2 * n - m] for m in range(2 * n + 1))
+
+
+def _d_upper_reference(hi, values):
+    # d_n = gcd(a_n, a_{n-1}) is at most 2^(n-1) for 1 <= n <= hi; and for
+    # n <= min(hi, 600) the alternating convolution is 2^n (2n-1)!!, which
+    # d_{n+1} divides.
+    def hits():
+        for n in range(1, hi + 1):
+            d = math.gcd(values[n], values[n - 1])
+            if d > 2 ** (n - 1):
+                yield n, f"d({n}) = {d} exceeds 2^{n - 1}"
+        for n in range(1, min(hi, checks.DEFAULT_MECHANISM_HI) + 1):
+            want, d = 2 ** n * math.prod(range(1, 2 * n, 2)), math.gcd(values[n + 1], values[n])
+            if _plain_convolution(n, values) != want:
+                yield n, f"alternating convolution at 2n = {2 * n} is not (2n)!/n!"
+            elif d == 0 or want % d:
+                yield n, f"d({n + 1}) does not divide the convolution value"
+    return _capped(hits())
+
+
+def _series_reference(order, values):
+    # F = exp(x + x^2/2) has a_k = sum_i C(k, 2i) (2i-1)!!, the involutions of
+    # k points with i pairs; F'' = (x + 1) F' + F is a_{k+2} = a_{k+1} + (k+1) a_k;
+    # F(x) F(-x) = exp(x^2) has (2n)!/n! times x^{2n}/(2n)! and nothing at odd powers.
+    def first(indices, fails):
+        return next((k for k in indices if fails(k)), None)
+
+    def off(n):
+        return _plain_convolution(n, values) != math.factorial(2 * n) // math.factorial(n)
+
+    product = first(range(order // 2 + 1), off)
+    parts = {
+        "exp_closed_form": first(range(order + 1), lambda k: values[k] != sum(
+            math.comb(k, 2 * i) * math.prod(range(1, 2 * i, 2)) for i in range(k // 2 + 1))),
+        "second_order_ode": first(range(order - 1), lambda k: values[k + 2] != values[k + 1] + (k + 1) * values[k]),
+        "product_exp_x2": None if product is None else 2 * product,
+        "convolution": first(range(1, order // 2 + 1), off),
+    }
+    return [(k, f"{part}: first discrepancy at index {k}") for part, k in parts.items() if k is not None]
+
+
 ORACLE_MAX = 7
+
+
+def _series_order(hi):
+    """The series order of a run at max_n = hi: the series check then reads
+    a_0..a_{2hi}, as d_upper's mechanism does."""
+    return max(2, 2 * hi)
 
 # Each check's (lo, hi, counterexamples) for run_all's max_n = hi, read off the
 # values or the plain rows.
 REFERENCES = {
     "d_formula": lambda hi, values, rows: (1, hi, _d_formula_reference(hi, values)),
+    "d_upper": lambda hi, values, rows: (1, hi, _d_upper_reference(hi, values)),
     "d_power_of_two": lambda hi, values, rows: (1, hi, _d_power_of_two_reference(hi, values)),
     "e_q": lambda hi, values, rows: (0, hi, _e_q_reference(hi, rows)),
     "integrality": lambda hi, values, rows: (0, hi, _integrality_reference(hi, rows)),
@@ -1447,6 +1489,7 @@ REFERENCES = {
     "mod4_exclusion": lambda hi, values, rows: (4, hi, _mod4_exclusion_reference(hi, values)),
     "parity": lambda hi, values, rows: (1, hi, _parity_reference(hi, rows)),
     "quarter_bound": lambda hi, values, rows: (1, hi, _quarter_bound_reference(hi, rows)),
+    "series": lambda hi, values, rows: (0, _series_order(hi), _series_reference(_series_order(hi), values)),
     "sqrt_factorial": lambda hi, values, rows: (0, hi, _sqrt_factorial_reference(hi, values)),
     "x_bounds": lambda hi, values, rows: (4, hi, _x_bounds_reference(4, hi, rows)),
 }
@@ -1455,9 +1498,12 @@ REFERENCES = {
 @st.composite
 def corrupted_runs(draw):
     """(hi, {n: (seed, negated)}): each a_n listed is changed as the corruption
-    corpus changes it, from random.Random(seed), and then negated or not."""
+    corpus changes it, from random.Random(seed), and then negated or not. The
+    indices reach 2 hi, the last value that d_upper's mechanism and the series
+    check read, and now and then include 0, 1 or 2 hi themselves."""
     hi = draw(st.integers(0, 200))
-    return hi, {n: (draw(st.integers(0, 2 ** 32)), draw(st.booleans())) for n in draw(corrupted_indices(hi))}
+    indices = draw(corrupted_indices(2 * hi)) + draw(st.lists(st.sampled_from([0, 1, 2 * hi]), max_size=2))
+    return hi, {n: (draw(st.integers(0, 2 ** 32)), draw(st.booleans())) for n in indices}
 
 
 @settings(max_examples=30, deadline=None)
@@ -1465,9 +1511,13 @@ def corrupted_runs(draw):
 @example((200, {n: (n, n % 3 == 0) for n in range(40, 130)}))  # five checks fill the cap
 @example((30, {1: (0, True), 4: (1, False), 6: (2, True)}))  # in the oracle's range, signs flipped
 @example((3, {}))  # x_bounds and mod4_exclusion read no row
+@example((60, {0: (4, False)}))  # a_0, which every convolution reads
+@example((60, {1: (5, True)}))  # a_1, the first residual
+@example((60, {120: (6, False)}))  # a_{2 mech}, read only by the last convolution and the last coefficient
+@example((0, {0: (7, True), 1: (8, False)}))  # no mechanism at max_n = 0; the series reads a_0..a_2
 def test_run_all_matches_the_references(case):
     hi, corruptions = case
-    config = VerifyConfig(max_n=hi, oracle_max=ORACLE_MAX, checks=list(REFERENCES))
+    config = VerifyConfig(max_n=hi, series_order=_series_order(hi), oracle_max=ORACLE_MAX, checks=list(REFERENCES))
     values = a_seq(required_length(config) - 1)
     for n, (seed, negated) in corruptions.items():
         values[n] = _corrupt(random.Random(seed), values[n]) * (-1 if negated else 1)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial, prod
 
 import pytest
@@ -187,10 +188,9 @@ def test_convolution_symmetric_sum_on_any_input(a):
         assert convolution_lhs(n, a) == direct_convolution(n, a)
 
 
-# convolution_lhs sums the terms m < n in blocks that start at m = 0, 55, 94,
-# 130, 164, ..., whatever n is, the last one cut short at n: n = 20 cuts the
-# first block, n = 55 is one whole block, n = 56 adds a block of one term,
-# n = 94 is two whole blocks, n = 95 starts a third, and n = 130 is three.
+# Values with zeros, signs and sizes that change at every index, so that every
+# residual e_i = a_i - a_{i-1} - (i-1) a_{i-2} is nonzero: each step of the
+# recurrence sums all of its 2n terms, as n pairs.
 def _mixed(length):
     """0, small ints of either sign and ints of up to 3000 bits, in turn."""
     return [0 if i % 5 == 0 else (-1) ** i * (i + 1) << 1000 * (i % 4) for i in range(length)]
@@ -211,7 +211,7 @@ def _mixed(length):
 @example(_mixed(189))
 @example(_mixed(191))
 @example(_mixed(261))
-def test_convolution_equals_the_direct_sum_across_blocks(a):
+def test_convolution_equals_the_direct_sum_on_mixed_values(a):
     n = (len(a) - 1) // 2
     assert convolution_lhs(n, a) == direct_convolution(n, a)
 
@@ -221,10 +221,59 @@ def test_convolution_needs_enough_values():
         convolution_lhs(5, a_seq(9))
 
 
-# convolutions carries w_m a_m a_r from n to n + 1 through the even-step
-# relation a_j = 2 (j-1) a_{j-2} - (j-2)(j-3) a_{j-4}, wherever that holds on
-# the given values; on the values below it fails at a break j and at j + 1 and
-# j + 2, the recurrence a_j = a_{j-1} + (j-1) a_{j-2} only at j.
+# The recurrence of the series module docstring, written out with math.comb:
+# C_0 = a_0^2 and C_n = 2 (2n-1) C_{n-1} - 2 sum_j (-1)^j C(2n-1, j) e_{j+1} a_{2n-1-j},
+# with e_i = a_i - a_{i-1} - (i-1) a_{i-2} and a_{-1} = 0.
+def recurrence(hi, a):
+    """C_0..C_hi of a_0..a_{2hi} by that recurrence, every residual summed."""
+    p = [0, *a]  # p[i + 1] = a_i
+    e = [p[i + 1] - p[i] - (i - 1) * p[i - 1] for i in range(1, 2 * hi + 1)]  # e[i - 1] = e_i
+    c = [a[0] * a[0]]
+    for n in range(1, hi + 1):
+        k = 2 * n - 1
+        c.append(2 * k * c[-1] - 2 * sum((-1) ** j * comb(k, j) * e[j] * a[k - j] for j in range(k + 1)))
+    return c
+
+
+def from_two(a0, a1, length):
+    """a_0, a_1 as given, then a_j = a_{j-1} + (j-1) a_{j-2}: only e_1 = a_1 - a_0 can be nonzero."""
+    a = [a0, a1]
+    while len(a) < length:
+        a.append(a[-1] + (len(a) - 1) * a[-2])
+    return a[:length]
+
+
+def _last_raised(length):
+    a = list(a_seq(length - 1))
+    a[-1] += 1
+    return a
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=0, max_value=20).flatmap(lambda hi: st.tuples(
+    st.integers(min_value=0, max_value=hi + 1),
+    st.lists(st.one_of(st.integers(min_value=-10**6, max_value=10**6),
+                       st.integers(min_value=-(1 << 400), max_value=1 << 400)),
+             min_size=2 * hi + 1, max_size=2 * hi + 1))))
+@example((0, from_two(1, 3, 21)))  # a residual only at j = 0, e_1 = a_1 - a_0
+@example((0, _last_raised(21)))  # a residual only at the last index, e_{2n}
+@example((0, [v << (j & 1) for j, v in enumerate(a_seq(40))]))  # dense: odd-indexed values doubled
+@example((0, [0, -1, 0, 3, -5, 0, 0, -7, 2, 0, -1]))  # zeros and negative values
+@example((4, [-v if j % 3 else 0 for j, v in enumerate(a_seq(24))]))  # lo > 0, on zeros and signs
+@example((3, from_two(2, 2, 13)))  # lo > 0 on a multiple of the orbit: no residual at all
+@example((0, [7]))  # n = 0 alone, C_0 = a_0^2
+def test_the_recurrence_equals_the_direct_sum(case):
+    lo, a = case
+    hi = (len(a) - 1) // 2
+    direct = [direct_convolution(n, a) for n in range(lo, hi + 1)]
+    assert recurrence(hi, a)[lo:] == direct
+    assert list(convolutions(lo, hi, a)) == direct
+
+
+# convolutions sums only the nonzero residuals e_i = a_i - a_{i-1} - (i-1) a_{i-2}.
+# On the values below that is e_j alone at each break j: the values after a
+# break follow the recurrence from the broken one. A residual e_i enters the
+# sum at n = ceil(i/2) and is carried to every later n.
 BREAKS = {"+2": lambda v: v + 2, "shift": lambda v: v << 400, "zero": lambda v: 0}
 
 
@@ -251,24 +300,23 @@ def ranged_cases(draw):
 
 @settings(deadline=None)
 @given(ranged_cases())
-@example((5, 12, {9: "+2"}))  # a break at r = 2 lo - 1, behind the seeded a_m a_{r-1}
-@example((5, 12, {10: "shift"}))  # at r = 2 lo, the seeded a_m a_r
-@example((5, 12, {24: "zero"}))  # at r = 2 hi, the last product carried
-@example((7, 15, {}))  # a range that starts past 0 on the orbit, as the mechanism's part 2 does
-@example((5, 12, {13: "+2"}))  # carried at r = 14 and 15, where only the even-step relation fails
-@example((60, 135, {}))  # a range that starts inside a block and crosses the starts at 94 and 130
-@example((9, 9, {}))  # one n, as convolution_lhs reads it: no n - 1 products are seeded
-@example((9, 10, {}))  # two n: the first seeds the n - 1 products that the second carries
+@example((5, 12, {9: "+2"}))  # a residual at 2 lo - 1, entered at lo
+@example((5, 12, {10: "shift"}))  # at 2 lo, entered at lo too
+@example((5, 12, {24: "zero"}))  # at 2 hi, the last residual, entered at hi
+@example((7, 15, {}))  # a range that starts past 0 on the orbit, where no residual enters
+@example((5, 12, {13: "+2"}))  # at 13, entered at n = 7 and carried to hi
+@example((60, 135, {}))  # a long range past 0 on the orbit
+@example((9, 9, {}))  # one n, as convolution_lhs reads it
+@example((9, 10, {}))  # two n
 def test_ranged_convolutions_equal_the_direct_sum(case):
     lo, hi, breaks = case
     a = recurrent(2 * hi + 1, breaks)
     assert list(convolutions(lo, hi, a)) == [direct_convolution(n, a) for n in range(lo, hi + 1)]
 
 
-def test_convolutions_carry_by_the_even_step_relation_alone():
-    # Doubling every odd-indexed value keeps the even-step relation, which
-    # links indices of one parity, at every j >= 4, and breaks the recurrence
-    # at every j >= 2.
+def test_convolutions_on_dense_residuals():
+    # Doubling every odd-indexed value breaks the recurrence at every j >= 2,
+    # so every residual from e_2 on enters the sum.
     a = [v << (j & 1) for j, v in enumerate(a_seq(120))]
     assert all(a[j] != a[j - 1] + (j - 1) * a[j - 2] for j in range(2, 121))
     assert list(convolutions(0, 60, a)) == [direct_convolution(n, a) for n in range(61)]
@@ -291,13 +339,38 @@ def test_ranged_convolutions_split_anywhere(case):
     assert list(convolutions(lo, h, a)) + list(convolutions(h + 1, hi, a)) == list(convolutions(lo, hi, a))
 
 
+class _Unreadable(list):
+    def __getitem__(self, i):
+        raise AssertionError(f"a_{i} was read")
+
+
 def test_ranged_convolutions_domain():
     a = a_seq(9)
     assert list(convolutions(3, 2, a)) == []
+    assert list(convolutions(3, 2, _Unreadable([1] * 5))) == []
     with pytest.raises(ValueError, match="n must be nonnegative"):
         next(convolutions(-1, 2, a))
     with pytest.raises(ValueError, match="need a_0"):
         next(convolutions(2, 5, a))
+    with pytest.raises(ValueError, match="need a_0"):
+        next(convolutions(4, 4, a[:8]))
+
+
+def test_a_value_that_is_not_an_int_raises_where_it_is_first_read():
+    # a_0..a_{2hi-2} are read before the first value is yielded, a_{2hi-1}
+    # and a_{2hi} only at n = hi.
+    for i in range(7):
+        a = list(a_seq(8))
+        a[i] = None
+        with pytest.raises(TypeError):
+            next(convolutions(0, 4, a))
+    for i in (7, 8):
+        a = list(a_seq(8))
+        a[i] = None
+        ranged = convolutions(0, 4, a)
+        assert list(islice(ranged, 4)) == [expected_convolution(n) for n in range(4)]
+        with pytest.raises(TypeError):
+            next(ranged)
 
 
 def test_identity_parts_all_hold():
