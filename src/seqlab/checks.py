@@ -9,13 +9,15 @@ each public check_* alike. It chains two walks: it walks the values once,
 derives the rows once from what that walk yields, walks them once, and then
 finishes the values walk; it keeps only the leading values that the checks
 reading whole prefixes need. A check's tail reads only those leading values,
-so in a run of two or more checks, where os.fork exists, each tail is read
-in forked children while the walks go on, one child for each of its parts;
-a child is listed on its sweep from fork to reap. A run of one check reads
-its tail in process, and so does a run whose fork fails. Either way the
-results are the same. Checks accept precomputed a_values/rows so callers can
-feed deliberately corrupted data and confirm the sweeps catch it; a check
-given values and no rows reads the rows derived from those values.
+and is read in process once the walks are done, except where its sweep is
+built to fork: congruence's tail, the one whose cost grows with the config,
+is read in a forked child while the walks go on, in a run of two or more
+checks where os.fork exists. The child is listed on its sweep from fork to
+reap. A run of one check reads its tail in process, and so does a run whose
+fork fails. Either way the results are the same. Checks accept precomputed
+a_values/rows so callers can feed deliberately corrupted data and confirm
+the sweeps catch it; a check given values and no rows reads the rows derived
+from those values.
 
 This module owns that protocol: the sweep (_Sweep, with Hit, Step, Tail and
 MAX_COUNTEREXAMPLES), the walk, the forked tails and the driver. Every check's
@@ -49,7 +51,7 @@ from .sequences import (
     e_closed,
     q_step,
 )
-from .series import convolutions, expected_convolution, series_identity_parts
+from .series import convolutions, expected_convolutions, series_identity_parts
 
 # The divisibility mechanism behind the gcd upper bound needs a_0..a_{2n},
 # so it is capped independently of the main range.
@@ -85,45 +87,45 @@ class _Sweep:
     item n-k (k <= 8); it returns an (n, detail) counterexample or None. `rows`
     says whether the walk is over rows or over the companion values. Each
     step's counterexamples follow those of the steps before it, and those of
-    the tail follow them all. The tail is `parts`, a tuple of callables, empty
-    for none: part(values) iterates over counterexamples read off the leading
-    values that result() is handed. The parts' counterexamples follow one
-    another in order, and no part reads anything of another, so each can be
-    read apart: `forked` lists the children (_ForkedTail) that _run started,
-    one for each part, each listed from fork to reap, and is empty when the
-    tail is read in process. MAX_COUNTEREXAMPLES are kept; a step whose finds
-    could no longer be kept is not called again, and the tail is read no
-    further than needed: a part is not called before the parts ahead of it
-    are read out.
+    the tail follow them all. The tail, None for none, is called as
+    tail(values) and iterates over counterexamples read off the leading values
+    that result() is handed. `fork` says that _run reads the tail in a forked
+    child (_ForkedTail) in a run of two or more sweeps; only a tail whose cost
+    grows with the config is worth a child. `forked` lists the children _run
+    started for the sweep, each from fork to reap, and is empty when the tail
+    is read in process. MAX_COUNTEREXAMPLES are kept; a step whose finds could
+    no longer be kept is not called again, and the tail is read no further
+    than needed.
 
     The sweep reads the companion values a_0..a_{R-1} with R = max(need,
     prefix). `need` is how far the walk goes: one past the last index a step
     reads; the walk checks that its input reaches it. `prefix` is how many
-    leading values the parts read; result() checks that it is handed them,
-    even when no part is read. A range that ends before n = 0 is rejected when
-    the sweep is built.
+    leading values the tail reads; result() checks that it is handed them,
+    even when the tail is not read. A range that ends before n = 0 is rejected
+    when the sweep is built.
     """
 
     def __init__(self, name: str, lo: int, hi: int, *steps: tuple[int, int, Step], rows: bool = True,
-                 parts: tuple[Tail, ...] = (), prefix: int = 0) -> None:
+                 tail: Optional[Tail] = None, prefix: int = 0, fork: bool = False) -> None:
         if hi < 0:
             raise ValueError(f"{name} ends at n = {hi}, before n = 0")
         self.name, self.lo, self.hi, self.rows = name, lo, hi, rows
-        self.parts, self.prefix = parts, prefix
+        self.tail, self.prefix, self.fork = tail, prefix, fork
         self.steps = [(first, last, step, []) for first, last, step in steps]
         self.need = max((last + 1 for _, last, _ in steps), default=0)
         self.seconds = 0.0
         self.forked: list[_ForkedTail] = []
 
     def result(self, values: Sequence[int] = ()) -> CheckResult:
-        """The check's result, the tail reading the given leading values, or
-        read in the sweep's children where it has any; reading it counts toward
-        the elapsed time, a child's as the seconds the child took."""
+        """The check's result: the tail reads the given leading values in
+        process, unless the sweep has a listed child, whose read is taken in
+        its place. Reading counts toward the elapsed time, a child's as the
+        seconds the child took."""
         if len(values) < self.prefix:
             raise ValueError(f"{self.name} reads a_0..a_{self.prefix - 1}; the input stops at {len(values) - 1}")
-        reads = [tail.read() for tail in self.forked]  # before the clock: the wait is in the children's seconds
+        reads = [child.read() for child in self.forked]  # before the clock: the wait is in the children's seconds
         start = perf_counter()
-        reads = reads or [(chain.from_iterable(part(values) for part in self.parts), 0.0)]
+        reads = reads or [(self.tail(values) if self.tail else (), 0.0)]
         found = (found for _, _, _, found in self.steps)
         cex = list(islice(chain(*found, *(hits for hits, _ in reads)), MAX_COUNTEREXAMPLES))
         ms = int((self.seconds + sum(seconds for _, seconds in reads) + perf_counter() - start) * 1000)
@@ -335,7 +337,7 @@ def _congruence(c: VerifyConfig) -> _Sweep:
                 if a_values[n] % p != 1:
                     yield n, f"full-precision a({n}) is not 1 mod {p}"
 
-    return _Sweep("congruence", 3, n_limit, parts=(hits,), prefix=cross + 1)
+    return _Sweep("congruence", 3, n_limit, tail=hits, prefix=cross + 1, fork=True)
 
 
 def check_congruence(prime_limit: int, n_limit: int, a_values: Optional[Sequence[int]] = None) -> CheckResult:
@@ -374,29 +376,27 @@ def _d_upper(c: VerifyConfig) -> _Sweep:
             return n, f"d({n}) = {decimal_text(w[-1].d)} exceeds 2^{n-1}"
 
     def mechanism(a_values: Sequence[int]) -> Iterator[tuple[int, str]]:
-        for n, lhs in enumerate(convolutions(1, mech, a_values), 1):
-            want = expected_convolution(n)
+        for n, (lhs, want) in enumerate(zip(convolutions(1, mech, a_values), expected_convolutions(1, mech)), 1):
             d = gcd(a_values[n + 1], a_values[n])  # of any signs; two zeros give 0, a non-divisor
             if lhs != want:
                 yield n, f"alternating convolution at 2n = {2*n} is not (2n)!/n!"
             elif d == 0 or want % d:
                 yield n, f"d({n+1}) does not divide the convolution value"
 
-    return _Sweep("d_upper", 1, c.max_n, (1, c.max_n, step), parts=(mechanism,), prefix=max(2 * mech + 1, mech + 2))
+    return _Sweep("d_upper", 1, c.max_n, (1, c.max_n, step), tail=mechanism, prefix=max(2 * mech + 1, mech + 2))
 
 
-def check_d_upper(
-    hi: int, rows: Optional[Sequence[SeqRow]] = None, a_values: Optional[Sequence[int]] = None
-) -> CheckResult:
+def check_d_upper(hi: int, rows: Optional[Sequence[SeqRow]] = None,
+                  a_values: Optional[Sequence[int]] = None) -> CheckResult:
     """d_n <= 2^{n-1}, plus the divisibility that forces the bound.
 
     The alternating convolution sum_{m+r=2n} (-1)^r C(2n,m) a_m a_r equals
     2^n (2n-1)!!, and d_{n+1} divides it; since d_{n+1} is a power of two and
     (2n-1)!! is odd, d_{n+1} <= 2^n follows. The mechanism needs a_0..a_{2n},
     so it runs to n = min(hi, DEFAULT_MECHANISM_HI), 600 at most, while the
-    plain bound runs over the full range. The mechanism is a tail of one
-    part, one range of series.convolutions, which a run of several checks
-    reads in a child.
+    plain bound runs over the full range. The mechanism is the sweep's tail:
+    one range of series.convolutions, read against the running product of
+    series.expected_convolutions, in process, since its cost is fixed.
     Given a_values and no rows, the plain bound reads the rows derived from
     a_values.
     """
@@ -535,7 +535,7 @@ def _series(c: VerifyConfig) -> _Sweep:
             if idx is not None:
                 yield idx, f"{part}: first discrepancy at index {idx}"
 
-    return _Sweep("series", 0, c.series_order, parts=(hits,), prefix=c.series_order + 1)
+    return _Sweep("series", 0, c.series_order, tail=hits, prefix=c.series_order + 1)
 
 
 def check_series_identities(order: int, a_values: Optional[Sequence[int]] = None) -> CheckResult:
@@ -547,13 +547,12 @@ def _sign_flip(c: VerifyConfig) -> _Sweep:
     def hits(_: Sequence[int]) -> Iterator[tuple[int, str]]:
         rng = random.Random(c.seed)
         for i in range(1, SIGN_FLIP_SAMPLES + 1):
-            p, q = rng.randint(1, 10**6), rng.randint(1, 10**6)
-            n = rng.randint(1, 10**6)
+            p, q, n = (rng.randint(1, 10**6) for _ in range(3))
             F = p + n * q  # f = F / p at x = p / q
             if F * F - F * p - n * p * p != -n * (p * p - p * q - n * q * q):
                 yield i, f"identity fails at sample {i}: x = {Fraction(p, q)}, n = {n}"
 
-    return _Sweep("sign_flip", 1, SIGN_FLIP_SAMPLES, parts=(hits,))
+    return _Sweep("sign_flip", 1, SIGN_FLIP_SAMPLES, tail=hits)
 
 
 def check_sign_flip(seed: int = 0) -> CheckResult:
@@ -579,7 +578,7 @@ def _involutions(c: VerifyConfig) -> _Sweep:
             if got != a_values[n]:
                 yield n, f"enumerated {got} involutions but a({n}) = {decimal_text(a_values[n])}"
 
-    return _Sweep("involutions", 0, c.oracle_max, parts=(hits,), prefix=c.oracle_max + 1)
+    return _Sweep("involutions", 0, c.oracle_max, tail=hits, prefix=c.oracle_max + 1)
 
 
 # Every factory takes the config and reads its own fields off it. The registry
@@ -610,14 +609,14 @@ def _replay(hits: list[tuple[int, str]], error: Optional[Exception]) -> Iterator
 
 
 class _ForkedTail:
-    """One part of the named sweep's tail, read in a forked child from the
-    given leading values. _run lists it on its sweep from fork to reap:
-    result() reads it, and _close kills and reaps it unless read() has.
+    """The named sweep's tail, read in a forked child from the given leading
+    values. _run lists it on its sweep from fork to reap: result() reads it,
+    and _close kills and reaps it unless read() has.
 
     The child lowers its own priority (os.nice(10)) so that the parent, whose
-    walk is the critical path, is not kept waiting for a CPU by the children
-    it started. It reads at most MAX_COUNTEREXAMPLES counterexamples, stopping
-    at the exception the part raises if it does, and sends them, that
+    walk is the critical path, is not kept waiting for a CPU by the child it
+    started. It reads at most MAX_COUNTEREXAMPLES counterexamples, stopping
+    at the exception the tail raises if it does, and sends them, that
     exception and the seconds the reading took through a pipe; a child that
     waits for a CPU counts that wait in its seconds. Its whole body ends in
     os._exit, so it never returns into the caller's frames, runs no atexit
@@ -625,7 +624,7 @@ class _ForkedTail:
     inherited finalizer runs in it either.
     """
 
-    def __init__(self, name: str, part: Tail, values: Sequence[int]) -> None:
+    def __init__(self, name: str, tail: Tail, values: Sequence[int]) -> None:
         import gc
         import pickle  # here, so that the child imports nothing
 
@@ -648,7 +647,7 @@ class _ForkedTail:
                 start = perf_counter()
                 hits, error = [], None
                 try:
-                    hits.extend(islice(part(values), MAX_COUNTEREXAMPLES))
+                    hits.extend(islice(tail(values), MAX_COUNTEREXAMPLES))
                 except Exception as raised:  # sent, and raised where the parent reads it
                     error = raised
                 seconds = perf_counter() - start
@@ -661,7 +660,7 @@ class _ForkedTail:
         self.pid: Optional[int] = pid
 
     def read(self) -> tuple[Iterator[tuple[int, str]], float]:
-        """The child's counterexamples, raising where the part raised, and the
+        """The child's counterexamples, raising where the tail raised, and the
         seconds it took; reaps the child."""
         import pickle
 
@@ -690,8 +689,8 @@ def _close(sweeps: list[_Sweep]) -> None:
     """Close the sweeps' children and unlist them, so that each sweep's tail
     is read in process."""
     for s in sweeps:
-        for tail in s.forked:
-            tail.close()
+        for child in s.forked:
+            child.close()
         s.forked.clear()
 
 
@@ -709,18 +708,17 @@ def _run(sweeps: list[_Sweep], a_values: Optional[Sequence[int]] = None,
     each index still goes row derivation, row steps, value steps; where the
     input is too short, the values walk, which ends first, names its check.
 
-    A run of two or more sweeps, where os.fork exists, starts each part of
-    each tail that has its leading values in a child of its own (_ForkedTail)
-    as soon as the prefix is built, and lists each child on its sweep from
-    fork to reap, before the next fork; it walks meanwhile, and then each
-    sweep's result() reads its children, their counterexamples in the order
-    of the parts and under the one MAX_COUNTEREXAMPLES cap, and the sweep's
-    seconds the sum of its parts' seconds. So the results, and the errors raised, are those of
-    reading every tail in process, as a run of one sweep does. A fork (or
-    pipe) that fails with OSError kills and reaps the children already
-    started and unlists them, and then every tail is read in process. Every
-    child is reaped and unlisted before _run returns or raises; an error or
-    an interrupt kills the children not yet read.
+    A run of two or more sweeps, where os.fork exists, starts the tail of
+    each sweep built with fork, and with its leading values at hand, in a
+    child of its own (_ForkedTail) as soon as the prefix is built, and lists
+    the child on its sweep from fork to reap, before the next fork; it walks
+    meanwhile, and then each sweep's result() reads its child, or its tail in
+    process where it has none. So the results, and the errors raised, are
+    those of reading every tail in process, as a run of one sweep does. A
+    fork (or pipe) that fails with OSError kills and reaps the children
+    already started and unlists them, and then every tail is read in process.
+    Every child is reaped and unlisted before _run returns or raises; an
+    error or an interrupt kills the children not yet read.
     """
     source = iter(a_values) if a_values is not None else a_iter()
     prefix = list(islice(source, max([0] + [s.prefix for s in sweeps])))
@@ -734,9 +732,8 @@ def _run(sweeps: list[_Sweep], a_values: Optional[Sequence[int]] = None,
         if len(sweeps) > 1 and hasattr(os, "fork"):
             try:
                 for s in sweeps:
-                    if len(prefix) >= s.prefix:
-                        for part in s.parts:  # each child is listed before the next fork
-                            s.forked.append(_ForkedTail(s.name, part, prefix))
+                    if s.fork and len(prefix) >= s.prefix:
+                        s.forked.append(_ForkedTail(s.name, s.tail, prefix))  # listed before the next fork
             except OSError:  # no pipe or no process to be had: read every tail in process
                 _close(sweeps)
         if derive:

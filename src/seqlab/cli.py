@@ -44,11 +44,11 @@ TABLE_MAX_N = 20000
 
 # Memory, not time, bounds --order. The series check holds a_0..a_order and
 # the closed form's coefficients, about order^2 log2(order) / 4 bits each, so
-# its peak RSS grows more than 2x per doubling; its time is mostly
-# math.perm's (2n)!/n! at each n, the convolution's recurrence taking
-# milliseconds on the orbit. Measured as --max is above, `series` takes
-# 0.57 s and 32 MiB at 4800 and `verify --checks d_upper,series` 0.68 s and
-# 29 MiB; at 9600 the series identities alone took about 3 s and 83 MiB, past
+# its peak RSS grows more than 2x per doubling, while the convolution's
+# recurrence and the closed side's running product take milliseconds on the
+# orbit. Measured as --max is above, `series` takes 0.18 s and 32 MiB at 4800
+# and `verify --checks d_upper,series` 0.19 s and 32 MiB; at 9600 the series
+# identities took 0.15 s, but a process running them peaked at 83 MiB, past
 # the 64 MiB that CI allows a command at its cap. So --order stops here for both
 # verify and series.
 MAX_ORDER = 4800

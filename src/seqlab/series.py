@@ -39,7 +39,10 @@ Proof: A' = R + (1+x) A gives G' = A'(x) A(-x) - A(x) A'(-x)
 is C_n and 2x G gives 2 (2n-1) C_{n-1}; with j + i = 2n - 1 odd, (-1)^i is
 -(-1)^j, so R(x) A(-x) and -A(x) R(-x) each give the sum above times -1.
 Only the nonzero residuals enter the sum, and on the involution numbers every
-residual is 0, so there a step is one small multiply.
+residual is 0, so there a step is one small multiply. With every residual 0 the
+recurrence is C_n = 2 (2n-1) C_{n-1}, whose solution from C_0 = 1 is the
+closed side (2n)!/n!: expected_convolutions carries it as that running
+product, and checks its last value against math.perm.
 
 A truncated series over exact rationals, for the Fraction API below (egf_F,
 ps_exp, ps_mul), is a plain tuple of its K + 1 coefficients c_0..c_K, c_0
@@ -187,6 +190,25 @@ def expected_convolution(n: int) -> int:
     return perm(2 * n, n)
 
 
+def expected_convolutions(lo: int, hi: int) -> Iterator[int]:
+    """expected_convolution(n) for n = lo, lo + 1, ..., hi, in turn.
+
+    It carries the running product w_n from w_0 = 1 by w_{n+1} = 2 (2n+1) w_n,
+    the homogeneous part of the convolutions' recurrence, so no (2n)!/n! is
+    computed afresh but the last: once the product reaches n = hi, it is
+    compared with expected_convolution(hi), which shares no code with it, and
+    a mismatch raises RuntimeError, since it is a bug here and not a finding
+    about any values. A range with hi < lo yields nothing.
+    """
+    w = 1
+    for n in range(hi + 1):
+        if n == hi and w != expected_convolution(n):
+            raise RuntimeError(f"the running product at n = {n} is not (2n)!/n!")
+        if n >= lo:
+            yield w
+        w *= 2 * (2 * n + 1)
+
+
 def series_identity_parts(order: int, a_values: Sequence[int]) -> dict[str, Optional[int]]:
     """Check each generating-function identity to the given order.
 
@@ -205,7 +227,8 @@ def series_identity_parts(order: int, a_values: Sequence[int]) -> dict[str, Opti
     kernel that ps_exp runs too; it shares no code with a_iter. At x^k the
     ODE reads, times k!, a_{k+2} = a_{k+1} + (k+1) a_k: the two-step
     recurrence, which no other check states (a6_relation checks the six-step
-    one). Both convolution parts come from one pass of convolutions.
+    one). Both convolution parts come from one pass of convolutions, read
+    against the closed side's running product from expected_convolutions.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -216,18 +239,13 @@ def series_identity_parts(order: int, a_values: Sequence[int]) -> dict[str, Opti
     closed = _exp_normal([0, 1, 1] + [0] * (order - 2))
     a = a_values
     parts["exp_closed_form"] = next((k for k in range(order + 1) if a[k] != closed[k]), None)
-    parts["second_order_ode"] = next(
-        (k for k in range(order - 1) if a[k + 2] != a[k + 1] + (k + 1) * a[k]), None
-    )
+    parts["second_order_ode"] = next((k for k in range(order - 1) if a[k + 2] != a[k + 1] + (k + 1) * a[k]), None)
 
     # F(x) F(-x) has c_k / k! at x^k and exp(x^2) has 1/n! at x^{2n}; odd k
     # vanish on both sides, so the product fails first at twice the first
     # failing convolution index, counting n = 0 (the constant a_0^2 = 1).
-    bad = (
-        n
-        for n, lhs in enumerate(convolutions(0, order // 2, a_values))
-        if lhs != expected_convolution(n)
-    )
+    pairs = zip(convolutions(0, order // 2, a_values), expected_convolutions(0, order // 2))
+    bad = (n for n, (lhs, want) in enumerate(pairs) if lhs != want)
     first = next(bad, None)
     parts["product_exp_x2"] = None if first is None else 2 * first
     parts["convolution"] = next(bad, None) if first == 0 else first

@@ -131,38 +131,42 @@ MUTANTS = [
     (
         "prefix guard dropped",
         CHECKS,
-        "if len(prefix) >= s.prefix:",
-        "if True:",
+        "if s.fork and len(prefix) >= s.prefix:",
+        "if s.fork:",
         [T + "test_a_tail_short_of_its_prefix_raises_as_in_process"],
     ),
-    # A tail in parts, each part read in a child of its own.
+    # Only a sweep built with fork, congruence's, reads its tail in a child.
     (
-        "parts replayed in reverse",
+        "every tail forked",
         CHECKS,
-        "[tail.read() for tail in self.forked]",
-        "[tail.read() for tail in reversed(self.forked)]",
-        [T + "test_a_part_s_error_raises_before_the_later_parts_hits"],
+        "if s.fork and len(prefix) >= s.prefix:",
+        "if s.tail and len(prefix) >= s.prefix:",
+        [T + "test_no_child_outlives_run_all"],
     ),
     (
-        "a part's seconds dropped",
+        "congruence read in process",
         CHECKS,
-        "sum(seconds for _, seconds in reads)",
-        "reads[0][1]",
-        [T + "test_a_tail_s_time_reaches_elapsed_ms"],
+        "tail=hits, prefix=cross + 1, fork=True)",
+        "tail=hits, prefix=cross + 1)",
+        [T + "test_no_child_outlives_run_all"],
     ),
     (
-        "only the first part forked",
+        "the flag read off the wrong sweep",
         CHECKS,
-        "for part in s.parts:  # each child",
-        "for part in s.parts[:1]:  # each child",
-        [T + "test_a_part_s_error_raises_before_the_later_parts_hits"],
+        "if s.fork and len(prefix) >= s.prefix:",
+        "if sweeps[0].fork and len(prefix) >= s.prefix:",
+        [T + "test_no_child_outlives_run_all"],
     ),
     (
         "children listed only after every fork",
         CHECKS,
-        "                        for part in s.parts:  # each child is listed before the next fork\n"
-        "                            s.forked.append(_ForkedTail(s.name, part, prefix))\n",
-        "                        s.forked.extend([_ForkedTail(s.name, part, prefix) for part in s.parts])\n",
+        "                for s in sweeps:\n"
+        "                    if s.fork and len(prefix) >= s.prefix:\n"
+        "                        s.forked.append(_ForkedTail(s.name, s.tail, prefix))  # listed before the next fork\n",
+        "                children = [(s, _ForkedTail(s.name, s.tail, prefix))\n"
+        "                            for s in sweeps if s.fork and len(prefix) >= s.prefix]\n"
+        "                for s, child in children:\n"
+        "                    s.forked.append(child)\n",
         [T + "test_no_child_outlives_a_fork_that_fails"],
     ),
     (
@@ -189,10 +193,10 @@ MUTANTS = [
     (
         "result() reads its children after its clock starts",
         CHECKS,
-        "        reads = [tail.read() for tail in self.forked]  # before the clock: the wait is in the children's seconds\n"
+        "        reads = [child.read() for child in self.forked]  # before the clock: the wait is in the children's seconds\n"
         "        start = perf_counter()\n",
         "        start = perf_counter()\n"
-        "        reads = [tail.read() for tail in self.forked]\n",
+        "        reads = [child.read() for child in self.forked]\n",
         [T + "test_a_forked_part_s_time_counts_once"],
     ),
     # quarter_bound decides d^4 > 2^(n+1) from the exponent where d = 2^k.
@@ -549,13 +553,28 @@ MUTANTS = [
         "for i in range(1, 2 * hi + 1)]",
         [TS + "test_a_value_that_is_not_an_int_raises_where_it_is_first_read"],
     ),
-    # The convolution's closed form, (2n)!/n! from math.perm.
+    # The convolution's closed form, (2n)!/n! from math.perm, and the running
+    # product w_{n+1} = 2(2n+1) w_n that carries it, anchored at its last n.
     (
         "(2n)!/n! as (2n)!/(n-1)!",
         SERIES,
         "perm(2 * n, n)",
         "perm(2 * n, n + 1)",
         [TS + "test_expected_convolution_is_a_power_of_two_times_an_odd_product"],
+    ),
+    (
+        "the running factor 2(2n+1) as 2(2n+3)",
+        SERIES,
+        "w *= 2 * (2 * n + 1)",
+        "w *= 2 * (2 * n + 3)",
+        [TS + "test_the_running_product_equals_math_perm"],
+    ),
+    (
+        "the anchor skipped",
+        SERIES,
+        "        if n == hi and w != expected_convolution(n):\n",
+        "        if False:\n",
+        [TS + "test_the_running_product_is_anchored_at_its_last_n"],
     ),
     # The series are plain tuples; ps_mul guards their lengths.
     (

@@ -750,7 +750,7 @@ def _counting_sweep(calls, a_fails, b_range):
             yield 0, "tail"
 
     return checks._Sweep("s", 0, 99, (0, 99, step("a", a_fails)),
-                         (*b_range, step("b", lambda n: True)), parts=(tail,))
+                         (*b_range, step("b", lambda n: True)), tail=tail)
 
 
 def test_a_capped_step_is_not_called_again():
@@ -1040,15 +1040,16 @@ def forks(monkeypatch):
     return calls
 
 
-def _tail_sweep(name, parts, walk_fails=0, fail=lambda n: None):
+def _tail_sweep(name, tail, walk_fails=0, fail=lambda n: None):
     """A sweep over the values 0..99 whose step finds a counterexample at each
-    index below walk_fails, calling fail(n) first, and whose tail is `parts`."""
+    index below walk_fails, calling fail(n) first, and whose tail, read in a
+    forked child in a run of two or more sweeps, is `tail`."""
 
     def step(n, window):
         fail(n)
         return (n, "walk") if n < walk_fails else None
 
-    return checks._Sweep(name, 0, 99, (0, 99, step), rows=False, parts=parts, prefix=10)
+    return checks._Sweep(name, 0, 99, (0, 99, step), rows=False, tail=tail, prefix=10, fork=True)
 
 
 def _three_then_boom(values):
@@ -1086,9 +1087,9 @@ def _assert_no_child_left():
 def test_a_forked_tail_raises_where_the_tail_read_in_process_raises(forks, walk_fails):
     # The tail yields 3 and then raises; read in process, the raise is reached
     # unless the walk's finds and those 3 already fill MAX_COUNTEREXAMPLES.
-    in_process = _outcome([_tail_sweep("boom", (_three_then_boom,), walk_fails)])
+    in_process = _outcome([_tail_sweep("boom", _three_then_boom, walk_fails)])
     assert not forks
-    forked = _outcome([_tail_sweep("boom", (_three_then_boom,), walk_fails), _tail_sweep("quiet", (lambda v: (),))])
+    forked = _outcome([_tail_sweep("boom", _three_then_boom, walk_fails), _tail_sweep("quiet", lambda v: ())])
     assert len(forks) == 2
     if walk_fails < 22:
         assert forked == in_process == (ValueError, "boom")
@@ -1107,7 +1108,7 @@ def test_no_child_outlives_a_walk_that_raises(forks, error):
 
     # The short input makes the walk raise ValueError once it ends at index 49.
     values = list(range(50 if error is ValueError else 100))
-    sweeps = [_tail_sweep("walk", (lambda v: (),), fail=interrupt), _tail_sweep("slow", (_sleeps(30),))]
+    sweeps = [_tail_sweep("walk", lambda v: (), fail=interrupt), _tail_sweep("slow", _sleeps(30))]
     start = time.perf_counter()
     with pytest.raises(error):
         checks._run(sweeps, values)
@@ -1117,10 +1118,12 @@ def test_no_child_outlives_a_walk_that_raises(forks, error):
 
 
 @fork_only
-def test_no_child_outlives_run_all(forks):
+def test_no_child_outlives_run_all(forks, kept_tails):
     results = run_all(VerifyConfig(max_n=40, series_order=20, oracle_max=5))
     assert all(r.passed for r in results)
-    assert len(forks) == 5  # congruence, d_upper, involutions, series and sign_flip
+    # Only congruence's tail grows with the config; the other four are read in process.
+    assert len(forks) == 1
+    assert [child.name for child in kept_tails] == ["congruence"]
     _assert_no_child_left()
 
 
@@ -1130,7 +1133,7 @@ def test_a_child_without_a_result_raises_naming_its_check(forks):
         yield 0, lambda: None
 
     with pytest.raises(RuntimeError, match="^odd: "):
-        checks._run([_tail_sweep("odd", (unpicklable,)), _tail_sweep("quiet", (lambda v: (),))], list(range(100)))
+        checks._run([_tail_sweep("odd", unpicklable), _tail_sweep("quiet", lambda v: ())], list(range(100)))
     assert len(forks) == 2
     _assert_no_child_left()
 
@@ -1160,10 +1163,9 @@ def test_without_fork_tails_are_read_in_process(monkeypatch):
 
 @pytest.mark.parametrize("others", [0, 1], ids=["alone", "beside another"])
 def test_a_tail_s_time_reaches_elapsed_ms(others):
-    # Beside another sweep, each part is read in a child of its own, and the
-    # two children's seconds add up.
-    sleepy = _tail_sweep("sleepy", (_sleeps(0.05), _sleeps(0.05)))
-    sweeps = [sleepy] + [_tail_sweep("quiet", (lambda v: (),))] * others
+    # Alone, the tail is read in process; beside another sweep, in a child,
+    # whose seconds count.
+    sweeps = [_tail_sweep("sleepy", _sleeps(0.1))] + [_tail_sweep("quiet", lambda v: ())] * others
     assert checks._run(sweeps, list(range(100)))[0].elapsed_ms >= 100
 
 
@@ -1178,7 +1180,7 @@ def test_a_forked_part_runs_below_the_parent_s_priority(forks):
     def niceness(values):
         yield 0, str(os.nice(0))
 
-    sweeps = [_tail_sweep("nice", (niceness,)), _tail_sweep("quiet", (lambda v: (),))]
+    sweeps = [_tail_sweep("nice", niceness), _tail_sweep("quiet", lambda v: ())]
     [(_, child)] = checks._run(sweeps, list(range(100)))[0].counterexamples
     assert len(forks) == 2
     assert int(child) > parent
@@ -1189,54 +1191,54 @@ def test_a_forked_part_runs_below_the_parent_s_priority(forks):
 def test_a_tail_short_of_its_prefix_raises_as_in_process(forks):
     # The tail is not started; result() rejects the short prefix in its place.
     def wide():
-        return checks._Sweep("wide", 0, 5, parts=(lambda values: [(0, str(values[19]))],), prefix=20)
+        return checks._Sweep("wide", 0, 5, tail=lambda values: [(0, str(values[19]))], prefix=20, fork=True)
 
     values = list(range(10))
     message = "wide reads a_0..a_19; the input stops at 9"
     with pytest.raises(ValueError, match=message):
         checks._run([wide()], values)
     with pytest.raises(ValueError, match=message):
-        checks._run([wide(), checks._Sweep("quiet", 0, 5, parts=(lambda v: (),))], values)
+        checks._run([wide(), checks._Sweep("quiet", 0, 5, tail=lambda v: (), fork=True)], values)
     assert len(forks) == 1
     _assert_no_child_left()
 
 
 @fork_only
 @pytest.mark.parametrize("walk_fails", [0, 21, 22])
-def test_a_part_s_error_raises_before_the_later_parts_hits(forks, walk_fails):
-    # Part 1 yields 3 and then raises, part 2 yields a full report: the raise
-    # is reached unless the walk's finds and part 1's 3 fill the report first.
+def test_a_tail_s_error_raises_before_a_later_sweep_s_hits(forks, monkeypatch, walk_fails):
+    # The first tail yields 3 and then raises, the second yields a full report:
+    # the raise is reached unless the walk's finds and the first tail's 3 fill
+    # the first report, and the second report is then read as in process.
     def sweeps():
-        return [_tail_sweep("parts", (_three_then_boom, _late_hits), walk_fails),
-                _tail_sweep("quiet", (lambda v: (),))]
+        return [_tail_sweep("boom", _three_then_boom, walk_fails), _tail_sweep("late", _late_hits)]
 
-    in_process = _outcome(sweeps()[:1])
-    assert not forks
     forked = _outcome(sweeps())
-    assert len(forks) == 3
+    assert len(forks) == 2
+    monkeypatch.delattr(os, "fork")
+    in_process = _outcome(sweeps())
     if walk_fails < 22:
         assert forked == in_process == (ValueError, "boom")
     else:
-        assert forked == in_process + [("pass", [])]
+        assert forked == in_process
         assert [text for _, text in forked[0][1]] == ["walk"] * 22 + ["tail"] * 3
+        assert forked[1] == ("fail", list(_late_hits(())))
     _assert_no_child_left()
 
 
 @fork_only
 def test_no_child_outlives_a_fork_that_fails(monkeypatch):
-    # The second fork fails: the child already reading part 1 is killed and
-    # reaped, not left asleep, and every tail is then read in process, with
-    # the results of a run that never forked.
+    # The second fork fails: the child already reading the first tail is
+    # killed and reaped, not left asleep, and every tail is then read in
+    # process, with the results of a run that never forked.
     parent = os.getpid()
 
     def sleeps_in_a_child(values):
         if os.getpid() != parent:
             time.sleep(30)
-        yield 60, "part 1"
+        yield 60, "first"
 
     def sweeps():
-        return [_tail_sweep("parts", (sleeps_in_a_child, _late_hits), walk_fails=3),
-                _tail_sweep("quiet", (lambda v: (),))]
+        return [_tail_sweep("first", sleeps_in_a_child, walk_fails=3), _tail_sweep("second", _late_hits)]
 
     def outcome(results):
         return [(r.name, r.status, r.counterexamples) for r in results]
@@ -1256,7 +1258,7 @@ def test_no_child_outlives_a_fork_that_fails(monkeypatch):
     assert time.perf_counter() - start < 15  # the sleeping child is killed, not waited for
     assert len(calls) == 2
     assert outcome(results) == [r for rs in in_process for r in rs]
-    assert results[0].counterexamples[:4] == [(0, "walk"), (1, "walk"), (2, "walk"), (60, "part 1")]
+    assert results[0].counterexamples == [(0, "walk"), (1, "walk"), (2, "walk"), (60, "first")]
     _assert_no_child_left()
 
 
@@ -1281,7 +1283,7 @@ def _forked_run_all(monkeypatch):
 
 def _walk_that_raises(monkeypatch):
     # The input stops at 49, so the walk raises while a child sleeps.
-    sweeps = [_tail_sweep("walk", (lambda v: (),)), _tail_sweep("slow", (_sleeps(30),))]
+    sweeps = [_tail_sweep("walk", lambda v: ()), _tail_sweep("slow", _sleeps(30))]
     with pytest.raises(ValueError, match="the input stops at 49"):
         checks._run(sweeps, list(range(50)))
 
@@ -1297,8 +1299,8 @@ def _fork_that_fails(monkeypatch):
         return real_fork()
 
     monkeypatch.setattr(os, "fork", fork)
-    sweeps = [_tail_sweep("parts", (lambda v: (), _late_hits)), _tail_sweep("quiet", (lambda v: (),))]
-    assert checks._run(sweeps, list(range(100)))[0].counterexamples == list(_late_hits(()))
+    sweeps = [_tail_sweep("quiet", lambda v: ()), _tail_sweep("late", _late_hits)]
+    assert checks._run(sweeps, list(range(100)))[1].counterexamples == list(_late_hits(()))
 
 
 def _child_without_a_result(monkeypatch):
@@ -1306,7 +1308,7 @@ def _child_without_a_result(monkeypatch):
         yield 0, lambda: None
 
     with pytest.raises(RuntimeError, match="^odd: "):
-        checks._run([_tail_sweep("odd", (unpicklable,)), _tail_sweep("quiet", (lambda v: (),))], list(range(100)))
+        checks._run([_tail_sweep("odd", unpicklable), _tail_sweep("quiet", lambda v: ())], list(range(100)))
 
 
 @fork_only
@@ -1326,34 +1328,39 @@ def test_no_descriptor_outlives_run(kept_tails, monkeypatch, run):
 def test_a_forked_part_s_time_counts_once(forks):
     # The parent waits in result() for the sleeping child; that wait is in the
     # child's own seconds, so the parent's clock must not count it again.
-    sweeps = [_tail_sweep("sleepy", (_sleeps(0.3),)), _tail_sweep("quiet", (lambda v: (),))]
+    sweeps = [_tail_sweep("sleepy", _sleeps(0.3)), _tail_sweep("quiet", lambda v: ())]
     elapsed = checks._run(sweeps, list(range(100)))[0].elapsed_ms
     assert len(forks) == 2
     assert 300 <= elapsed < 550
 
 
-# With hi = 100 the mechanism is one part, n = 1..100. A changed a_k breaks
-# the convolution at every n >= k/2, and nowhere else.
-MECH_CASES = {
-    "failing from 50 capped": (100, range(50, 75)),
-    "failing from 90": (180, range(90, 101)),
-    "failing from 78": (156, range(78, 101)),
-    "failing from 75 capped": (150, range(75, 100)),
+# Indices of a_0..a_150 that are raised by 1. With max_n = 150 the
+# cross-check reads a_n for every n <= 150 at each odd prime p <= 97 that
+# divides n, and there a_n + 1 is 2 mod p. 101 and 127 are primes above 97.
+CONGRUENCE_CASES = {
+    "one index under two primes": [15],
+    "only indices prime above the limit": [101, 127],
+    "every multiple of 7": range(7, 151, 7),
+    "every multiple of 3 capped": range(3, 151, 3),
 }
 
 
 @fork_only
-@pytest.mark.parametrize("k, failing", list(MECH_CASES.values()), ids=list(MECH_CASES))
-def test_the_mechanism_reports_forked_as_in_process(forks, a150, k, failing):
-    bad = list(a150[:201])
-    bad[k] += 2
-    in_process = check_d_upper(100, a_values=bad)
+@pytest.mark.parametrize("corrupted", list(CONGRUENCE_CASES.values()), ids=list(CONGRUENCE_CASES))
+def test_congruence_reports_forked_as_in_process(forks, a150, corrupted):
+    bad = list(a150)
+    for k in corrupted:
+        bad[k] += 1
+    config = VerifyConfig(max_n=150, prime_limit=97)
+    in_process = check_congruence(config.prime_limit, 150, bad)
     assert not forks
-    forked = checks._run([checks._d_upper(VerifyConfig(max_n=100)), checks._Sweep("empty", 0, 0)], bad)[0]
+    forked = checks._run([checks._congruence(config), checks._Sweep("empty", 0, 0)], bad)[0]
     assert len(forks) == 1
     assert forked.counterexamples == in_process.counterexamples
-    assert [n for n, _ in forked.counterexamples] == list(failing)
-    assert all("convolution at 2n" in text for _, text in forked.counterexamples)
+    want = [(n, f"full-precision a({n}) is not 1 mod {p}")
+            for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+            for n in range(p, 151, p) if n in corrupted]
+    assert forked.counterexamples == want[:MAX_COUNTEREXAMPLES]
     _assert_no_child_left()
 
 
@@ -1361,11 +1368,11 @@ def test_the_mechanism_reports_forked_as_in_process(forks, a150, k, failing):
 @given(st.integers(1, checks.DEFAULT_MECHANISM_HI + 100))
 @example(100)
 def test_the_mechanism_s_parts_cover_its_range_once_in_order(hi):
-    # Zeros break the convolution at every n, so the one part yields each n it reads.
+    # Zeros break the convolution at every n, so the tail yields each n it reads.
     mech = min(hi, checks.DEFAULT_MECHANISM_HI)
     zeros = [0] * (2 * mech + 2)
-    (part,) = checks._d_upper(VerifyConfig(max_n=hi)).parts
-    assert [n for n, _ in part(zeros)] == list(range(1, mech + 1))
+    tail = checks._d_upper(VerifyConfig(max_n=hi)).tail
+    assert [n for n, _ in tail(zeros)] == list(range(1, mech + 1))
 
 
 # Plain references, each written from its check's docstring in plain ints, and

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import islice
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +14,7 @@ from seqlab.series import (
     convolutions,
     egf_F,
     expected_convolution,
+    expected_convolutions,
     ps_exp,
     ps_mul,
     series_identity_parts,
@@ -180,6 +181,25 @@ def test_expected_convolution_is_a_power_of_two_times_an_odd_product():
         assert expected_convolution(n) == 2**n * prod(range(1, 2 * n, 2))
     with pytest.raises(ValueError, match="n must be nonnegative"):
         expected_convolution(-1)
+
+
+def test_the_running_product_equals_math_perm():
+    # w_n = 2 (2n-1) w_{n-1} from w_0 = 1 is (2n)!/n! at every n, over any range.
+    assert list(expected_convolutions(0, 700)) == [perm(2 * n, n) for n in range(701)]
+    for lo, hi in ((1, 600), (5, 9), (7, 7), (0, 0)):
+        assert list(expected_convolutions(lo, hi)) == [perm(2 * n, n) for n in range(lo, hi + 1)]
+    assert list(expected_convolutions(3, 2)) == []
+
+
+def test_the_running_product_is_anchored_at_its_last_n(monkeypatch):
+    # The last value is compared with expected_convolution, which shares no
+    # code with the product: a mismatch there is a bug, so it raises.
+    monkeypatch.setattr(seqlab.series, "expected_convolution", lambda n: perm(2 * n, n) + (n == 6))
+    running = expected_convolutions(1, 6)
+    assert list(islice(running, 5)) == [perm(2 * n, n) for n in range(1, 6)]
+    with pytest.raises(RuntimeError, match=r"^the running product at n = 6 is not \(2n\)!/n!$"):
+        next(running)
+    assert list(expected_convolutions(1, 5)) == [perm(2 * n, n) for n in range(1, 6)]
 
 
 @given(st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=41))
