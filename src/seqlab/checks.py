@@ -9,29 +9,20 @@ each public check_* alike. It chains two walks: it walks the values once,
 derives the rows once from what that walk yields, walks them once, and then
 finishes the values walk; it keeps only the leading values that the checks
 reading whole prefixes need. A check's tail reads only those leading values,
-and is read in process once the walks are done, except where its sweep is
-built to fork: congruence's tail, the one whose cost grows with the config,
-is read in a forked child while the walks go on, in a run of two or more
-checks where os.fork exists. The child is listed on its sweep from fork to
-reap. A run of one check reads its tail in process, and so does a run whose
-fork fails. Either way the results are the same. Checks accept precomputed
-a_values/rows so callers can feed deliberately corrupted data and confirm
-the sweeps catch it; a check given values and no rows reads the rows derived
-from those values.
+once the walks are done. Checks accept precomputed a_values/rows so callers
+can feed deliberately corrupted data and confirm the sweeps catch it; a check
+given values and no rows reads the rows derived from those values.
 
 This module owns that protocol: the sweep (_Sweep, with Hit, Step, Tail and
-MAX_COUNTEREXAMPLES), the walk, the forked tails and the driver. Every check's
-sweep is built here, involutions' too, whose public check_involution_identity
-stays in involutions and runs through _run like the rest. Every sweep
-factory takes the VerifyConfig and reads its own fields off it; run_all
-hands it the run's config, and each public check_* builds one from its own
-arguments.
+MAX_COUNTEREXAMPLES), the walk and the driver. Every check's sweep is built
+here, involutions' too, whose public check_involution_identity stays in
+involutions and runs through _run like the rest. Every sweep factory takes
+the VerifyConfig and reads its own fields off it; run_all hands it the run's
+config, and each public check_* builds one from its own arguments.
 """
 
-import os
 import random
 from collections import deque
-from contextlib import suppress
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd, prod
@@ -70,7 +61,7 @@ _FILTER_BITS = 96
 # recurrences tie n to n - 4 and n - 8.
 _WINDOW = 9
 
-# A failing sweep reports at most this many witnesses; more adds no signal.
+# A failing sweep reports at most this many witnesses; more would tell nothing new.
 MAX_COUNTEREXAMPLES = 25
 
 Hit = Optional[tuple[int, str]]
@@ -89,13 +80,9 @@ class _Sweep:
     step's counterexamples follow those of the steps before it, and those of
     the tail follow them all. The tail, None for none, is called as
     tail(values) and iterates over counterexamples read off the leading values
-    that result() is handed. `fork` says that _run reads the tail in a forked
-    child (_ForkedTail) in a run of two or more sweeps; only a tail whose cost
-    grows with the config is worth a child. `forked` lists the children _run
-    started for the sweep, each from fork to reap, and is empty when the tail
-    is read in process. MAX_COUNTEREXAMPLES are kept; a step whose finds could
-    no longer be kept is not called again, and the tail is read no further
-    than needed.
+    that result() is handed, once the walk is done. MAX_COUNTEREXAMPLES are
+    kept; a step whose finds could no longer be kept is not called again, and
+    the tail is read no further than needed.
 
     The sweep reads the companion values a_0..a_{R-1} with R = max(need,
     prefix). `need` is how far the walk goes: one past the last index a step
@@ -106,29 +93,25 @@ class _Sweep:
     """
 
     def __init__(self, name: str, lo: int, hi: int, *steps: tuple[int, int, Step], rows: bool = True,
-                 tail: Optional[Tail] = None, prefix: int = 0, fork: bool = False) -> None:
+                 tail: Optional[Tail] = None, prefix: int = 0) -> None:
         if hi < 0:
             raise ValueError(f"{name} ends at n = {hi}, before n = 0")
         self.name, self.lo, self.hi, self.rows = name, lo, hi, rows
-        self.tail, self.prefix, self.fork = tail, prefix, fork
+        self.tail, self.prefix = tail, prefix
         self.steps = [(first, last, step, []) for first, last, step in steps]
         self.need = max((last + 1 for _, last, _ in steps), default=0)
         self.seconds = 0.0
-        self.forked: list[_ForkedTail] = []
 
     def result(self, values: Sequence[int] = ()) -> CheckResult:
-        """The check's result: the tail reads the given leading values in
-        process, unless the sweep has a listed child, whose read is taken in
-        its place. Reading counts toward the elapsed time, a child's as the
-        seconds the child took."""
+        """The check's result: its steps' finds, then those the tail reads off
+        the given leading values. Reading the tail counts toward the elapsed
+        time."""
         if len(values) < self.prefix:
             raise ValueError(f"{self.name} reads a_0..a_{self.prefix - 1}; the input stops at {len(values) - 1}")
-        reads = [child.read() for child in self.forked]  # before the clock: the wait is in the children's seconds
         start = perf_counter()
-        reads = reads or [(self.tail(values) if self.tail else (), 0.0)]
         found = (found for _, _, _, found in self.steps)
-        cex = list(islice(chain(*found, *(hits for hits, _ in reads)), MAX_COUNTEREXAMPLES))
-        ms = int((self.seconds + sum(seconds for _, seconds in reads) + perf_counter() - start) * 1000)
+        cex = list(islice(chain(*found, self.tail(values) if self.tail else ()), MAX_COUNTEREXAMPLES))
+        ms = int((self.seconds + perf_counter() - start) * 1000)
         return CheckResult(self.name, self.lo, self.hi, cex, ms)
 
 
@@ -337,7 +320,7 @@ def _congruence(c: VerifyConfig) -> _Sweep:
                 if a_values[n] % p != 1:
                     yield n, f"full-precision a({n}) is not 1 mod {p}"
 
-    return _Sweep("congruence", 3, n_limit, tail=hits, prefix=cross + 1, fork=True)
+    return _Sweep("congruence", 3, n_limit, tail=hits, prefix=cross + 1)
 
 
 def check_congruence(prime_limit: int, n_limit: int, a_values: Optional[Sequence[int]] = None) -> CheckResult:
@@ -396,7 +379,7 @@ def check_d_upper(hi: int, rows: Optional[Sequence[SeqRow]] = None,
     so it runs to n = min(hi, DEFAULT_MECHANISM_HI), 600 at most, while the
     plain bound runs over the full range. The mechanism is the sweep's tail:
     one range of series.convolutions, read against the running product of
-    series.expected_convolutions, in process, since its cost is fixed.
+    series.expected_convolutions.
     Given a_values and no rows, the plain bound reads the rows derived from
     a_values.
     """
@@ -602,98 +585,6 @@ def _sweeps(config: VerifyConfig) -> list[_Sweep]:
     return [_REGISTRY[name](config) for name in names]
 
 
-def _replay(hits: list[tuple[int, str]], error: Optional[Exception]) -> Iterator[tuple[int, str]]:
-    yield from hits
-    if error is not None:
-        raise error
-
-
-class _ForkedTail:
-    """The named sweep's tail, read in a forked child from the given leading
-    values. _run lists it on its sweep from fork to reap: result() reads it,
-    and _close kills and reaps it unless read() has.
-
-    The child lowers its own priority (os.nice(10)) so that the parent, whose
-    walk is the critical path, is not kept waiting for a CPU by the child it
-    started. It reads at most MAX_COUNTEREXAMPLES counterexamples, stopping
-    at the exception the tail raises if it does, and sends them, that
-    exception and the seconds the reading took through a pipe; a child that
-    waits for a CPU counts that wait in its seconds. Its whole body ends in
-    os._exit, so it never returns into the caller's frames, runs no atexit
-    handler and flushes no inherited buffer; it collects no garbage, so no
-    inherited finalizer runs in it either.
-    """
-
-    def __init__(self, name: str, tail: Tail, values: Sequence[int]) -> None:
-        import gc
-        import pickle  # here, so that the child imports nothing
-
-        self.name = name
-        read_end, write_end = os.pipe()
-        self.pipe = open(read_end, "rb")
-        try:
-            pid = os.fork()
-        except OSError:
-            self.pipe.close()
-            os.close(write_end)
-            raise
-        if pid == 0:
-            code = 1
-            try:
-                self.pipe.close()
-                gc.disable()
-                with suppress(OSError):
-                    os.nice(10)  # the parent's walk is the critical path: leave it the CPU
-                start = perf_counter()
-                hits, error = [], None
-                try:
-                    hits.extend(islice(tail(values), MAX_COUNTEREXAMPLES))
-                except Exception as raised:  # sent, and raised where the parent reads it
-                    error = raised
-                seconds = perf_counter() - start
-                with open(write_end, "wb") as pipe:
-                    pickle.dump((hits, error, seconds), pipe)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write_end)
-        self.pid: Optional[int] = pid
-
-    def read(self) -> tuple[Iterator[tuple[int, str]], float]:
-        """The child's counterexamples, raising where the tail raised, and the
-        seconds it took; reaps the child."""
-        import pickle
-
-        with self.pipe:
-            message = self.pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if status:
-            raise RuntimeError(f"{self.name}: the child reading its tail exited without a result")
-        hits, error, seconds = pickle.loads(message)
-        return _replay(hits, error), seconds
-
-    def close(self) -> None:
-        """Close the pipe; kill and reap the child unless read() reaped it.
-        Closing again does nothing."""
-        import signal
-
-        self.pipe.close()
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-
-
-def _close(sweeps: list[_Sweep]) -> None:
-    """Close the sweeps' children and unlist them, so that each sweep's tail
-    is read in process."""
-    for s in sweeps:
-        for child in s.forked:
-            child.close()
-        s.forked.clear()
-
-
 def _run(sweeps: list[_Sweep], a_values: Optional[Sequence[int]] = None,
          rows: Optional[Sequence[SeqRow]] = None) -> list[CheckResult]:
     """The sweeps' results: a walk over the values, a walk over the rows, and
@@ -707,18 +598,7 @@ def _run(sweeps: list[_Sweep], a_values: Optional[Sequence[int]] = None,
     the rows). Since the values walk yields each value before its steps run,
     each index still goes row derivation, row steps, value steps; where the
     input is too short, the values walk, which ends first, names its check.
-
-    A run of two or more sweeps, where os.fork exists, starts the tail of
-    each sweep built with fork, and with its leading values at hand, in a
-    child of its own (_ForkedTail) as soon as the prefix is built, and lists
-    the child on its sweep from fork to reap, before the next fork; it walks
-    meanwhile, and then each sweep's result() reads its child, or its tail in
-    process where it has none. So the results, and the errors raised, are
-    those of reading every tail in process, as a run of one sweep does. A
-    fork (or pipe) that fails with OSError kills and reaps the children
-    already started and unlists them, and then every tail is read in process.
-    Every child is reaped and unlisted before _run returns or raises; an
-    error or an interrupt kills the children not yet read.
+    Then each sweep's result() reads its tail.
     """
     source = iter(a_values) if a_values is not None else a_iter()
     prefix = list(islice(source, max([0] + [s.prefix for s in sweeps])))
@@ -728,21 +608,11 @@ def _run(sweeps: list[_Sweep], a_values: Optional[Sequence[int]] = None,
     walked = max([0] + [s.need for s in on_rows])
     ahead = max([walked if derive else 0] + [s.need for s in on_values])
     values = _walk(chain(prefix, islice(source, max(0, ahead - len(prefix)))), on_values)
-    try:
-        if len(sweeps) > 1 and hasattr(os, "fork"):
-            try:
-                for s in sweeps:
-                    if s.fork and len(prefix) >= s.prefix:
-                        s.forked.append(_ForkedTail(s.name, s.tail, prefix))  # listed before the next fork
-            except OSError:  # no pipe or no process to be had: read every tail in process
-                _close(sweeps)
-        if derive:
-            rows = _derive_rows(values)
-        deque(_walk(islice(rows or (), walked), on_rows), 0)
-        deque(values, 0)  # the rest of the values walk: a6_relation reads past the rows
-        return [s.result(prefix) for s in sweeps]
-    finally:
-        _close(sweeps)
+    if derive:
+        rows = _derive_rows(values)
+    deque(_walk(islice(rows or (), walked), on_rows), 0)
+    deque(values, 0)  # the rest of the values walk: a6_relation reads past the rows
+    return [s.result(prefix) for s in sweeps]
 
 
 def required_length(config: VerifyConfig) -> int:

@@ -132,8 +132,8 @@ def _output(path: Optional[str]) -> Iterator[Callable[[str], None]]:
     still gathered when the with block raises is dropped. The file is opened
     on entry, so a command enters after checking its flags and before doing
     any work. An OSError from opening, writing, flushing or closing the
-    output raises _UsageError naming it; any other error in the with block,
-    a failed fork included, passes through unchanged.
+    output raises _UsageError naming it; any other error in the with block
+    passes through unchanged.
     """
     name = "stdout" if path is None else path
 

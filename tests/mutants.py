@@ -47,34 +47,20 @@ TP = "tests/test_package.py::"
 TR = "tests/test_report.py::"
 
 MUTANTS = [
-    # The fork path: a check's tail read in a forked child while the walk runs.
-    (
-        "no kill on error",
-        CHECKS,
-        "            os.kill(self.pid, signal.SIGKILL)\n",
-        "",
-        [T + "test_no_child_outlives_a_walk_that_raises"],
-    ),
+    # result(): the steps' finds, then the tail's, under one clock and one cap.
     (
         "tail time dropped",
         CHECKS,
-        "ms = int((self.seconds + sum(seconds for _, seconds in reads) + perf_counter() - start) * 1000)",
         "ms = int((self.seconds + perf_counter() - start) * 1000)",
+        "ms = int(self.seconds * 1000)",
         [T + "test_a_tail_s_time_reaches_elapsed_ms"],
     ),
     (
-        "error replayed first",
+        "the tail's finds chained before the steps'",
         CHECKS,
-        "    yield from hits\n    if error is not None:\n        raise error\n",
-        "    if error is not None:\n        raise error\n    yield from hits\n",
-        [T + "test_a_forked_tail_raises_where_the_tail_read_in_process_raises"],
-    ),
-    (
-        "one sweep forking",
-        CHECKS,
-        'if len(sweeps) > 1 and hasattr(os, "fork"):',
-        'if hasattr(os, "fork"):',
-        [T + "test_a_single_sweep_never_forks"],
+        "chain(*found, self.tail(values) if self.tail else ())",
+        "chain(self.tail(values) if self.tail else (), *found)",
+        [T + "test_a_tail_s_error_raises_before_a_later_sweep_s_hits"],
     ),
     (
         "prime_limit unchecked",
@@ -106,98 +92,24 @@ MUTANTS = [
         "                if kept[n] % odd_primes[0] != 1:\n",
         [T + "test_congruence_reads_each_listed_modulus_as_full_values_do"],
     ),
+    # The modular part reads no given value, so the property's reference
+    # finds nothing there; composite moduli make it find something.
+    (
+        "the reference's modular part skipped",
+        CHECKS,
+        "        for p in odd_primes:\n"
+        "            for n in range(p, n_limit + 1, p):\n"
+        "                if kept[n] % p != 1:\n"
+        "                    yield n, f\"a({n}) = {kept[n] % p} mod {p}, expected 1\"\n",
+        "",
+        [T + "test_congruence_reads_each_listed_modulus_as_full_values_do"],
+    ),
     (
         "the sweep started one index late",
         CHECKS,
         "        for n in range(n_limit + 1):\n            kept[n] = cur % kept[n]\n",
         "        for n in range(1, n_limit + 1):\n            kept[n] = cur % kept[n]\n",
         [T + "test_congruence_reads_each_listed_modulus_as_full_values_do"],
-    ),
-    (
-        "child exit status ignored",
-        CHECKS,
-        "        if status:\n",
-        "        if False:\n",
-        [T + "test_a_child_without_a_result_raises_naming_its_check"],
-    ),
-    (
-        "a child at the parent's priority",
-        CHECKS,
-        "                with suppress(OSError):\n"
-        "                    os.nice(10)  # the parent's walk is the critical path: leave it the CPU\n",
-        "",
-        [T + "test_a_forked_part_runs_below_the_parent_s_priority"],
-    ),
-    (
-        "prefix guard dropped",
-        CHECKS,
-        "if s.fork and len(prefix) >= s.prefix:",
-        "if s.fork:",
-        [T + "test_a_tail_short_of_its_prefix_raises_as_in_process"],
-    ),
-    # Only a sweep built with fork, congruence's, reads its tail in a child.
-    (
-        "every tail forked",
-        CHECKS,
-        "if s.fork and len(prefix) >= s.prefix:",
-        "if s.tail and len(prefix) >= s.prefix:",
-        [T + "test_no_child_outlives_run_all"],
-    ),
-    (
-        "congruence read in process",
-        CHECKS,
-        "tail=hits, prefix=cross + 1, fork=True)",
-        "tail=hits, prefix=cross + 1)",
-        [T + "test_no_child_outlives_run_all"],
-    ),
-    (
-        "the flag read off the wrong sweep",
-        CHECKS,
-        "if s.fork and len(prefix) >= s.prefix:",
-        "if sweeps[0].fork and len(prefix) >= s.prefix:",
-        [T + "test_no_child_outlives_run_all"],
-    ),
-    (
-        "children listed only after every fork",
-        CHECKS,
-        "                for s in sweeps:\n"
-        "                    if s.fork and len(prefix) >= s.prefix:\n"
-        "                        s.forked.append(_ForkedTail(s.name, s.tail, prefix))  # listed before the next fork\n",
-        "                children = [(s, _ForkedTail(s.name, s.tail, prefix))\n"
-        "                            for s in sweeps if s.fork and len(prefix) >= s.prefix]\n"
-        "                for s, child in children:\n"
-        "                    s.forked.append(child)\n",
-        [T + "test_no_child_outlives_a_fork_that_fails"],
-    ),
-    (
-        "a failed fork re-raised",
-        CHECKS,
-        "read every tail in process\n                _close(sweeps)\n",
-        "read every tail in process\n                _close(sweeps)\n                raise\n",
-        [T + "test_no_child_outlives_a_fork_that_fails"],
-    ),
-    (
-        "the fallback leaves the sweeps' children listed",
-        CHECKS,
-        "        s.forked.clear()\n",
-        "",
-        [T + "test_no_child_outlives_a_fork_that_fails"],
-    ),
-    (
-        "close() leaves the pipe open",
-        CHECKS,
-        "        self.pipe.close()\n        if self.pid is not None:\n",
-        "        if self.pid is not None:\n",
-        [T + "test_no_descriptor_outlives_run"],
-    ),
-    (
-        "result() reads its children after its clock starts",
-        CHECKS,
-        "        reads = [child.read() for child in self.forked]  # before the clock: the wait is in the children's seconds\n"
-        "        start = perf_counter()\n",
-        "        start = perf_counter()\n"
-        "        reads = [child.read() for child in self.forked]\n",
-        [T + "test_a_forked_part_s_time_counts_once"],
     ),
     # quarter_bound decides d^4 > 2^(n+1) from the exponent where d = 2^k.
     (
@@ -417,8 +329,8 @@ MUTANTS = [
     (
         "the values walk not drained after the rows",
         CHECKS,
-        "        deque(values, 0)",
-        "        pass",
+        "    deque(values, 0)",
+        "    pass",
         [T + "test_run_all_walks_the_values_past_the_rows"],
     ),
     (
@@ -445,8 +357,8 @@ MUTANTS = [
     (
         "result() keeping 50",
         CHECKS,
-        "cex = list(islice(chain(*found, *(hits for hits, _ in reads)), MAX_COUNTEREXAMPLES))",
-        "cex = list(islice(chain(*found, *(hits for hits, _ in reads)), 50))",
+        "self.tail else ()), MAX_COUNTEREXAMPLES))",
+        "self.tail else ()), 50))",
         [T + "test_counterexamples_are_capped"],
     ),
     (
@@ -454,7 +366,7 @@ MUTANTS = [
         CHECKS,
         "prefix = list(islice(source, max([0] + [s.prefix for s in sweeps])))",
         "prefix = list(islice(source, max([0] + [s.prefix - 1 for s in sweeps])))",
-        [T + "test_no_child_outlives_run_all"],
+        [T + "test_run_all_walks_the_values_past_the_rows"],
     ),
     # The convolution by its first-order recurrence, over the nonzero residuals.
     (
@@ -800,20 +712,18 @@ MUTANTS = [
 ]
 
 
-# A selection still running after this long has hung. On 2 vCPUs the
-# slowest takes about 32 s: the kill of "no kill on error", which waits out
-# the 30 s child of test_no_child_outlives_a_walk_that_raises. Every other
-# selection, all of them at once on the unedited source included, takes
-# about 3 s.
+# A selection still running after this long has hung. On 2 vCPUs every
+# selection, all of them at once on the unedited source included, takes at
+# most about 3 s; the margin is for slower runners.
 TIMEOUT_S = 100
 
 
 def pytest(src: Path, selection: list[str], log: Path) -> Optional[int]:
     """Run the selection against the package under src; the exit status, or
     None when it runs past TIMEOUT_S and is killed, with every process it
-    forked (pytest runs in a session of its own).
+    started (pytest runs in a session of its own).
 
-    Output goes to a file, not a pipe: a forked child that a mutant leaves
+    Output goes to a file, not a pipe: a process that a test started and left
     running would hold a pipe open after pytest exits."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     with open(log, "w") as out, subprocess.Popen(

@@ -1,6 +1,4 @@
-import errno
 import math
-import os
 import random
 import sys
 import time
@@ -1023,33 +1021,14 @@ def test_run_all_check_alone_sees_the_given_values():
     assert not any(together[name].passed for name in row_checks)
 
 
-fork_only = pytest.mark.skipif(not hasattr(os, "fork"), reason="tails are read in process without os.fork")
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Counts the calls to os.fork."""
-    calls = []
-    real_fork = os.fork
-
-    def fork():
-        calls.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return calls
-
-
-def _tail_sweep(name, tail, walk_fails=0, fail=lambda n: None):
+def _tail_sweep(name, tail, walk_fails=0):
     """A sweep over the values 0..99 whose step finds a counterexample at each
-    index below walk_fails, calling fail(n) first, and whose tail, read in a
-    forked child in a run of two or more sweeps, is `tail`."""
+    index below walk_fails, and whose tail is `tail`."""
 
     def step(n, window):
-        fail(n)
         return (n, "walk") if n < walk_fails else None
 
-    return checks._Sweep(name, 0, 99, (0, 99, step), rows=False, tail=tail, prefix=10, fork=True)
+    return checks._Sweep(name, 0, 99, (0, 99, step), rows=False, tail=tail, prefix=10)
 
 
 def _three_then_boom(values):
@@ -1077,261 +1056,48 @@ def _late_hits(values):
         yield 50 + n, "late"
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@fork_only
 @pytest.mark.parametrize("walk_fails", [0, 21, 22, 25])
-def test_a_forked_tail_raises_where_the_tail_read_in_process_raises(forks, walk_fails):
-    # The tail yields 3 and then raises; read in process, the raise is reached
-    # unless the walk's finds and those 3 already fill MAX_COUNTEREXAMPLES.
-    in_process = _outcome([_tail_sweep("boom", _three_then_boom, walk_fails)])
-    assert not forks
-    forked = _outcome([_tail_sweep("boom", _three_then_boom, walk_fails), _tail_sweep("quiet", lambda v: ())])
-    assert len(forks) == 2
+def test_a_forked_tail_raises_where_the_tail_read_in_process_raises(walk_fails):
+    # The name dates from when a tail beside another sweep was forked; every
+    # tail is now read in process, and beside another sweep it must still
+    # raise where it raises alone. The tail yields 3 and then raises; the
+    # raise is reached unless the walk's finds and those 3 already fill
+    # MAX_COUNTEREXAMPLES.
+    alone = _outcome([_tail_sweep("boom", _three_then_boom, walk_fails)])
+    beside = _outcome([_tail_sweep("boom", _three_then_boom, walk_fails), _tail_sweep("quiet", lambda v: ())])
     if walk_fails < 22:
-        assert forked == in_process == (ValueError, "boom")
+        assert beside == alone == (ValueError, "boom")
     else:
-        assert forked == in_process + [("pass", [])]
-        assert len(forked[0][1]) == MAX_COUNTEREXAMPLES
-    _assert_no_child_left()
+        assert beside == alone + [("pass", [])]
+        assert len(beside[0][1]) == MAX_COUNTEREXAMPLES
 
 
-@fork_only
-@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
-def test_no_child_outlives_a_walk_that_raises(forks, error):
-    def interrupt(n):
-        if n == 50:
-            raise KeyboardInterrupt
-
-    # The short input makes the walk raise ValueError once it ends at index 49.
-    values = list(range(50 if error is ValueError else 100))
-    sweeps = [_tail_sweep("walk", lambda v: (), fail=interrupt), _tail_sweep("slow", _sleeps(30))]
-    start = time.perf_counter()
-    with pytest.raises(error):
-        checks._run(sweeps, values)
-    assert time.perf_counter() - start < 15  # the sleeping child is killed, not waited for
-    assert len(forks) == 2
-    _assert_no_child_left()
-
-
-@fork_only
-def test_no_child_outlives_run_all(forks, kept_tails):
-    results = run_all(VerifyConfig(max_n=40, series_order=20, oracle_max=5))
-    assert all(r.passed for r in results)
-    # Only congruence's tail grows with the config; the other four are read in process.
-    assert len(forks) == 1
-    assert [child.name for child in kept_tails] == ["congruence"]
-    _assert_no_child_left()
-
-
-@fork_only
-def test_a_child_without_a_result_raises_naming_its_check(forks):
-    def unpicklable(values):
-        yield 0, lambda: None
-
-    with pytest.raises(RuntimeError, match="^odd: "):
-        checks._run([_tail_sweep("odd", unpicklable), _tail_sweep("quiet", lambda v: ())], list(range(100)))
-    assert len(forks) == 2
-    _assert_no_child_left()
-
-
-def test_a_single_sweep_never_forks(monkeypatch):
-    def fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(os, "fork", fork, raising=False)
-    config = VerifyConfig(max_n=40, series_order=20, oracle_max=5)
-    for name in ("congruence", "d_upper", "involutions", "series", "sign_flip"):
-        assert run_all(replace(config, checks=[name]))[0].passed
-    assert check_d_upper(40).passed and check_involution_identity(5).passed
-
-
-def test_without_fork_tails_are_read_in_process(monkeypatch):
-    config = VerifyConfig(max_n=40, series_order=20, oracle_max=5)
-    bad = list(a_seq(required_length(config) - 1))
-    bad[4] += 1
-    forked = run_all(config, a_values=bad)
-    monkeypatch.delattr(os, "fork", raising=False)
-    in_process = run_all(config, a_values=bad)
-    assert [(r.name, r.status, r.counterexamples) for r in in_process] == [
-        (r.name, r.status, r.counterexamples) for r in forked]
-    assert not all(r.passed for r in in_process)
+@pytest.mark.parametrize("walk_fails", [0, 21, 22, 25])
+def test_a_tail_s_error_raises_before_a_later_sweep_s_hits(walk_fails):
+    # The first tail yields 3 and then raises, the second yields a full report.
+    # The first report takes the walk's finds, then the tail's 3, then the
+    # raise, unless those already fill MAX_COUNTEREXAMPLES; the second report
+    # is then read.
+    got = _outcome([_tail_sweep("boom", _three_then_boom, walk_fails), _tail_sweep("late", _late_hits)])
+    if walk_fails < 22:
+        assert got == (ValueError, "boom")
+    else:
+        walk = [(n, "walk") for n in range(walk_fails)][:MAX_COUNTEREXAMPLES]
+        tail = [(n, "tail") for n in range(3)][: MAX_COUNTEREXAMPLES - len(walk)]
+        assert got == [("fail", walk + tail), ("fail", list(_late_hits(())))]
 
 
 @pytest.mark.parametrize("others", [0, 1], ids=["alone", "beside another"])
 def test_a_tail_s_time_reaches_elapsed_ms(others):
-    # Alone, the tail is read in process; beside another sweep, in a child,
-    # whose seconds count.
     sweeps = [_tail_sweep("sleepy", _sleeps(0.1))] + [_tail_sweep("quiet", lambda v: ())] * others
     assert checks._run(sweeps, list(range(100)))[0].elapsed_ms >= 100
 
 
-@fork_only
-def test_a_forked_part_runs_below_the_parent_s_priority(forks):
-    # The parent's walk is the critical path: each child lowers its own
-    # priority, so that the children it started do not keep it off a CPU.
-    parent = os.nice(0)
-    if parent >= 19:
-        pytest.skip("the parent already runs at the lowest priority")
-
-    def niceness(values):
-        yield 0, str(os.nice(0))
-
-    sweeps = [_tail_sweep("nice", niceness), _tail_sweep("quiet", lambda v: ())]
-    [(_, child)] = checks._run(sweeps, list(range(100)))[0].counterexamples
-    assert len(forks) == 2
-    assert int(child) > parent
-    _assert_no_child_left()
-
-
-@fork_only
-def test_a_tail_short_of_its_prefix_raises_as_in_process(forks):
-    # The tail is not started; result() rejects the short prefix in its place.
-    def wide():
-        return checks._Sweep("wide", 0, 5, tail=lambda values: [(0, str(values[19]))], prefix=20, fork=True)
-
-    values = list(range(10))
-    message = "wide reads a_0..a_19; the input stops at 9"
-    with pytest.raises(ValueError, match=message):
-        checks._run([wide()], values)
-    with pytest.raises(ValueError, match=message):
-        checks._run([wide(), checks._Sweep("quiet", 0, 5, tail=lambda v: (), fork=True)], values)
-    assert len(forks) == 1
-    _assert_no_child_left()
-
-
-@fork_only
-@pytest.mark.parametrize("walk_fails", [0, 21, 22])
-def test_a_tail_s_error_raises_before_a_later_sweep_s_hits(forks, monkeypatch, walk_fails):
-    # The first tail yields 3 and then raises, the second yields a full report:
-    # the raise is reached unless the walk's finds and the first tail's 3 fill
-    # the first report, and the second report is then read as in process.
-    def sweeps():
-        return [_tail_sweep("boom", _three_then_boom, walk_fails), _tail_sweep("late", _late_hits)]
-
-    forked = _outcome(sweeps())
-    assert len(forks) == 2
-    monkeypatch.delattr(os, "fork")
-    in_process = _outcome(sweeps())
-    if walk_fails < 22:
-        assert forked == in_process == (ValueError, "boom")
-    else:
-        assert forked == in_process
-        assert [text for _, text in forked[0][1]] == ["walk"] * 22 + ["tail"] * 3
-        assert forked[1] == ("fail", list(_late_hits(())))
-    _assert_no_child_left()
-
-
-@fork_only
-def test_no_child_outlives_a_fork_that_fails(monkeypatch):
-    # The second fork fails: the child already reading the first tail is
-    # killed and reaped, not left asleep, and every tail is then read in
-    # process, with the results of a run that never forked.
-    parent = os.getpid()
-
-    def sleeps_in_a_child(values):
-        if os.getpid() != parent:
-            time.sleep(30)
-        yield 60, "first"
-
-    def sweeps():
-        return [_tail_sweep("first", sleeps_in_a_child, walk_fails=3), _tail_sweep("second", _late_hits)]
-
-    def outcome(results):
-        return [(r.name, r.status, r.counterexamples) for r in results]
-
-    in_process = [outcome(checks._run([s], list(range(100)))) for s in sweeps()]
-    real_fork, calls = os.fork, []
-
-    def fork():
-        calls.append(1)
-        if len(calls) == 2:
-            raise OSError(errno.EAGAIN, "no process left")
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    start = time.perf_counter()
-    results = checks._run(sweeps(), list(range(100)))
-    assert time.perf_counter() - start < 15  # the sleeping child is killed, not waited for
-    assert len(calls) == 2
-    assert outcome(results) == [r for rs in in_process for r in rs]
-    assert results[0].counterexamples == [(0, "walk"), (1, "walk"), (2, "walk"), (60, "first")]
-    _assert_no_child_left()
-
-
-@pytest.fixture
-def kept_tails(monkeypatch):
-    """Every forked tail _run starts, kept alive after it returns, so that no
-    finalizer closes a pipe that _run left open."""
-    kept = []
-
-    class Kept(checks._ForkedTail):
-        def __init__(self, *args):
-            super().__init__(*args)
-            kept.append(self)
-
-    monkeypatch.setattr(checks, "_ForkedTail", Kept)
-    return kept
-
-
-def _forked_run_all(monkeypatch):
-    assert all(r.passed for r in run_all(VerifyConfig(max_n=40, series_order=20, oracle_max=5)))
-
-
-def _walk_that_raises(monkeypatch):
-    # The input stops at 49, so the walk raises while a child sleeps.
-    sweeps = [_tail_sweep("walk", lambda v: ()), _tail_sweep("slow", _sleeps(30))]
-    with pytest.raises(ValueError, match="the input stops at 49"):
-        checks._run(sweeps, list(range(50)))
-
-
-def _fork_that_fails(monkeypatch):
-    # The second fork fails: the first child is killed and its tail read in process.
-    real_fork, calls = os.fork, []
-
-    def fork():
-        calls.append(1)
-        if len(calls) == 2:
-            raise OSError(errno.EAGAIN, "no process left")
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    sweeps = [_tail_sweep("quiet", lambda v: ()), _tail_sweep("late", _late_hits)]
-    assert checks._run(sweeps, list(range(100)))[1].counterexamples == list(_late_hits(()))
-
-
-def _child_without_a_result(monkeypatch):
-    def unpicklable(values):
-        yield 0, lambda: None
-
-    with pytest.raises(RuntimeError, match="^odd: "):
-        checks._run([_tail_sweep("odd", unpicklable), _tail_sweep("quiet", lambda v: ())], list(range(100)))
-
-
-@fork_only
-@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count descriptors in")
-@pytest.mark.parametrize("run", [_forked_run_all, _walk_that_raises, _fork_that_fails, _child_without_a_result])
-def test_no_descriptor_outlives_run(kept_tails, monkeypatch, run):
-    # Each child's pipe is closed by _run itself, whichever way the run ends:
-    # the tails are kept alive, so a pipe left open stays open here.
-    before = len(os.listdir("/proc/self/fd"))
-    run(monkeypatch)
-    assert kept_tails
-    assert len(os.listdir("/proc/self/fd")) == before
-    _assert_no_child_left()
-
-
-@fork_only
-def test_a_forked_part_s_time_counts_once(forks):
-    # The parent waits in result() for the sleeping child; that wait is in the
-    # child's own seconds, so the parent's clock must not count it again.
-    sweeps = [_tail_sweep("sleepy", _sleeps(0.3)), _tail_sweep("quiet", lambda v: ())]
-    elapsed = checks._run(sweeps, list(range(100)))[0].elapsed_ms
-    assert len(forks) == 2
-    assert 300 <= elapsed < 550
+def test_a_tail_short_of_its_prefix_raises_as_in_process():
+    # result() rejects the short prefix before the tail would read past it.
+    wide = checks._Sweep("wide", 0, 5, tail=lambda values: [(0, str(values[19]))], prefix=20)
+    with pytest.raises(ValueError, match=r"^wide reads a_0\.\.a_19; the input stops at 9$"):
+        checks._run([wide], list(range(10)))
 
 
 # Indices of a_0..a_150 that are raised by 1. With max_n = 150 the
@@ -1345,23 +1111,15 @@ CONGRUENCE_CASES = {
 }
 
 
-@fork_only
 @pytest.mark.parametrize("corrupted", list(CONGRUENCE_CASES.values()), ids=list(CONGRUENCE_CASES))
-def test_congruence_reports_forked_as_in_process(forks, a150, corrupted):
+def test_congruence_reports_by_prime_then_n_capped(a150, corrupted):
     bad = list(a150)
     for k in corrupted:
         bad[k] += 1
-    config = VerifyConfig(max_n=150, prime_limit=97)
-    in_process = check_congruence(config.prime_limit, 150, bad)
-    assert not forks
-    forked = checks._run([checks._congruence(config), checks._Sweep("empty", 0, 0)], bad)[0]
-    assert len(forks) == 1
-    assert forked.counterexamples == in_process.counterexamples
     want = [(n, f"full-precision a({n}) is not 1 mod {p}")
             for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
             for n in range(p, 151, p) if n in corrupted]
-    assert forked.counterexamples == want[:MAX_COUNTEREXAMPLES]
-    _assert_no_child_left()
+    assert check_congruence(97, 150, bad).counterexamples == want[:MAX_COUNTEREXAMPLES]
 
 
 @settings(max_examples=25, deadline=None)
@@ -1375,8 +1133,8 @@ def test_the_mechanism_s_parts_cover_its_range_once_in_order(hi):
     assert [n for n, _ in tail(zeros)] == list(range(1, mech + 1))
 
 
-# Plain references, each written from its check's docstring in plain ints, and
-# run_all on corrupted values against every check that has one.
+# Plain references, one per check, each written from its check's docstring in
+# plain ints or Fractions, and run_all on corrupted values against them all.
 
 
 def _capped(hits):
@@ -1476,6 +1234,46 @@ def _series_reference(order, values):
     return [(k, f"{part}: first discrepancy at index {k}") for part, k in parts.items() if k is not None]
 
 
+def _quadratic_gap_reference(hi, rows):
+    def hits():
+        for row in rows[4: hi + 1]:
+            gap = row.x * row.x - row.x
+            if not row.n - 1 < gap < row.n:
+                yield row.n, f"x({row.n})^2 - x({row.n}) = {gap} escapes ({row.n - 1}, {row.n})"
+    return _capped(hits())
+
+
+def _congruence_reference(hi, values):
+    # The modular part recomputes the sequence modulo the product of the
+    # primes and reads none of the values given, so on any input it finds
+    # nothing. The cross-check reads a_n for n <= min(CROSS_LIMIT, hi) at each
+    # odd prime p <= 97 that divides n, by prime, then by n.
+    odd_primes = [p for p in range(3, VerifyConfig().prime_limit + 1) if all(p % k for k in range(2, p))]
+    return _capped((n, f"full-precision a({n}) is not 1 mod {p}") for p in odd_primes
+                   for n in range(p, min(checks.CROSS_LIMIT, hi) + 1, p) if values[n] % p != 1)
+
+
+def _a6_relation_reference(hi, values):
+    # a_{m+6} = 2(m^2+9m+19) a_{m+2} - m(m-1)(m+2)(m+5) a_{m-2} for m = 2..hi.
+    return _capped(
+        (m, f"six-step recurrence fails tying a({m - 2}), a({m + 2}), a({m + 6})") for m in range(2, hi + 1)
+        if values[m + 6] != 2 * (m * m + 9 * m + 19) * values[m + 2] - m * (m - 1) * (m + 2) * (m + 5) * values[m - 2])
+
+
+def _sign_flip_reference(seed):
+    # (f^2 - f - n) x^2 = -n (x^2 - x - n) for f = 1 + n/x, at the seeded samples.
+    rng = random.Random(seed)
+
+    def hits():
+        for i in range(1, checks.SIGN_FLIP_SAMPLES + 1):
+            p, q, n = (rng.randint(1, 10**6) for _ in range(3))
+            x = Fraction(p, q)
+            f = 1 + n / x
+            if (f * f - f - n) * x * x != -n * (x * x - x - n):
+                yield i, f"identity fails at sample {i}: x = {x}, n = {n}"
+    return _capped(hits())
+
+
 ORACLE_MAX = 7
 
 
@@ -1487,6 +1285,8 @@ def _series_order(hi):
 # Each check's (lo, hi, counterexamples) for run_all's max_n = hi, read off the
 # values or the plain rows.
 REFERENCES = {
+    "a6_relation": lambda hi, values, rows: (2, hi, _a6_relation_reference(hi, values)),
+    "congruence": lambda hi, values, rows: (3, hi, _congruence_reference(hi, values)),
     "d_formula": lambda hi, values, rows: (1, hi, _d_formula_reference(hi, values)),
     "d_upper": lambda hi, values, rows: (1, hi, _d_upper_reference(hi, values)),
     "d_power_of_two": lambda hi, values, rows: (1, hi, _d_power_of_two_reference(hi, values)),
@@ -1495,8 +1295,10 @@ REFERENCES = {
     "involutions": lambda hi, values, rows: (0, ORACLE_MAX, _involutions_reference(ORACLE_MAX, values)),
     "mod4_exclusion": lambda hi, values, rows: (4, hi, _mod4_exclusion_reference(hi, values)),
     "parity": lambda hi, values, rows: (1, hi, _parity_reference(hi, rows)),
+    "quadratic_gap": lambda hi, values, rows: (4, hi, _quadratic_gap_reference(hi, rows)),
     "quarter_bound": lambda hi, values, rows: (1, hi, _quarter_bound_reference(hi, rows)),
     "series": lambda hi, values, rows: (0, _series_order(hi), _series_reference(_series_order(hi), values)),
+    "sign_flip": lambda hi, values, rows: (1, checks.SIGN_FLIP_SAMPLES, _sign_flip_reference(VerifyConfig().seed)),
     "sqrt_factorial": lambda hi, values, rows: (0, hi, _sqrt_factorial_reference(hi, values)),
     "x_bounds": lambda hi, values, rows: (4, hi, _x_bounds_reference(4, hi, rows)),
 }
@@ -1522,6 +1324,7 @@ def corrupted_runs(draw):
 @example((60, {1: (5, True)}))  # a_1, the first residual
 @example((60, {120: (6, False)}))  # a_{2 mech}, read only by the last convolution and the last coefficient
 @example((0, {0: (7, True), 1: (8, False)}))  # no mechanism at max_n = 0; the series reads a_0..a_2
+@example((60, {44: (1, False)}))  # row 45's x_den has 97 bits, one past the gap filter's cut
 def test_run_all_matches_the_references(case):
     hi, corruptions = case
     config = VerifyConfig(max_n=hi, series_order=_series_order(hi), oracle_max=ORACLE_MAX, checks=list(REFERENCES))
